@@ -17,9 +17,6 @@ from .homfun import (
     to_text,
     eval_expr,
     eval_batch,
-    eval_g,
-    eval_f,
-    eval_h,
     ExprSyntaxError,
 )
 from .fblnorm import (

@@ -11,8 +11,10 @@ import argparse
 import json
 import sys
 
-from .fblnorm import ConfigError, SearchConfig, fbl_lower_bound, SIGN_CUBE_CAP
-from .homfun import ExprSyntaxError, LiftParams, parse
+import numpy as np
+
+from .fblnorm import ConfigError, SearchConfig, fbl_lower_bound
+from .homfun import ExprSyntaxError, LiftParams, eval_expr, parse
 from .lifting import LiftingSystem
 from .spaces import SpaceSyntaxError, parse_space
 from . import verify
@@ -23,6 +25,10 @@ EXIT_PARSE_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 __all__ = ["main", "run"]
+
+
+class ExprRangeError(ValueError):
+    """A well-formed expression whose generator index does not fit the space."""
 
 
 def _parse_mseq(text: str) -> LiftParams:
@@ -43,6 +49,21 @@ def _parse_mseq(text: str) -> LiftParams:
     raise ConfigError(f"unknown mseq {text!r} (expected pow2 or custom:LIST)")
 
 
+def _check_mseq_length(params, space) -> None:
+    try:
+        params.arrays(space.dim)
+    except IndexError as exc:
+        raise ConfigError(f"{exc}; space {space} needs {space.dim} terms") from exc
+
+
+def _check_generator_indices(expr, space) -> None:
+    # one probe evaluation reaches every f(n)/h(n,k) node's index check
+    try:
+        eval_expr(expr, space, np.zeros(space.dim))
+    except IndexError as exc:
+        raise ExprRangeError(str(exc)) from exc
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -60,6 +81,8 @@ def cmd_norm(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
     expr = parse(args.expr, params)
+    _check_mseq_length(params, space)
+    _check_generator_indices(expr, space)
     config = SearchConfig(k=args.k, restarts=args.restarts,
                           local_steps=args.local_steps, seed=args.seed)
     est = fbl_lower_bound(expr, space, config)
@@ -72,6 +95,7 @@ def cmd_norm(args) -> int:
 def cmd_lift_verify(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
+    _check_mseq_length(params, space)
     system = LiftingSystem(space, params)
     search = SearchConfig(k=args.k, restarts=args.restarts,
                           local_steps=args.local_steps, seed=args.seed)
@@ -82,8 +106,6 @@ def cmd_lift_verify(args) -> int:
         verify.check_beta_section(system, seed=args.seed),
     ]
     rng_reports = []
-    import numpy as np
-
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(9,)))
     for _ in range(args.coeff_vectors):
         a = rng.standard_normal(space.dim)
@@ -117,8 +139,6 @@ def _merge(reports, name):
 
 
 def cmd_lemma44(args) -> int:
-    if args.l > SIGN_CUBE_CAP:
-        raise ConfigError(f"tuple size {args.l} exceeds the sign-cube cap {SIGN_CUBE_CAP}")
     space = parse_space(args.space) if args.space else None
     report = verify.check_lemma44(space, instances=args.instances,
                                   max_l=args.l, seed=args.seed)
@@ -138,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="space syntax, e.g. l1:4, l2:6, linf:3, lp:2.5:4, wlp:2:[1,0.5,0.25]")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
-        p.add_argument("--ramp", default="linear", choices=["linear"])
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("norm", help="lower-bound the norm of an expression")
@@ -177,7 +196,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ExprSyntaxError, SpaceSyntaxError) as exc:
+    except (ExprSyntaxError, ExprRangeError, SpaceSyntaxError) as exc:
         payload = {"error": {"message": str(exc)}}
         if isinstance(exc, ExprSyntaxError):
             payload["error"]["position"] = exc.position

@@ -14,8 +14,7 @@ finite tuples (x_i*) with sup_{x in B} sum_i |x_i*(x)| <= 1.  Three tools:
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -64,7 +63,9 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     """
     X = np.asarray(functionals, dtype=np.float64)
     if X.ndim != 2:
-        X = np.stack([np.asarray(f, float) for f in functionals])
+        raise ConfigError(
+            f"functionals must form a (k, {space.dim}) array, got shape {X.shape}"
+        )
     k, d = X.shape
     if d != space.dim:
         raise ConfigError(f"functionals have {d} coordinates, space has {space.dim}")

@@ -18,7 +18,6 @@ Grammar (ASCII):
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,9 +44,6 @@ __all__ = [
     "to_text",
     "eval_expr",
     "eval_batch",
-    "eval_g",
-    "eval_f",
-    "eval_h",
 ]
 
 
@@ -65,11 +61,8 @@ class LiftParams:
 
     kind: str = "pow2"
     m_values: tuple[float, ...] | None = None
-    ramp: str = "linear"
 
     def __post_init__(self):
-        if self.ramp != "linear":
-            raise ValueError(f"unsupported ramp family {self.ramp!r}")
         if self.kind == "pow2":
             if self.m_values is not None:
                 raise ValueError("pow2 sequences take no explicit values")
@@ -253,21 +246,6 @@ def _eval(expr, space, X):
 def _check_index(n, dim):
     if not 1 <= n <= dim:
         raise IndexError(f"generator index {n} out of range 1..{dim}")
-
-
-def eval_g(params: LiftParams, m: int, t: float) -> float:
-    """Ramp cutoff g_m(t)."""
-    return params.g(m, t)
-
-
-def eval_f(params: LiftParams, n: int, space: Space, xstar) -> float:
-    """The n-th disjoint generator; exact at finite dimension."""
-    return eval_expr(BuiltinF(n, params), space, xstar)
-
-
-def eval_h(params: LiftParams, n: int, k: int, space: Space, xstar) -> float:
-    """Truncation of the n-th generator: ramp product stops at index n+k."""
-    return eval_expr(BuiltinH(n, k, params), space, xstar)
 
 
 # ---------------------------------------------------------------------------

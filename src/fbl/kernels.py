@@ -1,7 +1,4 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection: set FBL_BACKEND=numpy to force the fallback, FBL_BACKEND=numba
-to require numba (ImportError if missing).  Default is numba when available.
+"""Hot numeric kernels, vectorized with numpy.
 
 All kernels are careful to produce *literal* zeros where the formulas clamp
 (positive parts, ramp cutoffs), so exact-zero assertions downstream are sound.
@@ -10,7 +7,6 @@ All kernels are careful to produce *literal* zeros where the formulas clamp
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -22,22 +18,8 @@ __all__ = [
     "constraint_batch",
 ]
 
-_requested = os.environ.get("FBL_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"FBL_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-try:
-    if _requested == "numpy":
-        raise ImportError
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    if _requested == "numba":
-        raise
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+# recorded in benchmark environment blocks; numpy is the only implementation
+BACKEND = "numpy"
 
 
 def sign_patterns(k: int) -> np.ndarray:
@@ -55,22 +37,25 @@ def sign_patterns(k: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def _row_norms_numpy(Z: np.ndarray, q: float) -> np.ndarray:
+def _dual_norms(Z: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
+    """ell_q norms of Z along `axis`."""
     a = np.abs(Z)
     if q == math.inf:
-        return a.max(axis=-1)
+        return a.max(axis=axis)
     if q == 1.0:
-        return a.sum(axis=-1)
+        return a.sum(axis=axis)
     if q == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
-    return np.power(np.power(a, q).sum(axis=-1), 1.0 / q)
+        return np.sqrt((a * a).sum(axis=axis))
+    return np.power(np.power(a, q).sum(axis=axis), 1.0 / q)
 
 
-def _hom_batch_numpy(X, n, mhi, Mv, Nv):
+def hom_batch(X, n, mhi, Mv, Nv) -> np.ndarray:
+    """Batch-evaluate the disjoint generator (or its truncation) at rows of X.
+
+    X: (N, d) functional coordinates; n: 1-based generator index; mhi: product
+    runs over basis indices m with n < m <= mhi; Mv, Nv: cutoff sequences.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
     a = np.abs(X)
     an = a[:, n - 1]
     prev = a[:, : n - 1].max(axis=1, initial=0.0)
@@ -83,133 +68,10 @@ def _hom_batch_numpy(X, n, mhi, Mv, Nv):
     return np.where(an == 0.0, 0.0, base)
 
 
-def _pattern_norms_numpy(X, S, q):
-    return _row_norms_numpy(S @ X, q)
-
-
-def _constraint_batch_numpy(XB, S, q):
-    # one GEMM for the whole batch: contract the tuple axis with the patterns
-    Z = np.tensordot(XB, S, axes=([1], [1]))  # (B, d, npat)
-    a = np.abs(Z)
-    if q == math.inf:
-        norms = a.max(axis=1)
-    elif q == 1.0:
-        norms = a.sum(axis=1)
-    elif q == 2.0:
-        norms = np.sqrt((a * a).sum(axis=1))
-    else:
-        norms = np.power(np.power(a, q).sum(axis=1), 1.0 / q)
-    return norms.max(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _hom_batch_numba(X, n, mhi, Mv, Nv):
-        ns, _ = X.shape
-        out = np.zeros(ns)
-        nn = Nv[n - 1]
-        for i in range(ns):
-            an = abs(X[i, n - 1])
-            if an == 0.0:
-                continue
-            prev = 0.0
-            for m in range(n - 1):
-                v = abs(X[i, m])
-                if v > prev:
-                    prev = v
-            base = an - nn * prev
-            if base <= 0.0:
-                continue
-            prod = 1.0
-            for m in range(n, mhi):
-                t = abs(X[i, m]) / an
-                if t >= Nv[m]:
-                    prod = 0.0
-                    break
-                if t > Mv[m]:
-                    prod *= (Nv[m] - t) / (Nv[m] - Mv[m])
-            out[i] = base * prod
-        return out
-
-    @njit(cache=True)
-    def _row_norm_numba(z, q):
-        if q == np.inf:
-            best = 0.0
-            for j in range(z.size):
-                v = abs(z[j])
-                if v > best:
-                    best = v
-            return best
-        if q == 1.0:
-            s = 0.0
-            for j in range(z.size):
-                s += abs(z[j])
-            return s
-        if q == 2.0:
-            s = 0.0
-            for j in range(z.size):
-                s += z[j] * z[j]
-            return math.sqrt(s)
-        s = 0.0
-        for j in range(z.size):
-            s += abs(z[j]) ** q
-        return s ** (1.0 / q)
-
-    @njit(cache=True)
-    def _pattern_norms_numba(X, S, q):
-        npat = S.shape[0]
-        d = X.shape[1]
-        out = np.empty(npat)
-        z = np.empty(d)
-        for p in range(npat):
-            for j in range(d):
-                s = 0.0
-                for i in range(X.shape[0]):
-                    s += S[p, i] * X[i, j]
-                z[j] = s
-            out[p] = _row_norm_numba(z, q)
-        return out
-
-    @njit(cache=True)
-    def _constraint_batch_numba(XB, S, q):
-        nb = XB.shape[0]
-        out = np.empty(nb)
-        for b in range(nb):
-            norms = _pattern_norms_numba(XB[b], S, q)
-            best = norms[0]
-            for p in range(1, norms.size):
-                if norms[p] > best:
-                    best = norms[p]
-            out[b] = best
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def hom_batch(X, n, mhi, Mv, Nv) -> np.ndarray:
-    """Batch-evaluate the disjoint generator (or its truncation) at rows of X.
-
-    X: (N, d) functional coordinates; n: 1-based generator index; mhi: product
-    runs over basis indices m with n < m <= mhi; Mv, Nv: cutoff sequences.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _hom_batch_numba(X, n, mhi, Mv, Nv)
-    return _hom_batch_numpy(X, n, mhi, Mv, Nv)
-
-
 def pattern_norms(X, S, q) -> np.ndarray:
     """Dual norms of the signed sums S @ X, one per sign pattern (row of S)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _pattern_norms_numba(X, S, float(q))
-    return _pattern_norms_numpy(X, S, q)
+    return _dual_norms(S @ X, q)
 
 
 def constraint_batch(XB, S, q) -> np.ndarray:
@@ -218,6 +80,6 @@ def constraint_batch(XB, S, q) -> np.ndarray:
     XB: (B, k, d); S: sign pattern matrix (npat, k).  Returns (B,).
     """
     XB = np.ascontiguousarray(XB, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _constraint_batch_numba(XB, S, float(q))
-    return _constraint_batch_numpy(XB, S, q)
+    # one GEMM for the whole batch: contract the tuple axis with the patterns
+    Z = np.tensordot(XB, S, axes=([1], [1]))  # (B, d, npat)
+    return _dual_norms(Z, q, axis=1).max(axis=1)

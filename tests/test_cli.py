@@ -47,6 +47,12 @@ def test_norm_bad_space_exits_2(capsys):
     assert code == 2
 
 
+def test_norm_generator_index_out_of_range_exits_2(capsys):
+    code, out, _ = run_cli(capsys, "norm", "--space", "l2:2", "--expr", "f(9)")
+    assert code == 2
+    assert "generator index 9" in json.loads(out)["error"]["message"]
+
+
 def test_norm_bad_k_exits_3(capsys):
     code, _, _ = run_cli(capsys, "norm", "--space", "l1:2", "--expr", "d(1,0)", "--k", "30")
     assert code == 3
@@ -68,6 +74,12 @@ def test_lift_verify_rejects_divergent_mseq(capsys):
     code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:6", "--mseq", "harmonic")
     assert code == 3
     assert "diverges" in json.loads(out)["error"]["message"]
+
+
+def test_lift_verify_short_mseq_exits_3(capsys):
+    code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:3", "--mseq", "custom:1,2")
+    assert code == 3
+    assert "no term 3" in json.loads(out)["error"]["message"]
 
 
 def test_lift_verify_custom_mseq(capsys):

@@ -84,6 +84,10 @@ def test_constraint_cap_and_errors():
         tuple_constraint(sp, np.ones((2, 3)))
     with pytest.raises(ConfigError):
         tuple_constraint(sp, np.ones((0, 2)))
+    with pytest.raises(ConfigError, match=r"\(k, 2\)"):
+        tuple_constraint(sp, np.ones(2))
+    with pytest.raises(ConfigError, match=r"\(k, 2\)"):
+        tuple_constraint(sp, np.ones((1, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ from fbl.homfun import (
     Scale,
     eval_batch,
     eval_expr,
-    eval_f,
-    eval_g,
-    eval_h,
     parse,
     to_text,
 )
@@ -51,21 +48,19 @@ def test_custom_sequence_validation():
         LiftParams(kind="custom", m_values=(-1.0, 2.0))
     with pytest.raises(ValueError):
         LiftParams(kind="harmonic")
-    with pytest.raises(ValueError):
-        LiftParams(ramp="cubic")
 
 
 def test_ramp_values():
-    assert eval_g(P, 2, 3.0) == 1.0  # t <= M_2 = 4
-    assert eval_g(P, 2, 8.0) == 0.0  # t >= N_2 = 8
-    assert eval_g(P, 2, 6.0) == 0.5  # linear ramp (8-6)/(8-4)
+    assert P.g(2, 3.0) == 1.0  # t <= M_2 = 4
+    assert P.g(2, 8.0) == 0.0  # t >= N_2 = 8
+    assert P.g(2, 6.0) == 0.5  # linear ramp (8-6)/(8-4)
     with pytest.raises(ValueError):
-        eval_g(P, 2, -1.0)
+        P.g(2, -1.0)
 
 
 def test_ramp_monotone_nonincreasing():
     ts = np.linspace(0, 20, 400)
-    vals = [eval_g(P, 3, t) for t in ts]
+    vals = [P.g(3, t) for t in ts]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -113,19 +108,19 @@ def test_builtin_f_biorthogonal_values():
     for n in range(1, 6):
         for j in range(1, 6):
             ej = np.eye(5)[j - 1]
-            assert eval_f(P, n, sp, ej) == (1.0 if j == n else 0.0)
+            assert eval_expr(BuiltinF(n, P), sp, ej) == (1.0 if j == n else 0.0)
 
 
 def test_builtin_f_hand_value():
     # d=2, n=1, x*=(1,6): positive part 1, ramp factor g_2(6) = 0.5
-    assert eval_f(P, 1, Space.lp(2, 2), [1.0, 6.0]) == 0.5
+    assert eval_expr(BuiltinF(1, P), Space.lp(2, 2), [1.0, 6.0]) == 0.5
 
 
 def test_builtin_h_truncation():
     sp = Space.lp(2, 2)
     # truncation at level 0 drops the ramp factor
-    assert eval_h(P, 1, 0, sp, [1.0, 6.0]) == 1.0
-    assert eval_f(P, 1, sp, [1.0, 6.0]) == 0.5
+    assert eval_expr(BuiltinH(1, 0, P), sp, [1.0, 6.0]) == 1.0
+    assert eval_expr(BuiltinF(1, P), sp, [1.0, 6.0]) == 0.5
 
 
 def test_h_equals_f_at_full_depth(rng):
@@ -173,9 +168,9 @@ def test_f_pairwise_disjoint_exact(rng):
 def test_builtin_index_errors():
     sp = Space.lp(2, 3)
     with pytest.raises(IndexError):
-        eval_f(P, 4, sp, [1, 2, 3])
+        eval_expr(BuiltinF(4, P), sp, [1, 2, 3])
     with pytest.raises(IndexError):
-        eval_h(P, 1, -1, sp, [1, 2, 3])
+        eval_expr(BuiltinH(1, -1, P), sp, [1, 2, 3])
 
 
 def test_eval_dimension_mismatch():

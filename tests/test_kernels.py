@@ -1,0 +1,48 @@
+"""The numpy kernels against scalar references built from the definitions."""
+
+import numpy as np
+
+from fbl import kernels
+from fbl.homfun import LiftParams
+
+P = LiftParams()
+
+
+def _hom_reference(x, n, mhi):
+    """Generator n at one functional: positive part times the ramp product."""
+    a = np.abs(x)
+    an = a[n - 1]
+    if an == 0.0:
+        return 0.0
+    prev = max(a[: n - 1], default=0.0)
+    value = max(an - P.N(n) * prev, 0.0)
+    for m in range(n + 1, mhi + 1):
+        value *= P.g(m, a[m - 1] / an)
+    return value
+
+
+def test_hom_batch_matches_scalar_reference(rng):
+    d = 8
+    Mv, Nv = P.arrays(d)
+    # magnitudes spread over eight decades, so every generator is active on
+    # some rows and ratios land inside every ramp's transition band
+    X = rng.standard_normal((500, d)) * 10.0 ** rng.uniform(-4, 4, (500, d))
+    X[rng.random((500, d)) < 0.1] = 0.0  # exercise the zero branch
+    for n in range(1, d + 1):
+        for mhi in range(n, d + 1):
+            out = kernels.hom_batch(X, n, mhi, Mv, Nv)
+            ref = np.array([_hom_reference(x, n, mhi) for x in X])
+            np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0.0)
+            # clamped values are literal zeros, not rounding residue
+            clamped = ref == 0.0
+            assert clamped.any() and not clamped.all()
+            assert np.array_equal(out == 0.0, clamped)
+            assert not np.signbit(out[clamped]).any()
+
+
+def test_sign_patterns_lexicographic():
+    S = kernels.sign_patterns(3)
+    assert S.shape == (4, 3)
+    assert np.array_equal(S[:, 0], np.ones(4))
+    rows = [tuple(r) for r in S]
+    assert rows == sorted(rows)
