@@ -1,6 +1,7 @@
 """Numerical workbench for free Banach lattices over finite-dimensional spaces."""
 
 from .spaces import Space, parse_space, join, meet, vabs, pos, DimensionMismatch
+from .spaces import InputError, ConfigError
 from .homfun import (
     LiftParams,
     HomExpr,

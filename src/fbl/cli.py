@@ -1,8 +1,10 @@
 """Command-line front end: norm estimation, lifting verification, inequality suites.
 
 Reports are JSON on standard output (or --out); a human summary goes to
-standard error.  Exit codes: 0 pass, 1 check failure, 2 input parse error,
-3 configuration error.  All randomness derives from --seed.
+standard error.  Exit codes: 0 pass, 1 check failure, 2 bad expression,
+space or command line (InputError), 3 configuration out of range
+(ConfigError); any other exception is a bug.  All randomness derives from
+--seed.
 """
 
 from __future__ import annotations
@@ -13,22 +15,18 @@ import sys
 
 import numpy as np
 
-from .fblnorm import ConfigError, SearchConfig, fbl_lower_bound
-from .homfun import ExprSyntaxError, LiftParams, eval_expr, parse
+from .fblnorm import SearchConfig, fbl_lower_bound
+from .homfun import LiftParams, parse
 from .lifting import LiftingSystem
-from .spaces import SpaceSyntaxError, parse_space
+from .spaces import ConfigError, InputError, parse_space
 from . import verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_PARSE_ERROR = 2
+EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
 
 __all__ = ["main", "run"]
-
-
-class ExprRangeError(ValueError):
-    """A well-formed expression whose generator index does not fit the space."""
 
 
 def _parse_mseq(text: str) -> LiftParams:
@@ -42,60 +40,42 @@ def _parse_mseq(text: str) -> LiftParams:
             values = tuple(float(v) for v in body.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad custom M sequence {text!r}") from exc
-        try:
-            return LiftParams(kind="custom", m_values=values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return LiftParams(kind="custom", m_values=values)
     raise ConfigError(f"unknown mseq {text!r} (expected pow2 or custom:LIST)")
-
-
-def _check_mseq_length(params, space) -> None:
-    try:
-        params.arrays(space.dim)
-    except IndexError as exc:
-        raise ConfigError(f"{exc}; space {space} needs {space.dim} terms") from exc
-
-
-def _check_generator_indices(expr, space) -> None:
-    # one probe evaluation reaches every f(n)/h(n,k) node's index check
-    try:
-        eval_expr(expr, space, np.zeros(space.dim))
-    except IndexError as exc:
-        raise ExprRangeError(str(exc)) from exc
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
 
 
 def cmd_norm(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
     expr = parse(args.expr, params)
-    _check_mseq_length(params, space)
-    _check_generator_indices(expr, space)
+    params.arrays(space.dim)  # the M sequence must cover the space
     config = SearchConfig(k=args.k, restarts=args.restarts,
                           local_steps=args.local_steps, seed=args.seed)
     est = fbl_lower_bound(expr, space, config)
     _emit(est.to_dict(), args.out)
-    _summary(f"norm lower bound {est.lower_bound:.9g} "
-             f"(objective {est.objective:.9g} / constraint {est.constraint:.9g})")
+    print(f"norm lower bound {est.lower_bound:.9g} "
+          f"(objective {est.objective:.9g} / constraint {est.constraint:.9g})",
+          file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_lift_verify(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
-    _check_mseq_length(params, space)
+    if args.coeff_vectors < 0:
+        raise ConfigError(f"--coeff-vectors must be >= 0, got {args.coeff_vectors}")
     system = LiftingSystem(space, params)
     search = SearchConfig(k=args.k, restarts=args.restarts,
                           local_steps=args.local_steps, seed=args.seed)
@@ -105,25 +85,19 @@ def cmd_lift_verify(args) -> int:
         verify.check_disjoint(system, samples=args.instances, seed=args.seed),
         verify.check_beta_section(system, seed=args.seed),
     ]
-    rng_reports = []
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(9,)))
-    for _ in range(args.coeff_vectors):
-        a = rng.standard_normal(space.dim)
-        rng_reports.append(verify.check_normspan(system, a, search))
-    reports.append(_merge(rng_reports, "normspan"))
-
-    free_reports = []
-    for n in range(1, space.dim + 1):
-        for k in range(0, space.dim - n + 1):
-            free_reports.append(verify.check_freenorm(system, n, k, search))
-    reports.append(_merge(free_reports, "freenorm"))
+    reports.append(_merge([verify.check_normspan(system, rng.standard_normal(space.dim), search)
+                           for _ in range(args.coeff_vectors)], "normspan"))
+    reports.append(_merge([verify.check_freenorm(system, n, k, search)
+                           for n in range(1, space.dim + 1)
+                           for k in range(space.dim - n + 1)], "freenorm"))
 
     payload = {"space": str(space), "checks": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports), "seed": args.seed}
     _emit(payload, args.out)
     for r in reports:
-        _summary(f"{r.check}: {'pass' if r.passed else 'FAIL'} "
-                 f"({r.instances} instances, worst slack {r.worst_slack})")
+        print(f"{r.check}: {'pass' if r.passed else 'FAIL'} "
+              f"({r.instances} instances, worst slack {r.worst_slack})", file=sys.stderr)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
@@ -143,14 +117,21 @@ def cmd_lemma44(args) -> int:
     report = verify.check_lemma44(space, instances=args.instances,
                                   max_l=args.l, seed=args.seed)
     _emit(report.to_dict(), args.out)
-    _summary(f"lemma44: {'pass' if report.passed else 'FAIL'} "
-             f"({report.instances} instances, worst slack {report.worst_slack})")
+    print(f"lemma44: {'pass' if report.passed else 'FAIL'} "
+          f"({report.instances} instances, worst slack {report.worst_slack})",
+          file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed command line is an input error: exit 2 with a JSON error
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fbl",
-                                 description="free-Banach-lattice numerical workbench")
+    ap = _ArgumentParser(prog="fbl", description="free-Banach-lattice numerical workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, space_required=True):
@@ -188,25 +169,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
+    out = None
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the parse-error code
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
+        out = args.out
         return args.func(args)
-    except (ExprSyntaxError, ExprRangeError, SpaceSyntaxError) as exc:
-        payload = {"error": {"message": str(exc)}}
-        if isinstance(exc, ExprSyntaxError):
-            payload["error"]["position"] = exc.position
-        _emit(payload, getattr(args, "out", None))
-        _summary(f"parse error: {exc}")
-        return EXIT_PARSE_ERROR
-    except (ConfigError, ValueError) as exc:
-        _emit({"error": {"message": str(exc)}}, getattr(args, "out", None))
-        _summary(f"config error: {exc}")
-        return EXIT_CONFIG_ERROR
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except InputError as exc:
+        return _fail(exc, out, EXIT_INPUT_ERROR, "input error")
+    except ConfigError as exc:
+        return _fail(exc, out, EXIT_CONFIG_ERROR, "config error")
+
+
+def _fail(exc: ValueError, out_path: str | None, code: int, kind: str) -> int:
+    error = {"message": str(exc)}
+    if hasattr(exc, "position"):
+        error["position"] = exc.position
+    try:
+        _emit({"error": error}, out_path)
+    except ConfigError:  # an --out path that cannot take the error
+        _emit({"error": error}, None)
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -21,10 +21,12 @@ import numpy as np
 
 from . import kernels
 from .homfun import HomExpr, eval_batch
-from .spaces import Space
+from .spaces import ConfigError, InputError, Space
 
 __all__ = [
     "SIGN_CUBE_CAP",
+    "SIGN_TENSOR_CAP",
+    "check_sign_tensor",
     "SearchConfig",
     "NormEstimate",
     "UpperBound",
@@ -38,6 +40,9 @@ __all__ = [
 ]
 
 SIGN_CUBE_CAP = 24
+# largest sign-cube tensor (elements) a constraint evaluation may build:
+# 512 MB of float64, 128x the largest shape the tests and benchmark use
+SIGN_TENSOR_CAP = 2**26
 
 # hill-climbing schedule; 20 decay rounds so the final step (~4e-4) resolves
 # ratios at lattice kinks to well under 1e-3
@@ -46,12 +51,17 @@ STEP_DECAY = 0.7
 DECAY_ROUNDS = 20
 
 
-class ConfigError(ValueError):
-    """Search or tuple configuration outside supported ranges."""
-
-
 class DependenceError(ValueError):
     """Function depends on coordinates outside the declared support."""
+
+
+def check_sign_tensor(elements: int, remedy: str) -> None:
+    """Refuse, before allocating, a sign-cube tensor over SIGN_TENSOR_CAP."""
+    if elements > SIGN_TENSOR_CAP:
+        raise ConfigError(
+            f"the sign-cube tensor would hold {elements} elements, over the cap "
+            f"of {SIGN_TENSOR_CAP}; {remedy}"
+        )
 
 
 def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
@@ -73,6 +83,8 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
         raise ConfigError("tuple must contain at least one functional")
     if k > SIGN_CUBE_CAP:
         raise ConfigError(f"tuple size {k} exceeds the sign-cube cap {SIGN_CUBE_CAP}")
+    # the pattern matrix is (2^(k-1), k), the signed sums (2^(k-1), d)
+    check_sign_tensor(max(k, d) << (k - 1), "use fewer functionals")
     S = kernels.sign_patterns(k)
     norms = kernels.pattern_norms(X, S, space.q)
     idx = int(np.argmax(norms))
@@ -137,7 +149,7 @@ def _objective(expr, space, XB):
     B, k, d = XB.shape
     vals = eval_batch(expr, space, XB.reshape(B * k, d))
     if not np.all(np.isfinite(vals)):
-        raise ValueError("expression evaluated to a non-finite value")
+        raise InputError("expression evaluated to a non-finite value")
     return np.abs(vals.reshape(B, k)).sum(axis=1)
 
 
@@ -150,6 +162,9 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
     results are deterministic and monotone in the restart budget.
     """
     k, d = config.k, space.dim
+    R = config.restarts
+    # each neighbourhood evaluates 2kd moves of every restart at once
+    check_sign_tensor(R * 2 * k * d * d << (k - 1), "lower --k or --restarts")
     S = kernels.sign_patterns(k)
     q = space.q
     evals = 0
@@ -163,7 +178,6 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
             r = np.where(C > 0.0, obj / np.where(C > 0.0, C, 1.0), -np.inf)
         return r
 
-    R = config.restarts
     X = np.empty((R, k, d))
     for r in range(R):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))

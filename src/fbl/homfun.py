@@ -18,6 +18,7 @@ Grammar (ASCII):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .spaces import DimensionMismatch, Space
+from .spaces import ConfigError, DimensionMismatch, InputError, Space
 
 __all__ = [
     "LiftParams",
@@ -40,6 +41,8 @@ __all__ = [
     "BuiltinF",
     "BuiltinH",
     "ExprSyntaxError",
+    "GeneratorIndexError",
+    "MAX_DEPTH",
     "parse",
     "to_text",
     "eval_expr",
@@ -65,23 +68,27 @@ class LiftParams:
     def __post_init__(self):
         if self.kind == "pow2":
             if self.m_values is not None:
-                raise ValueError("pow2 sequences take no explicit values")
+                raise ConfigError("pow2 sequences take no explicit values")
         elif self.kind == "custom":
             vals = self.m_values
             if not vals:
-                raise ValueError("custom M sequence needs at least one value")
-            if any(v <= 0 for v in vals):
-                raise ValueError("M values must be strictly positive")
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError("M sequence must be strictly increasing")
+                raise ConfigError("custom M sequence needs at least one value")
+            # comparisons written so that NaN fails them
+            if not all(0 < v < math.inf for v in vals):
+                raise ConfigError("M values must be finite and strictly positive")
+            if not all(a < b for a, b in zip(vals, vals[1:])):
+                raise ConfigError("M sequence must be strictly increasing")
         else:
-            raise ValueError(f"unknown M sequence kind {self.kind!r}")
+            raise ConfigError(f"unknown M sequence kind {self.kind!r}")
 
     def M(self, n: int) -> float:
         if self.kind == "pow2":
+            # N_n = 2^(n+1) must stay a finite float64
+            if n > 1022:
+                raise ConfigError(f"pow2 M sequence has no float64 term {n} (largest is 1022)")
             return float(2**n)
         if n > len(self.m_values):
-            raise IndexError(f"custom M sequence has no term {n}")
+            raise ConfigError(f"custom M sequence has no term {n}")
         return self.m_values[n - 1]
 
     def N(self, n: int) -> float:
@@ -237,22 +244,31 @@ def _eval(expr, space, X):
     if isinstance(expr, BuiltinH):
         _check_index(expr.n, space.dim)
         if expr.k < 0:
-            raise IndexError(f"truncation level must be >= 0, got {expr.k}")
+            raise GeneratorIndexError(f"truncation level must be >= 0, got {expr.k}")
         Mv, Nv = expr.params.arrays(space.dim)
         return kernels.hom_batch(X, expr.n, min(expr.n + expr.k, space.dim), Mv, Nv)
     raise TypeError(f"not a HomExpr node: {expr!r}")
 
 
+class GeneratorIndexError(InputError, IndexError):
+    """An f(n)/h(n,k) index outside the space: n not in 1..d, or k < 0."""
+
+
 def _check_index(n, dim):
     if not 1 <= n <= dim:
-        raise IndexError(f"generator index {n} out of range 1..{dim}")
+        raise GeneratorIndexError(f"generator index {n} out of range 1..{dim}")
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# deepest nesting of ( | pos( accepted by the parser, and deepest node of
+# the parsed tree; keeps parsing, evaluation and printing off the
+# interpreter's recursion limit
+MAX_DEPTH = 100
 
-class ExprSyntaxError(ValueError):
+
+class ExprSyntaxError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
         self.position = position
@@ -289,6 +305,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.params = params
+        self.depth = 0
 
     def peek(self, ahead=0):
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -314,7 +331,10 @@ class _Parser:
             tok = self.next()
         if tok[0] != "num":
             raise ExprSyntaxError(f"expected a number, found {tok[1] or 'end of input'!r}", tok[2])
-        return sign * float(tok[1])
+        value = float(tok[1])
+        if value == math.inf:
+            raise ExprSyntaxError(f"number {tok[1]} overflows float64", tok[2])
+        return sign * value
 
     def integer(self):
         tok = self.next()
@@ -357,6 +377,17 @@ class _Parser:
             return Scale(c, self.atom())
         return self.atom()
 
+    def enclosed(self, close):
+        """The expression after an opening token, up to the `close` symbol."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  self.peek()[2])
+        inner = self.expr()
+        self.expect("sym", close)
+        self.depth -= 1
+        return inner
+
     def atom(self):
         tok = self.peek()
         if tok[:2] == ("name", "d"):
@@ -371,9 +402,7 @@ class _Parser:
         if tok[:2] == ("name", "pos"):
             self.next()
             self.expect("sym", "(")
-            inner = self.expr()
-            self.expect("sym", ")")
-            return Pos(inner)
+            return Pos(self.enclosed(")"))
         if tok[:2] == ("name", "f"):
             self.next()
             self.expect("sym", "(")
@@ -390,14 +419,10 @@ class _Parser:
             return BuiltinH(n, k, self.params)
         if tok[:2] == ("sym", "|"):
             self.next()
-            inner = self.expr()
-            self.expect("sym", "|")
-            return Abs(inner)
+            return Abs(self.enclosed("|"))
         if tok[:2] == ("sym", "("):
             self.next()
-            inner = self.expr()
-            self.expect("sym", ")")
-            return inner
+            return self.enclosed(")")
         raise ExprSyntaxError(f"unexpected {tok[1] or 'end of input'!r}", tok[2])
 
 
@@ -408,13 +433,14 @@ def parse(text: str, params: LiftParams | None = None) -> HomExpr:
     tok = parser.peek()
     if tok[0] != "eof":
         raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    _check_delta_dims(node)
+    _check_tree(node, set(), 0)
     return node
 
 
-def _check_delta_dims(node, dims=None):
-    if dims is None:
-        dims = set()
+def _check_tree(node, dims, depth):
+    # a chain of joins or meets nests one node per operator
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
     if isinstance(node, Delta):
         dims.add(len(node.coords))
         if len(dims) > 1:
@@ -424,10 +450,9 @@ def _check_delta_dims(node, dims=None):
     for name in ("child", "left", "right"):
         sub = getattr(node, name, None)
         if sub is not None:
-            _check_delta_dims(sub, dims)
+            _check_tree(sub, dims, depth + 1)
     for sub in getattr(node, "children", ()):
-        _check_delta_dims(sub, dims)
-    return dims
+        _check_tree(sub, dims, depth + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ __all__ = [
 # recorded in benchmark environment blocks; numpy is the only implementation
 BACKEND = "numpy"
 
+# above this exponent |z|^q leaves float64 for |z| outside about [1e-10, 1e9]
+# (q ~ 1e7 at p = 1 + 1e-7), so norms are taken relative to the largest entry
+LARGE_EXPONENT = 32.0
+
 
 def sign_patterns(k: int) -> np.ndarray:
     """All sign vectors in {-1,1}^k with first entry fixed to +1.
@@ -46,6 +50,11 @@ def _dual_norms(Z: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
         return a.sum(axis=axis)
     if q == 2.0:
         return np.sqrt((a * a).sum(axis=axis))
+    if q > LARGE_EXPONENT:
+        # |z|^q would over- or underflow: scale each row by its largest entry
+        m = a.max(axis=axis, keepdims=True)
+        m[m == 0.0] = 1.0
+        return np.power(np.power(a / m, q).sum(axis=axis), 1.0 / q) * m.squeeze(axis)
     return np.power(np.power(a, q).sum(axis=axis), 1.0 / q)
 
 

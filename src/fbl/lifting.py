@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .homfun import Add, BuiltinF, HomExpr, Join, LiftParams, Scale, eval_batch
-from .spaces import Space, join as vec_join
+from .spaces import InputError, Space, join as vec_join
 
 __all__ = ["LiftingSystem", "beta_apply", "T_apply", "T_lattice_check"]
 
@@ -33,7 +33,7 @@ def beta_apply(f: HomExpr, space: Space) -> np.ndarray:
     """Barycenter coordinates: the value of f at each biorthogonal functional."""
     out = eval_batch(f, space, np.eye(space.dim))
     if not np.all(np.isfinite(out)):
-        raise ValueError("expression evaluated to a non-finite value")
+        raise InputError("expression evaluated to a non-finite value")
     return out
 
 

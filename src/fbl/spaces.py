@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import LARGE_EXPONENT
+
 __all__ = [
+    "InputError",
+    "ConfigError",
     "Space",
     "DimensionMismatch",
     "SpaceSyntaxError",
@@ -28,11 +32,19 @@ __all__ = [
 ]
 
 
-class DimensionMismatch(ValueError):
+class InputError(ValueError):
+    """A malformed or out-of-range expression or space (CLI exit 2)."""
+
+
+class ConfigError(ValueError):
+    """A configuration outside the supported ranges (CLI exit 3)."""
+
+
+class DimensionMismatch(InputError):
     """Vector or functional length does not match the space dimension."""
 
 
-class SpaceSyntaxError(ValueError):
+class SpaceSyntaxError(InputError):
     """Malformed textual space description."""
 
 
@@ -44,6 +56,10 @@ def _lp_norm(coords: np.ndarray, p: float) -> float:
         return float(a.sum())
     if p == 2.0:
         return float(np.sqrt(np.dot(a, a)))
+    if p > LARGE_EXPONENT and a.any():
+        # a^p would over- or underflow: take the norm relative to the largest entry
+        m = a.max()
+        return float(m * np.power(np.power(a / m, p).sum(), 1.0 / p))
     return float(np.power(np.power(a, p).sum(), 1.0 / p))
 
 
@@ -63,14 +79,14 @@ class Space:
 
     def __post_init__(self):
         if self.dim < 1 or self.dim != int(self.dim):
-            raise ValueError(f"dimension must be a positive integer, got {self.dim}")
+            raise ConfigError(f"dimension must be a positive integer, got {self.dim}")
         if not (1.0 <= self.p <= math.inf):
-            raise ValueError(f"p must lie in [1, inf], got {self.p}")
+            raise ConfigError(f"p must lie in [1, inf], got {self.p}")
         if self.weights:
             if len(self.weights) != self.dim:
-                raise ValueError("weight list length must equal the dimension")
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("weights must be strictly positive")
+                raise ConfigError("weight list length must equal the dimension")
+            if not all(0 < w < math.inf for w in self.weights):
+                raise ConfigError("weights must be finite and strictly positive")
 
     @classmethod
     def lp(cls, p: float, dim: int) -> "Space":
@@ -159,7 +175,8 @@ def pos(x) -> np.ndarray:
 
 
 _SPACE_RE = re.compile(
-    r"^(l1|l2|linf):(\d+)$|^lp:([0-9.]+|inf):(\d+)$|^wlp:([0-9.]+|inf):\[([^\]]*)\]$"
+    r"^(l1|l2|linf):(\d+)$|^lp:(\d+(?:\.\d*)?|inf):(\d+)$"
+    r"|^wlp:(\d+(?:\.\d*)?|inf):\[([^\]]*)\]$"
 )
 
 

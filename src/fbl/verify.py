@@ -16,15 +16,15 @@ import numpy as np
 
 from .fblnorm import (
     SearchConfig,
+    check_sign_tensor,
     fbl_lower_bound,
     l1_extreme_point_constraint,
     tuple_constraint,
     SIGN_CUBE_CAP,
-    ConfigError,
 )
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch
 from .lifting import LiftingSystem, T_apply, beta_apply
-from .spaces import Space
+from .spaces import ConfigError, Space
 
 __all__ = [
     "SLACK_TOL",
@@ -114,8 +114,14 @@ def check_lemma44(
     instance draws them from `dims` x `ps`.  Every ell_1 instance additionally
     cross-checks the sign-cube constraint against the extreme-point formula.
     """
-    if max_l > SIGN_CUBE_CAP:
-        raise ConfigError(f"max tuple size {max_l} exceeds the sign-cube cap")
+    if not 1 <= max_l <= SIGN_CUBE_CAP:
+        raise ConfigError(f"max tuple size must be in 1..{SIGN_CUBE_CAP}, got {max_l}")
+    if instances < 0:
+        raise ConfigError(f"instances must be >= 0, got {instances}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    check_sign_tensor(max(max_l, space.dim if space else max(dims)) << (max_l - 1),
+                      "lower --l")
     report = CheckReport(
         check="lemma44",
         instances=instances,
@@ -166,6 +172,8 @@ def check_biorthogonal(system: LiftingSystem) -> CheckReport:
 
 def check_disjoint(system: LiftingSystem, samples: int = 10_000, seed: int = 0) -> CheckReport:
     """Pairwise pointwise min of the generators is exactly zero at every sample."""
+    if samples < 0:
+        raise ConfigError(f"samples must be >= 0, got {samples}")
     d = system.space.dim
     rng = _rng(seed, 2)
     X = rng.standard_normal((samples, d))
@@ -209,8 +217,7 @@ def check_normspan(system: LiftingSystem, coefficients, search: SearchConfig) ->
     bounds them all: best <= norm of the coefficient vector, to slack 1e-9.
     """
     a = np.asarray(coefficients, dtype=np.float64)
-    expr = Add(Scale(float(c), g) for c, g in zip(a, system.generators))
-    est = fbl_lower_bound(expr, system.space, search)
+    est = fbl_lower_bound(T_apply(system, a), system.space, search)
     rhs = system.space.norm(a)
     report = CheckReport(
         check="normspan", instances=1, seed=search.seed,

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fbl import fblnorm
 from fbl.cli import run
+from fbl.homfun import ExprSyntaxError, GeneratorIndexError, parse, to_text
+from fbl.spaces import ConfigError, DimensionMismatch, InputError, SpaceSyntaxError
 
 
 def run_cli(capsys, *argv):
@@ -116,3 +123,156 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(p1))[0] == 0
     assert run_cli(capsys, *args, "--out", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the error contract: InputError exits 2, ConfigError exits 3, always with a
+# JSON error on stdout and never with a traceback
+
+NESTED_PARENS = "(" * 400 + "d(1)" + ")" * 400
+NESTED_ABS = "|" * 600 + "d(1)" + "|" * 600
+JOIN_CHAIN = " v ".join(["d(1,0)"] * 150)
+
+ERROR_TABLE = [
+    # (argv, exit code, message fragment)
+    (["norm", "--space", "l2:3", "--expr", "d(1,0)"], 2, "3-dimensional space"),
+    (["norm", "--space", "lp:.:4", "--expr", "d(1,0,0,0)"], 2, "cannot parse space"),
+    (["norm", "--space", "l2:2", "--expr", "1e309*d(1,0)"], 2, "overflows float64"),
+    (["norm", "--space", "l2:1", "--expr", NESTED_PARENS], 2, "nested deeper"),
+    (["norm", "--space", "l2:1", "--expr", NESTED_ABS], 2, "nested deeper"),
+    (["norm", "--space", "l2:2", "--expr", JOIN_CHAIN], 2, "nested deeper"),
+    (["norm", "--space", "l2:2", "--expr", "f(9)"], 2, "generator index 9"),
+    (["norm", "--space", "l2:2", "--expr", "h(1,-1)"], 2, "expected an integer"),
+    (["norm", "--space", "l2:2", "--expr", "1e300*d(1e300,0)"], 2, "non-finite"),
+    (["norm", "--space", "l2:2", "--expr", "-1*d(1,0)"], 2, "expected one argument"),
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--k", "x"], 2, "invalid int"),
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--mseq", "custom:1,nan"], 3, "finite"),
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--mseq", "custom:1,inf"], 3, "finite"),
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--k", "20"], 3, "--k or --restarts"),
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--out", "{missing}"], 3, "cannot write"),
+    (["norm", "--space", "l2:3", "--expr", "d(1,0)", "--out", "{missing}"], 2, "3-dimensional"),
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--k", "30"], 3, "1..24"),
+    (["norm", "--space", "l2:0", "--expr", "d(1)"], 3, "positive integer"),
+    (["norm", "--space", "wlp:2:[1,nan]", "--expr", "d(1,0)"], 3, "finite"),
+    (["norm", "--space", "l2:1100", "--expr", "f(1)"], 3, "no float64 term 1023"),
+    (["lemma44", "--instances", "-3"], 3, "instances"),
+    (["lemma44", "--l", "0"], 3, "1..24"),
+    (["lemma44", "--l", "30"], 3, "1..24"),
+    (["lemma44", "--seed", "-1"], 3, "seed"),
+    (["lemma44", "--space", "l2:50", "--l", "24"], 3, "lower --l"),
+    (["lift-verify", "--space", "l2:3", "--instances", "-5"], 3, "samples"),
+    (["lift-verify", "--space", "l2:3", "--coeff-vectors", "-1"], 3, "--coeff-vectors"),
+    (["lift-verify", "--space", "l2:3", "--mseq", "custom:1,2"], 3, "no term 3"),
+    (["lift-verify", "--space", "l2:3", "--mseq", "harmonic"], 3, "diverges"),
+]
+
+
+@pytest.mark.parametrize("argv,code,fragment", ERROR_TABLE,
+                         ids=[" ".join(row[0])[:60] for row in ERROR_TABLE])
+def test_error_contract(argv, code, fragment, tmp_path, capsys):
+    argv = [a.replace("{missing}", str(tmp_path / "missing" / "x.json")) for a in argv]
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, *argv)
+    # every refusal comes before any heavy work (the --k 20 search would
+    # otherwise ask for a 67 GB sign tensor)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert fragment in json.loads(out)["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_expression_errors_report_their_offset(capsys):
+    _, out, _ = run_cli(capsys, "norm", "--space", "l2:2", "--expr", "d(1,0) + 1e309*d(0,1)")
+    assert json.loads(out)["error"]["position"] == 9
+
+
+def test_error_types():
+    for cls in (DimensionMismatch, SpaceSyntaxError, ExprSyntaxError, GeneratorIndexError):
+        assert issubclass(cls, InputError)
+    assert issubclass(GeneratorIndexError, IndexError)
+    assert fblnorm.ConfigError is ConfigError
+
+
+def test_norm_near_one_p_is_certified(capsys):
+    # q ~ 1e7 overflows (or, from inside the unit cube, underflows) the
+    # power sums of the constraint; the rescaled dual norm still certifies
+    # ||delta_x|| = ||x|| = 1
+    for seed in ("0", "4"):
+        code, out, _ = run_cli(capsys, "norm", "--space", "lp:1.0000001:1", "--expr", "d(1)",
+                               "--k", "1", "--restarts", "1", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["lower_bound"] == pytest.approx(1.0, rel=1e-9)
+
+
+# token soup and grammar-shaped text, so the search also runs on valid input
+NUMBERS = ["0", "1", "-1", "0.5", "2", "-0.25", "1e3", "1e309", "1e-300", "1e300", "."]
+TOKENS = NUMBERS + ["d(", "f(", "h(", "pos(", "(", ")", "|", ",", "v", "^", "+", "-", "*",
+                    " ", "x", "#", "9"]
+_atoms = st.one_of(
+    st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=3).map(
+        lambda c: "d(" + ",".join(c) + ")"),
+    st.integers(-1, 4).map(lambda n: f"f({n})"),
+    st.tuples(st.integers(0, 4), st.integers(-1, 3)).map(lambda t: "h(%d,%d)" % t),
+)
+EXPRS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=20).map("".join),
+    st.recursive(_atoms, lambda e: st.one_of(
+        st.tuples(e, st.sampled_from([" v ", " ^ ", " + ", " - "]), e).map("".join),
+        e.map(lambda s: f"|{s}|"),
+        e.map(lambda s: f"pos({s})"),
+        e.map(lambda s: f"({s})"),
+        st.tuples(st.sampled_from(NUMBERS), e).map(lambda t: f"{t[0]}*({t[1]})"),
+    ), max_leaves=6),
+)
+_P = st.one_of(st.sampled_from(["1", "1.5", "2", "3", "inf", "1.0000001", "0.5", ".", ""]),
+               st.from_regex(r"\A\d{1,2}(\.\d{0,8})?\Z"))
+_WEIGHTS = st.lists(st.sampled_from(["1", "0.5", "0", "-1", "nan", "inf", "1e400", "a", ""]),
+                    max_size=4)
+SPACES = st.one_of(
+    st.tuples(st.sampled_from(["l1", "l2", "linf", "l3"]), st.integers(0, 4)).map(
+        lambda t: f"{t[0]}:{t[1]}"),
+    st.tuples(_P, st.integers(0, 4)).map(lambda t: f"lp:{t[0]}:{t[1]}"),
+    st.tuples(_P, _WEIGHTS).map(lambda t: f"wlp:{t[0]}:[{','.join(t[1])}]"),
+    st.text(alphabet="lpinfw:.[],-0123456789", max_size=12),
+)
+MSEQS = st.sampled_from(["pow2", "harmonic", "custom:1,2,3,4", "custom:[3,9,27,81]",
+                         "custom:1,nan", "custom:2,1", "custom:", "custom:x", "bogus"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["norm", "lift-verify", "lemma44"]))
+    seed = str(draw(st.integers(-1, 3)))
+    if command == "lemma44":
+        argv = ["lemma44", "--instances", str(draw(st.integers(-2, 20))),
+                "--l", str(draw(st.integers(0, 4))), "--seed", seed]
+        return argv + (["--space", draw(SPACES)] if draw(st.booleans()) else [])
+    argv = [command, "--space", draw(SPACES), "--mseq", draw(MSEQS), "--seed", seed,
+            "--k", str(draw(st.integers(0, 3))), "--restarts", str(draw(st.integers(0, 2))),
+            "--local-steps", "1"]
+    if command == "norm":
+        return argv + ["--expr", draw(EXPRS)]
+    return argv + ["--instances", str(draw(st.integers(-2, 20))),
+                   "--coeff-vectors", str(draw(st.integers(-1, 2)))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=_argv())
+def test_fuzzed_command_lines_keep_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # any exception escaping run() fails the test
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert "message" in json.loads(out.getvalue())["error"]
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=EXPRS)
+def test_fuzzed_expressions_round_trip(text):
+    try:
+        expr = parse(text)
+    except InputError:
+        return
+    assert parse(to_text(expr)) == expr

@@ -10,6 +10,7 @@ from fbl.homfun import (
     BuiltinH,
     Delta,
     ExprSyntaxError,
+    MAX_DEPTH,
     Join,
     LiftParams,
     Meet,
@@ -20,7 +21,7 @@ from fbl.homfun import (
     parse,
     to_text,
 )
-from fbl.spaces import DimensionMismatch, Space
+from fbl.spaces import ConfigError, DimensionMismatch, Space
 
 from conftest import random_expr
 
@@ -233,3 +234,31 @@ def test_parse_uses_supplied_params():
     e = parse("f(2)", custom)
     assert e == BuiltinF(2, custom)
     assert e != BuiltinF(2)
+
+
+def test_parse_depth_limit():
+    open_, close = "(" * MAX_DEPTH, ")" * MAX_DEPTH
+    assert parse(open_ + "d(1)" + close) == Delta([1])
+    deep_abs = parse("|" * MAX_DEPTH + "d(1)" + "|" * MAX_DEPTH)
+    assert parse(to_text(deep_abs)) == deep_abs
+    parse(" v ".join(["d(1)"] * (MAX_DEPTH + 1)))  # MAX_DEPTH nested Join nodes
+    for text in ("(" + open_ + "d(1)" + close + ")",
+                 "pos(" * (MAX_DEPTH + 1) + "d(1)" + ")" * (MAX_DEPTH + 1),
+                 " ^ ".join(["d(1)"] * (MAX_DEPTH + 2))):
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse(text)
+
+
+def test_parse_rejects_overflowing_number():
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("d(1,0) + 1e309*d(0,1)")
+    assert exc.value.position == 9
+    with pytest.raises(ExprSyntaxError):
+        parse("d(-1e400)")
+    assert parse("1e308*d(1)") == Scale(1e308, Delta([1]))
+
+
+def test_custom_sequence_must_be_finite():
+    for values in ((1.0, math.nan), (1.0, math.inf), (math.nan,), (2.0, math.nan, 3.0)):
+        with pytest.raises(ConfigError):
+            LiftParams(kind="custom", m_values=values)

@@ -4,6 +4,7 @@ import numpy as np
 
 from fbl import kernels
 from fbl.homfun import LiftParams
+from fbl.spaces import Space
 
 P = LiftParams()
 
@@ -46,3 +47,17 @@ def test_sign_patterns_lexicographic():
     assert np.array_equal(S[:, 0], np.ones(4))
     rows = [tuple(r) for r in S]
     assert rows == sorted(rows)
+
+
+def test_dual_norms_survive_power_sum_overflow():
+    # p near 1 makes q ~ 1e7: |z|^q overflows above 1 and underflows below,
+    # while the true norm is within a factor d^(1/q) of max |z|
+    sp = Space.lp(1.0000001, 3)
+    X = np.array([[3.0, -2.0, 0.5], [1e-3, 0.0, 0.0]])
+    S = kernels.sign_patterns(2)
+    ref = np.abs(S @ X).max(axis=1)
+    np.testing.assert_allclose(kernels.pattern_norms(X, S, sp.q), ref, rtol=1e-6)
+    np.testing.assert_allclose(kernels.constraint_batch(X[None], S, sp.q), [ref.max()],
+                               rtol=1e-6)
+    np.testing.assert_allclose([sp.dual_norm(x) for x in X], np.abs(X).max(axis=1),
+                               rtol=1e-6)
