@@ -6,7 +6,8 @@ finite tuples (x_i*) with sup_{x in B} sum_i |x_i*(x)| <= 1.  Three tools:
 * tuple_constraint -- the admissibility constant C of a tuple, computed
   exactly by sign-cube enumeration (C = max_eps ||sum_i eps_i x_i*||_dual).
 * fbl_lower_bound -- randomized-restart hill climbing over tuples of a fixed
-  size; every visited ratio is a valid lower bound, the best one is returned.
+  size; moves are scored incrementally, and the best tuple is re-certified
+  by tuple_constraint, so the returned ratio is a valid lower bound.
 * upper_bound_finite_coords -- the |support| * sup_{face} |f| upper bound for
   functions over ell_1 that depend on finitely many coordinates.
 """
@@ -144,13 +145,43 @@ class NormEstimate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _fvalues(expr, space, X):
+    """|f(x*)| at each row of X, shape (N, d); a non-finite value is an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_batch(expr, space, X)
+    if not np.all(np.isfinite(vals)):
+        raise InputError("expression evaluated to a non-finite value")
+    return np.abs(vals)
+
+
 def _objective(expr, space, XB):
     """sum_i |f(x_i*)| for each tuple in the batch XB of shape (B, k, d)."""
     B, k, d = XB.shape
-    vals = eval_batch(expr, space, XB.reshape(B * k, d))
-    if not np.all(np.isfinite(vals)):
-        raise InputError("expression evaluated to a non-finite value")
-    return np.abs(vals.reshape(B, k)).sum(axis=1)
+    return _fvalues(expr, space, XB.reshape(B * k, d)).reshape(B, k).sum(axis=1)
+
+
+def _ratios(obj, C):
+    """obj / C, with -inf where the constraint is zero."""
+    return np.divide(obj, C, out=np.full_like(obj, -np.inf), where=C > 0.0)
+
+
+def _neighbourhood(expr, space, X, Z, fvals, step):
+    """Ratio of every move (i, j, s) of each tuple in a batch.
+
+    X: (k, B, d) tuples, Z = kernels.signed_sums(X, S), fvals: (k, B) the
+    values |f(x_i*)|, step: (B,).  A move changes one functional, so only
+    its f-value is evaluated afresh.  Returns the ratios (k, d, 2, B), the
+    moved functionals (k, d, 2, B, d) and their f-values (k, d, 2, B).
+    """
+    k, B, d = X.shape
+    # unit[j, s] = (1 - 2s) e_j; x + 0.0 == x, so only coordinate j moves
+    unit = np.eye(d)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
+    rows = X[:, None, None] + unit * step[:, None]
+    new = _fvalues(expr, space, rows.reshape(-1, d)).reshape(k, d, 2, B)
+    # the other k-1 f-values of each tuple; they are finite and >= 0, so the
+    # 0/1 weights add them without cancellation
+    obj = ((1.0 - np.eye(k)) @ fvals)[:, None, None] + new
+    return _ratios(obj, kernels.move_constraints(Z, step, space.q)), rows, new
 
 
 def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEstimate:
@@ -159,40 +190,27 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
     Restarts draw standard-normal tuples from streams derived from
     (seed, restart index), then refine by single-coordinate perturbations with
     a geometrically decaying step.  Restart trajectories are independent, so
-    results are deterministic and monotone in the restart budget.
+    results are deterministic and monotone in the restart budget.  Each
+    restart keeps its signed sums and its f-values, so scoring a move costs
+    one f-evaluation and one column of signed sums.
     """
     k, d = config.k, space.dim
     R = config.restarts
-    # each neighbourhood evaluates 2kd moves of every restart at once
-    check_sign_tensor(R * 2 * k * d * d << (k - 1), "lower --k or --restarts")
+    # each neighbourhood scores 2kd moves of every restart at once; the
+    # largest temporaries are the two moved values of each signed sum
+    # (2d * 2^(k-1) per restart) and the moved functionals (2kd * d)
+    check_sign_tensor(R * 2 * d * max(k * d, 1 << (k - 1)), "lower --k or --restarts")
     S = kernels.sign_patterns(k)
-    q = space.q
-    evals = 0
 
-    def ratios(XB):
-        nonlocal evals
-        evals += XB.shape[0]
-        obj = _objective(expr, space, XB)
-        C = kernels.constraint_batch(XB, S, q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(C > 0.0, obj / np.where(C > 0.0, C, 1.0), -np.inf)
-        return r
-
-    X = np.empty((R, k, d))
-    for r in range(R):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
-        X[r] = rng.standard_normal((k, d))
-    cur = ratios(X)
-
-    # one candidate per (functional, coordinate, sign)
-    n_moves = 2 * k * d
-    deltas = np.zeros((n_moves, k, d))
-    m = 0
-    for i in range(k):
-        for j in range(d):
-            for s in (1.0, -1.0):
-                deltas[m, i, j] = s
-                m += 1
+    # restarts along axis 1: X[:, r] is the tuple of restart r
+    X = np.empty((k, R, d))
+    # child r of the seed is SeedSequence(seed, spawn_key=(r,))
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(R)):
+        X[:, r] = np.random.Generator(np.random.PCG64(child)).standard_normal((k, d))
+    fvals = _fvalues(expr, space, X.reshape(-1, d)).reshape(k, R)
+    cur = _ratios(fvals.sum(axis=0), kernels.constraint_batch(X.transpose(1, 0, 2), S, space.q))
+    Z = kernels.signed_sums(X, S)
+    evals = R
 
     step = np.full(R, STEP_INIT)
     rounds_left = np.full(R, DECAY_ROUNDS, dtype=int)
@@ -200,15 +218,22 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
     active = np.arange(R)
 
     while active.size:
-        cand = X[active, None, :, :] + step[active, None, None, None] * deltas[None]
-        flat = cand.reshape(-1, k, d)
-        r = ratios(flat).reshape(active.size, n_moves)
-        best_idx = r.argmax(axis=1)
-        best_val = r[np.arange(active.size), best_idx]
+        ratio, rows, new = _neighbourhood(expr, space, X[:, active], Z[:, :, active],
+                                          fvals[:, active], step[active])
+        evals += ratio.size
+        # moves in (i, j, s) order; argmax takes the first best one
+        ratio = ratio.reshape(-1, active.size)
+        best_idx = ratio.argmax(axis=0)
+        best_val = ratio[best_idx, np.arange(active.size)]
         improved = best_val > cur[active]
 
+        # apply each accepted move: functional i, column j of the signed sums
         acc = active[improved]
-        X[acc] = cand[improved, best_idx[improved]]
+        n = np.flatnonzero(improved)
+        i, j, s = np.unravel_index(best_idx[improved], (k, d, 2))
+        X[i, acc] = rows[i, j, s, n]
+        Z[:, j, acc] += step[acc] * (1.0 - 2.0 * s) * S[:, i]
+        fvals[i, acc] = new[i, j, s, n]
         cur[acc] = best_val[improved]
         moves_left[acc] -= 1
 
@@ -221,7 +246,7 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
         active = active[rounds_left[active] > 0]
 
     best = int(np.argmax(cur))
-    witness = X[best]
+    witness = X[:, best]
     C, eps = tuple_constraint(space, witness)
     if C == 0.0:
         raise ValueError("search converged to an all-zero tuple")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +203,33 @@ def test_norm_near_one_p_is_certified(capsys):
                                "--k", "1", "--restarts", "1", "--seed", seed)
         assert code == 0
         assert json.loads(out)["lower_bound"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_overflow_leaves_no_runtime_warning(capsys):
+    # the search checks finiteness itself, so numpy's overflow warnings
+    # would only print noise ahead of the result or the JSON error
+    for argv, code in [
+        (["norm", "--space", "l2:2", "--expr", "1e300*d(1e300,0)"], 2),
+        (["norm", "--space", "lp:1.0000001:1", "--expr", "d(1)", "--k", "1",
+          "--restarts", "1", "--seed", "4"], 0),
+    ]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, _, err = run_cli(capsys, *argv)
+        assert got == code
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in err
+
+
+def test_lift_verify_huge_instances_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lift-verify", "--space", "l2:3",
+                             "--instances", "1000000000")
+    # refused before the (10^9, 3) draw
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "lower --instances" in json.loads(out)["error"]["message"]
+    assert "Traceback" not in err
 
 
 # token soup and grammar-shaped text, so the search also runs on valid input

@@ -4,10 +4,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fbl import kernels
 from fbl.fblnorm import (
     ConfigError,
     DependenceError,
     SearchConfig,
+    _fvalues,
+    _neighbourhood,
+    _objective,
     dim1_norm,
     fbl_lower_bound,
     l1_extreme_point_constraint,
@@ -172,6 +176,35 @@ def test_lower_bound_sound_for_delta(rng):
         x = rng.standard_normal(3)
         est = fbl_lower_bound(Delta(x), sp, SearchConfig(k=3, restarts=20, seed=1))
         assert est.lower_bound <= sp.norm(x) + 1e-9
+
+
+@pytest.mark.parametrize("p", [math.inf, 3.0, 2.0, 1.5, 1.0, 1.0 + 1e-7],
+                         ids=["q=1", "q=1.5", "q=2", "q=3", "q=inf", "p=1+1e-7"])
+def test_incremental_neighbourhood_matches_full_rebuild(p, rng):
+    # every move (i, j, s) scored from the kept signed sums and f-values
+    # equals the ratio of the explicitly built candidate tuple
+    for k in range(1, 6):
+        for d in range(1, 6):
+            sp = Space.lp(p, d)
+            expr = random_expr(rng, d)
+            S = kernels.sign_patterns(k)
+            X = rng.standard_normal((k, 2, d))  # two tuples, functional-first
+            step = rng.uniform(1e-3, 0.5, 2)
+            fvals = _fvalues(expr, sp, X.reshape(-1, d)).reshape(k, 2)
+            got, _, _ = _neighbourhood(expr, sp, X, kernels.signed_sums(X, S), fvals, step)
+            cand = np.empty((k, d, 2, 2, k, d))
+            for i, j, s, b in product(range(k), range(d), range(2), range(2)):
+                cand[i, j, s, b] = X[:, b]
+                cand[i, j, s, b, i, j] += (1.0 - 2.0 * s) * step[b]
+            cand = cand.reshape(-1, k, d)
+            C = kernels.constraint_batch(cand, S, sp.q)
+            assert np.all(C > 0.0)
+            want = _objective(expr, sp, cand) / C
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0.0)
+    cfg = SearchConfig(k=2, restarts=5, seed=11)
+    expr = parse("|d(1,0)| v 0.5*|d(0,1)|")
+    assert (fbl_lower_bound(expr, Space.lp(p, 2), cfg).to_json()
+            == fbl_lower_bound(expr, Space.lp(p, 2), cfg).to_json())
 
 
 def test_search_config_validation():

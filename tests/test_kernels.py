@@ -1,5 +1,7 @@
 """The numpy kernels against scalar references built from the definitions."""
 
+import itertools
+
 import numpy as np
 
 from fbl import kernels
@@ -47,6 +49,15 @@ def test_sign_patterns_lexicographic():
     assert np.array_equal(S[:, 0], np.ones(4))
     rows = [tuple(r) for r in S]
     assert rows == sorted(rows)
+
+
+def test_sign_patterns_cached_and_read_only():
+    for k in range(1, 7):
+        S = kernels.sign_patterns(k)
+        ref = [(1.0,) + e for e in itertools.product((-1.0, 1.0), repeat=k - 1)]
+        assert S.tolist() == [list(r) for r in ref]
+        assert kernels.sign_patterns(k) is S
+        assert not S.flags.writeable
 
 
 def test_dual_norms_survive_power_sum_overflow():
