@@ -26,6 +26,7 @@ from .fblnorm import (
     UpperBound,
     tuple_constraint,
     fbl_lower_bound,
+    fbl_lower_bounds,
     dim1_norm,
     upper_bound_finite_coords,
 )

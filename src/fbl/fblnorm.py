@@ -5,15 +5,18 @@ finite tuples (x_i*) with sup_{x in B} sum_i |x_i*(x)| <= 1.  Three tools:
 
 * tuple_constraint -- the admissibility constant C of a tuple, computed
   exactly by sign-cube enumeration (C = max_eps ||sum_i eps_i x_i*||_dual).
-* fbl_lower_bound -- randomized-restart hill climbing over tuples of a fixed
-  size; moves are scored incrementally, and the best tuple is re-certified
-  by tuple_constraint, so the returned ratio is a valid lower bound.
+* fbl_lower_bounds -- randomized-restart hill climbing over tuples of a fixed
+  size, for many weighted sums of shared terms at once (fbl_lower_bound is
+  the one-expression case); moves are scored incrementally, and each best
+  tuple is re-certified by tuple_constraint, so every returned ratio is a
+  valid lower bound.
 * upper_bound_finite_coords -- the |support| * sup_{face} |f| upper bound for
   functions over ell_1 that depend on finitely many coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import product
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .homfun import HomExpr, eval_batch
-from .spaces import ConfigError, InputError, Space
+from .spaces import ConfigError, DimensionMismatch, InputError, Space
 
 __all__ = [
     "SIGN_CUBE_CAP",
@@ -35,6 +38,7 @@ __all__ = [
     "DependenceError",
     "tuple_constraint",
     "fbl_lower_bound",
+    "fbl_lower_bounds",
     "dim1_norm",
     "upper_bound_finite_coords",
     "l1_extreme_point_constraint",
@@ -145,19 +149,23 @@ class NormEstimate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _fvalues(expr, space, X):
-    """|f(x*)| at each row of X, shape (N, d); a non-finite value is an input error."""
+def _fvalues(terms, W, space, X):
+    """|sum_j W[j] * term_j(x*)| at the functionals X, shape (L, B, d).
+
+    W: (m, B) weights, one column per tuple of the batch.  The terms are
+    added in order, each scaled elementwise, exactly as an Add of Scale
+    nodes evaluates them.  A non-finite value is an input error.  Returns
+    (L, B).
+    """
+    L, B, d = X.shape
+    flat = X.reshape(-1, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = eval_batch(expr, space, X)
+        vals = np.zeros((L, B))
+        for term, w in zip(terms, W):
+            vals = vals + w * eval_batch(term, space, flat).reshape(L, B)
     if not np.all(np.isfinite(vals)):
         raise InputError("expression evaluated to a non-finite value")
     return np.abs(vals)
-
-
-def _objective(expr, space, XB):
-    """sum_i |f(x_i*)| for each tuple in the batch XB of shape (B, k, d)."""
-    B, k, d = XB.shape
-    return _fvalues(expr, space, XB.reshape(B * k, d)).reshape(B, k).sum(axis=1)
 
 
 def _ratios(obj, C):
@@ -165,62 +173,108 @@ def _ratios(obj, C):
     return np.divide(obj, C, out=np.full_like(obj, -np.inf), where=C > 0.0)
 
 
-def _neighbourhood(expr, space, X, Z, fvals, step):
+@functools.lru_cache(maxsize=32)
+def _unit_moves(d):
+    """unit[j, s] = (1 - 2s) e_j, shape (d, 2, 1, d); cached and read-only."""
+    unit = np.eye(d)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
+    unit.flags.writeable = False
+    return unit
+
+
+@functools.lru_cache(maxsize=SIGN_CUBE_CAP)
+def _others(k):
+    """The (k, k) 0/1 matrix that sums all but entry i; cached and read-only."""
+    out = 1.0 - np.eye(k)
+    out.flags.writeable = False
+    return out
+
+
+def _neighbourhood(terms, W, space, X, Z, fvals, step):
     """Ratio of every move (i, j, s) of each tuple in a batch.
 
-    X: (k, B, d) tuples, Z = kernels.signed_sums(X, S), fvals: (k, B) the
-    values |f(x_i*)|, step: (B,).  A move changes one functional, so only
-    its f-value is evaluated afresh.  Returns the ratios (k, d, 2, B), the
-    moved functionals (k, d, 2, B, d) and their f-values (k, d, 2, B).
+    X: (k, B, d) tuples, W: (m, B) their objective weights (see _fvalues),
+    Z = kernels.signed_sums(X, S), fvals: (k, B) the values |f(x_i*)|,
+    step: (B,).  A move changes one functional, so only its f-value is
+    evaluated afresh.  Returns the ratios (k, d, 2, B), the moved
+    functionals (k, d, 2, B, d) and their f-values (k, d, 2, B).
     """
     k, B, d = X.shape
-    # unit[j, s] = (1 - 2s) e_j; x + 0.0 == x, so only coordinate j moves
-    unit = np.eye(d)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
-    rows = X[:, None, None] + unit * step[:, None]
-    new = _fvalues(expr, space, rows.reshape(-1, d)).reshape(k, d, 2, B)
+    # x + 0.0 == x, so only coordinate j moves
+    rows = X[:, None, None] + _unit_moves(d) * step[:, None]
+    new = _fvalues(terms, W, space, rows.reshape(-1, B, d)).reshape(k, d, 2, B)
     # the other k-1 f-values of each tuple; they are finite and >= 0, so the
     # 0/1 weights add them without cancellation
-    obj = ((1.0 - np.eye(k)) @ fvals)[:, None, None] + new
+    obj = (_others(k) @ fvals)[:, None, None] + new
     return _ratios(obj, kernels.move_constraints(Z, step, space.q)), rows, new
 
 
 def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEstimate:
-    """Best lower bound for the norm found by seeded multistart hill climbing.
+    """Best lower bound for the norm of expr: one search of fbl_lower_bounds."""
+    return fbl_lower_bounds([expr], [[1.0]], space, config)[0]
 
-    Restarts draw standard-normal tuples from streams derived from
-    (seed, restart index), then refine by single-coordinate perturbations with
-    a geometrically decaying step.  Restart trajectories are independent, so
-    results are deterministic and monotone in the restart budget.  Each
-    restart keeps its signed sums and its f-values, so scoring a move costs
-    one f-evaluation and one column of signed sums.
+
+def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list[NormEstimate]:
+    """Lower bounds for the norms of the combinations sum_j weights[e, j] * terms[j].
+
+    One seeded multistart hill climb per row e of weights (E, m).  Restarts
+    draw standard-normal tuples from streams derived from (seed, restart
+    index), the same R tuples for every search, then refine by
+    single-coordinate perturbations with a geometrically decaying step.
+    Restart trajectories are independent, so results are deterministic,
+    monotone in the restart budget and the same as E separate searches.
+    All E*R restarts climb in lockstep, so each neighbourhood evaluates
+    each term once for every search.  Each restart keeps its signed sums
+    and its f-values, so scoring a move costs one f-evaluation and one
+    column of signed sums.
     """
-    k, d = config.k, space.dim
-    R = config.restarts
+    terms = tuple(terms)
+    W = np.asarray(weights, dtype=np.float64)
+    if W.ndim != 2 or W.shape[1] != len(terms):
+        raise DimensionMismatch(
+            f"weights must have shape (E, {len(terms)}), got {W.shape}"
+        )
+    k, d, R = config.k, space.dim, config.restarts
     # each neighbourhood scores 2kd moves of every restart at once; the
     # largest temporaries are the two moved values of each signed sum
-    # (2d * 2^(k-1) per restart) and the moved functionals (2kd * d)
-    check_sign_tensor(R * 2 * d * max(k * d, 1 << (k - 1)), "lower --k or --restarts")
-    S = kernels.sign_patterns(k)
+    # (2d * 2^(k-1) per restart) and the moved functionals (2kd * d), which
+    # also bound each term's values on them (2kd)
+    per_search = R * 2 * d * max(k * d, 1 << (k - 1))
+    check_sign_tensor(per_search, "lower --k or --restarts")
 
-    # restarts along axis 1: X[:, r] is the tuple of restart r
-    X = np.empty((k, R, d))
+    # restarts along axis 1: X0[:, r] is the tuple of restart r
+    X0 = np.empty((k, R, d))
     # child r of the seed is SeedSequence(seed, spawn_key=(r,))
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(R)):
-        X[:, r] = np.random.Generator(np.random.PCG64(child)).standard_normal((k, d))
-    fvals = _fvalues(expr, space, X.reshape(-1, d)).reshape(k, R)
+        X0[:, r] = np.random.Generator(np.random.PCG64(child)).standard_normal((k, d))
+    # as many searches at once as keep the temporaries under the cap
+    chunk = SIGN_TENSOR_CAP // per_search
+    return [est for lo in range(0, len(W), chunk)
+            for est in _lockstep(terms, W[lo:lo + chunk], space, config, X0)]
+
+
+def _lockstep(terms, W, space, config, X0):
+    """The searches of fbl_lower_bounds for the weight rows W (E, m)."""
+    E, R = len(W), config.restarts
+    k, d = config.k, space.dim
+    S = kernels.sign_patterns(k)
+
+    # search-major: restart r of search e is column e*R + r
+    X = np.tile(X0, (1, E, 1))
+    Wb = np.repeat(W.T, R, axis=1)
+    fvals = _fvalues(terms, Wb, space, X)
     cur = _ratios(fvals.sum(axis=0), kernels.constraint_batch(X.transpose(1, 0, 2), S, space.q))
     Z = kernels.signed_sums(X, S)
-    evals = R
+    visits = np.zeros(E * R, dtype=int)  # neighbourhoods scored per restart
 
-    step = np.full(R, STEP_INIT)
-    rounds_left = np.full(R, DECAY_ROUNDS, dtype=int)
-    moves_left = np.full(R, config.local_steps, dtype=int)
-    active = np.arange(R)
+    step = np.full(E * R, STEP_INIT)
+    rounds_left = np.full(E * R, DECAY_ROUNDS, dtype=int)
+    moves_left = np.full(E * R, config.local_steps, dtype=int)
+    active = np.arange(E * R)
 
     while active.size:
-        ratio, rows, new = _neighbourhood(expr, space, X[:, active], Z[:, :, active],
-                                          fvals[:, active], step[active])
-        evals += ratio.size
+        ratio, rows, new = _neighbourhood(terms, Wb[:, active], space, X[:, active],
+                                          Z[:, :, active], fvals[:, active], step[active])
+        visits[active] += 1
         # moves in (i, j, s) order; argmax takes the first best one
         ratio = ratio.reshape(-1, active.size)
         best_idx = ratio.argmax(axis=0)
@@ -245,22 +299,27 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
 
         active = active[rounds_left[active] > 0]
 
-    best = int(np.argmax(cur))
-    witness = X[:, best]
-    C, eps = tuple_constraint(space, witness)
-    if C == 0.0:
-        raise ValueError("search converged to an all-zero tuple")
-    obj = float(_objective(expr, space, witness[None])[0])
-    return NormEstimate(
-        lower_bound=obj / C,
-        objective=obj,
-        constraint=C,
-        witness=witness.copy(),
-        certificate_signs=tuple(float(e) for e in eps),
-        restarts=config.restarts,
-        evaluations=evals,
-        seed=config.seed,
-    )
+    evals = R + 2 * k * d * visits.reshape(E, R).sum(axis=1)
+    out = []
+    for e in range(E):
+        best = e * R + int(np.argmax(cur[e * R:(e + 1) * R]))
+        witness = X[:, best]
+        C, eps = tuple_constraint(space, witness)
+        if C == 0.0:
+            raise ValueError("search converged to an all-zero tuple")
+        # the objective afresh from the terms, not from the kept f-values
+        obj = float(_fvalues(terms, W[e][:, None], space, witness[:, None]).sum())
+        out.append(NormEstimate(
+            lower_bound=obj / C,
+            objective=obj,
+            constraint=C,
+            witness=witness.copy(),
+            certificate_signs=tuple(float(v) for v in eps),
+            restarts=R,
+            evaluations=int(evals[e]),
+            seed=config.seed,
+        ))
+    return out
 
 
 def dim1_norm(expr: HomExpr, space: Space) -> float:

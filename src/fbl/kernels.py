@@ -87,16 +87,17 @@ def hom_batch(X, n, mhi, Mv, Nv) -> np.ndarray:
     X: (N, d) functional coordinates; n: 1-based generator index; mhi: product
     runs over basis indices m with n < m <= mhi; Mv, Nv: cutoff sequences.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    a = np.abs(X)
-    an = a[:, n - 1]
-    prev = a[:, : n - 1].max(axis=1, initial=0.0)
+    # coordinates first, (mhi, N) and contiguous: every reduction over the
+    # at most mhi coordinates is an elementwise operation on whole rows
+    a = np.abs(np.asarray(X, dtype=np.float64).T[:mhi], order="C")
+    an = a[n - 1]
+    prev = a[: n - 1].max(axis=0, initial=0.0)
     base = np.maximum(an - Nv[n - 1] * prev, 0.0)
     if mhi > n:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(an[:, None] > 0.0, a[:, n:mhi] / an[:, None], 0.0)
-        g = np.clip((Nv[n:mhi] - t) / (Nv[n:mhi] - Mv[n:mhi]), 0.0, 1.0)
-        base = base * g.prod(axis=1)
+        t = np.divide(a[n:], an, out=np.zeros_like(a[n:]), where=an > 0.0)
+        g = (Nv[n:mhi, None] - t) / (Nv[n:mhi, None] - Mv[n:mhi, None])
+        np.minimum(np.maximum(g, 0.0, out=g), 1.0, out=g)
+        base = base * g.prod(axis=0)
     return np.where(an == 0.0, 0.0, base)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .homfun import Add, BuiltinF, HomExpr, Join, LiftParams, Scale, eval_batch
-from .spaces import InputError, Space, join as vec_join
+from .spaces import DimensionMismatch, InputError, Space, join as vec_join
 
 __all__ = ["LiftingSystem", "beta_apply", "T_apply", "T_lattice_check"]
 
@@ -41,7 +41,7 @@ def T_apply(system: LiftingSystem, x) -> HomExpr:
     """Lift a vector to the disjoint combination of the built-in generators."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (system.space.dim,):
-        raise ValueError(f"expected {system.space.dim} coordinates, got {x.shape}")
+        raise DimensionMismatch(f"expected {system.space.dim} coordinates, got shape {x.shape}")
     return Add(Scale(float(c), g) for c, g in zip(x, system.generators))
 
 

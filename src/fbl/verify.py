@@ -19,13 +19,14 @@ from .fblnorm import (
     SearchConfig,
     check_sign_tensor,
     fbl_lower_bound,
+    fbl_lower_bounds,
     l1_extreme_point_constraint,
     tuple_constraint,
     SIGN_CUBE_CAP,
 )
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch
 from .lifting import LiftingSystem, T_apply, beta_apply
-from .spaces import ConfigError, Space
+from .spaces import ConfigError, DimensionMismatch, Space
 
 __all__ = [
     "SLACK_TOL",
@@ -221,25 +222,35 @@ def check_beta_section(system: LiftingSystem, samples: int = 1000, seed: int = 0
 
 
 def check_normspan(system: LiftingSystem, coefficients, search: SearchConfig) -> CheckReport:
-    """Every tuple the search visits respects the span-norm inequality.
+    """Every tuple the searches visit respects the span-norm inequality.
 
-    The search's best ratio dominates all visited ratios, so bounding it
-    bounds them all: best <= norm of the coefficient vector, to slack 1e-9.
+    coefficients: one vector a of length d, or an (E, d) matrix of them.
+    One search per vector, all in one batch over the shared generators.
+    Each search's best ratio dominates all its visited ratios, so bounding
+    it bounds them all: best <= norm of a, to slack 1e-9.
     """
     a = np.asarray(coefficients, dtype=np.float64)
-    est = fbl_lower_bound(T_apply(system, a), system.space, search)
-    rhs = system.space.norm(a)
+    A = a[None] if a.ndim == 1 else a
+    d = system.space.dim
+    if A.ndim != 2 or A.shape[1] != d:
+        raise DimensionMismatch(
+            f"coefficients must have shape ({d},) or (E, {d}), got {a.shape}"
+        )
+    ests = fbl_lower_bounds(system.generators, A, system.space, search)
     report = CheckReport(
-        check="normspan", instances=1, seed=search.seed,
+        # with no vectors no search runs, and the report names no seed
+        check="normspan", instances=len(A), seed=search.seed if len(A) else None,
         config={"space": str(system.space), "coefficients": a.tolist(),
                 "k": search.k, "restarts": search.restarts},
     )
-    report.worst_slack = rhs - est.lower_bound
-    if est.lower_bound > rhs + SLACK_TOL:
-        report.failures.append(
-            {"coefficients": a.tolist(), "ratio": est.lower_bound, "norm": rhs,
-             "witness": est.witness.tolist()}
-        )
+    for row, est in zip(A, ests):
+        rhs = system.space.norm(row)
+        report.merge_slack(rhs - est.lower_bound)
+        if est.lower_bound > rhs + SLACK_TOL:
+            report.failures.append(
+                {"coefficients": row.tolist(), "ratio": est.lower_bound, "norm": rhs,
+                 "witness": est.witness.tolist()}
+            )
     return report
 
 

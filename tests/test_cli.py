@@ -78,6 +78,22 @@ def test_lift_verify_passes(capsys):
     assert names == {"biorthogonal", "disjoint", "beta_section", "normspan", "freenorm"}
 
 
+def test_lift_verify_zero_coeff_vectors_runs_no_search(monkeypatch, capsys):
+    # on l2:1 every free-norm check is exact, so no check needs a search
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(fblnorm, "_lockstep", no_search)
+    code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:1", "--instances", "50",
+                           "--coeff-vectors", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"]
+    span, = [c for c in report["checks"] if c["check"] == "normspan"]
+    assert span == {"check": "normspan", "config": {}, "failures": [], "instances": 0,
+                    "seed": None, "worst_slack": None}
+
+
 def test_lift_verify_rejects_divergent_mseq(capsys):
     code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:6", "--mseq", "harmonic")
     assert code == 3

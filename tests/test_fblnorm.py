@@ -4,22 +4,23 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fbl import kernels
+from fbl import fblnorm, kernels
 from fbl.fblnorm import (
     ConfigError,
     DependenceError,
     SearchConfig,
     _fvalues,
     _neighbourhood,
-    _objective,
     dim1_norm,
     fbl_lower_bound,
+    fbl_lower_bounds,
     l1_extreme_point_constraint,
     tuple_constraint,
     upper_bound_finite_coords,
 )
-from fbl.homfun import Abs, Add, Delta, Join, Pos, Scale, parse
-from fbl.spaces import Space
+from fbl.homfun import Abs, Add, Delta, Join, Pos, Scale, eval_batch, parse
+from fbl.lifting import LiftingSystem, T_apply
+from fbl.spaces import DimensionMismatch, Space
 
 from conftest import random_expr
 
@@ -190,8 +191,10 @@ def test_incremental_neighbourhood_matches_full_rebuild(p, rng):
             S = kernels.sign_patterns(k)
             X = rng.standard_normal((k, 2, d))  # two tuples, functional-first
             step = rng.uniform(1e-3, 0.5, 2)
-            fvals = _fvalues(expr, sp, X.reshape(-1, d)).reshape(k, 2)
-            got, _, _ = _neighbourhood(expr, sp, X, kernels.signed_sums(X, S), fvals, step)
+            ones = np.ones((1, 2))
+            fvals = _fvalues([expr], ones, sp, X)
+            got, _, _ = _neighbourhood([expr], ones, sp, X, kernels.signed_sums(X, S),
+                                       fvals, step)
             cand = np.empty((k, d, 2, 2, k, d))
             for i, j, s, b in product(range(k), range(d), range(2), range(2)):
                 cand[i, j, s, b] = X[:, b]
@@ -199,12 +202,64 @@ def test_incremental_neighbourhood_matches_full_rebuild(p, rng):
             cand = cand.reshape(-1, k, d)
             C = kernels.constraint_batch(cand, S, sp.q)
             assert np.all(C > 0.0)
-            want = _objective(expr, sp, cand) / C
+            obj = np.abs(eval_batch(expr, sp, cand.reshape(-1, d))).reshape(-1, k).sum(axis=1)
+            want = obj / C
             np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0.0)
     cfg = SearchConfig(k=2, restarts=5, seed=11)
     expr = parse("|d(1,0)| v 0.5*|d(0,1)|")
     assert (fbl_lower_bound(expr, Space.lp(p, 2), cfg).to_json()
             == fbl_lower_bound(expr, Space.lp(p, 2), cfg).to_json())
+
+
+def _lift_weights(rng, d, E):
+    A = rng.standard_normal((E, d))
+    A[E // 2] = 0.0  # an all-zero combination: every ratio is 0/C
+    return A
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
+def test_batched_searches_match_separate_searches(p, rng):
+    # E searches run in lockstep give, estimate for estimate, the report of
+    # the separate search on the lifted expression sum_n a_n f(n)
+    cfg = SearchConfig(k=3, restarts=4, seed=3)
+    for d in (1, 3, 6):
+        system = LiftingSystem(Space.lp(p, d))
+        for E in (1, 5):
+            A = _lift_weights(rng, d, E)
+            got = fbl_lower_bounds(system.generators, A, system.space, cfg)
+            assert len(got) == E
+            for a, est in zip(A, got):
+                want = fbl_lower_bound(T_apply(system, a), system.space, cfg)
+                assert est.to_json() == want.to_json()
+
+
+def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
+    system = LiftingSystem(Space.lp(2.0, 3))
+    cfg = SearchConfig(k=2, restarts=3, seed=1)
+    A = _lift_weights(rng, 3, 7)
+    whole = [e.to_json() for e in fbl_lower_bounds(system.generators, A, system.space, cfg)]
+    # one search needs R * 2d * max(kd, 2^(k-1)) = 108 elements: three per chunk
+    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 3 * 108)
+    sizes = []
+    lockstep = fblnorm._lockstep
+    monkeypatch.setattr(fblnorm, "_lockstep",
+                        lambda terms, W, *rest: sizes.append(len(W)) or lockstep(terms, W, *rest))
+    chunked = [e.to_json() for e in fbl_lower_bounds(system.generators, A, system.space, cfg)]
+    assert sizes == [3, 3, 1]
+    assert chunked == whole
+    # one search over the cap is still refused before any work
+    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 107)
+    with pytest.raises(ConfigError, match="--restarts"):
+        fbl_lower_bounds(system.generators, A, system.space, cfg)
+
+
+def test_batched_search_weights_shape():
+    system = LiftingSystem(Space.lp(2.0, 3))
+    cfg = SearchConfig(k=2, restarts=2)
+    assert fbl_lower_bounds(system.generators, np.empty((0, 3)), system.space, cfg) == []
+    for bad in (np.ones(3), np.ones((2, 2)), np.ones((1, 2, 3))):
+        with pytest.raises(DimensionMismatch):
+            fbl_lower_bounds(system.generators, bad, system.space, cfg)
 
 
 def test_search_config_validation():

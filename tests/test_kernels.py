@@ -43,6 +43,25 @@ def test_hom_batch_matches_scalar_reference(rng):
             assert not np.signbit(out[clamped]).any()
 
 
+def test_hom_batch_bits_do_not_depend_on_layout(rng):
+    d = 6
+    Mv, Nv = P.arrays(d)
+    X = np.round(rng.standard_normal((300, d)) * 10.0 ** rng.integers(-2, 3, (300, d)))
+    X[rng.random((300, d)) < 0.2] = 0.0
+    wide = np.zeros((300, 2 * d))
+    wide[:, ::2] = X
+    layouts = {
+        "F-order": np.asfortranarray(X),
+        "strided view": wide[:, ::2],
+        "integer": X.astype(np.int64),
+    }
+    for n in range(1, d + 1):
+        for mhi in range(n, d + 1):
+            want = kernels.hom_batch(np.ascontiguousarray(X), n, mhi, Mv, Nv).tobytes()
+            for name, Y in layouts.items():
+                assert kernels.hom_batch(Y, n, mhi, Mv, Nv).tobytes() == want, name
+
+
 def test_sign_patterns_lexicographic():
     S = kernels.sign_patterns(3)
     assert S.shape == (4, 3)

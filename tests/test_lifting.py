@@ -6,7 +6,7 @@ import pytest
 from fbl.fblnorm import SearchConfig, fbl_lower_bound
 from fbl.homfun import Abs, BuiltinF, Delta, LiftParams, eval_batch
 from fbl.lifting import LiftingSystem, T_apply, T_lattice_check, beta_apply
-from fbl.spaces import Space
+from fbl.spaces import DimensionMismatch, InputError, Space
 
 
 @pytest.fixture(params=[1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
@@ -93,3 +93,10 @@ def test_T_norm_bound_evidence(rng):
 def test_T_dimension_check(system):
     with pytest.raises(ValueError):
         T_apply(system, np.zeros(5))
+
+
+def test_T_dimension_mismatch_is_an_input_error(system):
+    for bad in (np.zeros(5), np.zeros((1, 6)), 1.0):
+        with pytest.raises(DimensionMismatch, match="expected 6 coordinates"):
+            T_apply(system, bad)
+    assert issubclass(DimensionMismatch, InputError)

@@ -6,7 +6,7 @@ import pytest
 
 from fbl.fblnorm import SearchConfig
 from fbl.lifting import LiftingSystem
-from fbl.spaces import Space
+from fbl.spaces import DimensionMismatch, Space
 from fbl.verify import (
     CheckReport,
     check_beta_section,
@@ -94,6 +94,28 @@ def test_normspan_random_coefficients():
         for _ in range(5):
             report = check_normspan(system, rng.standard_normal(6), SEARCH)
             assert report.passed, report.failures
+
+
+def test_normspan_batch_matches_single_vectors():
+    system = LiftingSystem(Space.lp(2, 4))
+    A = np.random.default_rng(8).standard_normal((4, 4))
+    batch = check_normspan(system, A, SEARCH)
+    singles = [check_normspan(system, a, SEARCH) for a in A]
+    assert batch.instances == 4 and batch.passed
+    assert batch.worst_slack == min(r.worst_slack for r in singles)
+    assert batch.config["coefficients"] == A.tolist()
+    empty = check_normspan(system, np.empty((0, 4)), SEARCH)
+    assert (empty.instances, empty.worst_slack, empty.seed) == (0, None, None)
+
+
+def test_normspan_coefficient_shape_is_an_input_error():
+    system = LiftingSystem(Space.lp(2, 4))
+    for bad in (np.zeros(3), np.zeros((2, 5)), np.zeros((1, 1, 4)), 1.0):
+        with pytest.raises(DimensionMismatch):
+            check_normspan(system, bad, SEARCH)
+    # a scalar is not a vector, not even in dimension 1
+    with pytest.raises(DimensionMismatch):
+        check_normspan(LiftingSystem(Space.lp(2, 1)), 1.0, SEARCH)
 
 
 def test_freenorm_tail_bound():
