@@ -90,9 +90,8 @@ def cmd_lift_verify(args) -> int:
     coefficients = rng.standard_normal((args.coeff_vectors, space.dim))
     # the suite report leaves out the per-check config (the coefficients)
     reports.append(replace(verify.check_normspan(system, coefficients, search), config={}))
-    reports.append(_merge([verify.check_freenorm(system, n, k, search)
-                           for n in range(1, space.dim + 1)
-                           for k in range(space.dim - n + 1)], "freenorm"))
+    pairs = [(n, k) for n in range(1, space.dim + 1) for k in range(space.dim - n + 1)]
+    reports.append(_merge(verify.check_freenorms(system, pairs, search), "freenorm"))
 
     payload = {"space": str(space), "checks": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports), "seed": args.seed}

@@ -149,20 +149,29 @@ class NormEstimate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _fvalues(terms, W, space, X):
+def _fvalues(terms, W, space, X, dense=None):
     """|sum_j W[j] * term_j(x*)| at the functionals X, shape (L, B, d).
 
     W: (m, B) weights, one column per tuple of the batch.  The terms are
     added in order, each scaled elementwise, exactly as an Add of Scale
-    nodes evaluates them.  A non-finite value is an input error.  Returns
-    (L, B).
+    nodes evaluates them.  dense: one flag per term, False where its
+    weight row may hold zeros (None: all True).  Such a term is evaluated
+    only on the columns where its weight is nonzero; a zero weight would
+    add only +-0, which the absolute value removes.  A non-finite value is
+    an input error.  Returns (L, B).
     """
     L, B, d = X.shape
     flat = X.reshape(-1, d)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.zeros((L, B))
-        for term, w in zip(terms, W):
-            vals = vals + w * eval_batch(term, space, flat).reshape(L, B)
+        for term, w, full in zip(terms, W, dense or (True,) * len(terms)):
+            if full:
+                vals = vals + w * eval_batch(term, space, flat).reshape(L, B)
+                continue
+            cols = np.flatnonzero(w)
+            if cols.size:
+                t = eval_batch(term, space, X[:, cols].reshape(-1, d))
+                vals[:, cols] = vals[:, cols] + w[cols] * t.reshape(L, cols.size)
     if not np.all(np.isfinite(vals)):
         raise InputError("expression evaluated to a non-finite value")
     return np.abs(vals)
@@ -189,10 +198,11 @@ def _others(k):
     return out
 
 
-def _neighbourhood(terms, W, space, X, Z, fvals, step):
+def _neighbourhood(terms, W, space, X, Z, fvals, step, dense=None):
     """Ratio of every move (i, j, s) of each tuple in a batch.
 
-    X: (k, B, d) tuples, W: (m, B) their objective weights (see _fvalues),
+    X: (k, B, d) tuples, W: (m, B) their objective weights and dense their
+    per-term flags (see _fvalues),
     Z = kernels.signed_sums(X, S), fvals: (k, B) the values |f(x_i*)|,
     step: (B,).  A move changes one functional, so only its f-value is
     evaluated afresh.  Returns the ratios (k, d, 2, B), the moved
@@ -201,7 +211,7 @@ def _neighbourhood(terms, W, space, X, Z, fvals, step):
     k, B, d = X.shape
     # x + 0.0 == x, so only coordinate j moves
     rows = X[:, None, None] + _unit_moves(d) * step[:, None]
-    new = _fvalues(terms, W, space, rows.reshape(-1, B, d)).reshape(k, d, 2, B)
+    new = _fvalues(terms, W, space, rows.reshape(-1, B, d), dense).reshape(k, d, 2, B)
     # the other k-1 f-values of each tuple; they are finite and >= 0, so the
     # 0/1 weights add them without cancellation
     obj = (_others(k) @ fvals)[:, None, None] + new
@@ -223,9 +233,11 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     Restart trajectories are independent, so results are deterministic,
     monotone in the restart budget and the same as E separate searches.
     All E*R restarts climb in lockstep, so each neighbourhood evaluates
-    each term once for every search.  Each restart keeps its signed sums
-    and its f-values, so scoring a move costs one f-evaluation and one
-    column of signed sums.
+    each term once for all the searches that weight it; a search whose
+    weight on a term is zero does not evaluate that term, so with weights
+    eye(E) each of E expressions is evaluated only for its own search.
+    Each restart keeps its signed sums and its f-values, so scoring a move
+    costs one f-evaluation and one column of signed sums.
     """
     terms = tuple(terms)
     W = np.asarray(weights, dtype=np.float64)
@@ -261,7 +273,9 @@ def _lockstep(terms, W, space, config, X0):
     # search-major: restart r of search e is column e*R + r
     X = np.tile(X0, (1, E, 1))
     Wb = np.repeat(W.T, R, axis=1)
-    fvals = _fvalues(terms, Wb, space, X)
+    # decided once: a term with a zero weight is evaluated only where it counts
+    dense = tuple(bool(v) for v in (W != 0.0).all(axis=0))
+    fvals = _fvalues(terms, Wb, space, X, dense)
     cur = _ratios(fvals.sum(axis=0), kernels.constraint_batch(X.transpose(1, 0, 2), S, space.q))
     Z = kernels.signed_sums(X, S)
     visits = np.zeros(E * R, dtype=int)  # neighbourhoods scored per restart
@@ -273,7 +287,8 @@ def _lockstep(terms, W, space, config, X0):
 
     while active.size:
         ratio, rows, new = _neighbourhood(terms, Wb[:, active], space, X[:, active],
-                                          Z[:, :, active], fvals[:, active], step[active])
+                                          Z[:, :, active], fvals[:, active], step[active],
+                                          dense)
         visits[active] += 1
         # moves in (i, j, s) order; argmax takes the first best one
         ratio = ratio.reshape(-1, active.size)
@@ -308,7 +323,7 @@ def _lockstep(terms, W, space, config, X0):
         if C == 0.0:
             raise ValueError("search converged to an all-zero tuple")
         # the objective afresh from the terms, not from the kept f-values
-        obj = float(_fvalues(terms, W[e][:, None], space, witness[:, None]).sum())
+        obj = float(_fvalues(terms, W[e][:, None], space, witness[:, None], dense).sum())
         out.append(NormEstimate(
             lower_bound=obj / C,
             objective=obj,

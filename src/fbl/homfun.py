@@ -101,7 +101,7 @@ class LiftParams:
     def g(self, m: int, t: float) -> float:
         """Ramp value g_m(t) in [0, 1]; 1 on [0, M_m], 0 on [N_m, inf)."""
         if t < 0:
-            raise ValueError(f"ramp argument must be nonnegative, got {t}")
+            raise ConfigError(f"ramp argument must be nonnegative, got {t}")
         Mm, Nm = self.M(m), self.N(m)
         return float(min(max((Nm - t) / (Nm - Mm), 0.0), 1.0))
 

@@ -24,6 +24,7 @@ __all__ = [
     "Space",
     "DimensionMismatch",
     "SpaceSyntaxError",
+    "BasisIndexError",
     "parse_space",
     "join",
     "meet",
@@ -46,6 +47,10 @@ class DimensionMismatch(InputError):
 
 class SpaceSyntaxError(InputError):
     """Malformed textual space description."""
+
+
+class BasisIndexError(InputError, IndexError):
+    """A basis index outside 1..d."""
 
 
 def _lp_norm(coords: np.ndarray, p: float) -> float:
@@ -129,7 +134,7 @@ class Space:
     def basis_vector(self, n: int) -> np.ndarray:
         """The n-th normalized basis vector (1-based index)."""
         if not 1 <= n <= self.dim:
-            raise IndexError(f"basis index {n} out of range 1..{self.dim}")
+            raise BasisIndexError(f"basis index {n} out of range 1..{self.dim}")
         e = np.zeros(self.dim)
         e[n - 1] = 1.0
         return e

@@ -18,15 +18,14 @@ from .fblnorm import (
     SIGN_TENSOR_CAP,
     SearchConfig,
     check_sign_tensor,
-    fbl_lower_bound,
     fbl_lower_bounds,
     l1_extreme_point_constraint,
     tuple_constraint,
     SIGN_CUBE_CAP,
 )
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch
-from .lifting import LiftingSystem, T_apply, beta_apply
-from .spaces import ConfigError, DimensionMismatch, Space
+from .lifting import LiftingSystem
+from .spaces import ConfigError, DimensionMismatch, InputError, Space
 
 __all__ = [
     "SLACK_TOL",
@@ -35,6 +34,7 @@ __all__ = [
     "check_lemma44",
     "check_normspan",
     "check_freenorm",
+    "check_freenorms",
     "check_disjoint",
     "check_biorthogonal",
     "check_beta_section",
@@ -78,6 +78,17 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
+    """Refuse, before drawing, a negative sample count or a draw over the cap."""
+    if samples < 0:
+        raise ConfigError(f"samples must be >= 0, got {samples}")
+    if floats > SIGN_TENSOR_CAP:
+        raise ConfigError(
+            f"{samples} samples in dimension {d} would need {floats} floats, "
+            f"over the cap of {SIGN_TENSOR_CAP}; {remedy}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # sign-averaging inequality for biorthogonal functionals
 
@@ -93,7 +104,7 @@ def lemma_unconditional_instance(space: Space, ms, functionals) -> tuple[float, 
     X = np.asarray(functionals, dtype=np.float64)
     for row in X:
         if space.dual_norm(row) > 1.0 + SLACK_TOL:
-            raise ValueError("functionals must lie in the dual unit ball")
+            raise ConfigError("functionals must lie in the dual unit ball")
     z = np.zeros(space.dim)
     for m, row in zip(ms, X):
         z[m - 1] += abs(row[m - 1])
@@ -178,14 +189,8 @@ def check_biorthogonal(system: LiftingSystem) -> CheckReport:
 def check_disjoint(system: LiftingSystem, samples: int = 10_000, seed: int = 0) -> CheckReport:
     """Pairwise pointwise min of the generators is exactly zero at every sample."""
     d = system.space.dim
-    if samples < 0:
-        raise ConfigError(f"samples must be >= 0, got {samples}")
     # the draw is (samples, d), the generator values d arrays of samples
-    if samples * (d + 1) > SIGN_TENSOR_CAP:
-        raise ConfigError(
-            f"{samples} samples in dimension {d} would need {samples * (d + 1)} floats, "
-            f"over the cap of {SIGN_TENSOR_CAP}; lower --instances"
-        )
+    _check_samples(samples, d, samples * (d + 1), "lower --instances")
     rng = _rng(seed, 2)
     X = rng.standard_normal((samples, d))
     F = np.stack([eval_batch(g, system.space, X) for g in system.generators])
@@ -207,17 +212,34 @@ def check_disjoint(system: LiftingSystem, samples: int = 10_000, seed: int = 0) 
 
 def check_beta_section(system: LiftingSystem, samples: int = 1000, seed: int = 0,
                        tol: float = 1e-12) -> CheckReport:
-    """beta composed with the lift is the identity on random vectors."""
-    d = system.space.dim
-    rng = _rng(seed, 3)
+    """beta composed with the lift is the identity on random vectors.
+
+    beta(T(x)) is the vector of T(x) = sum_n x_n f(n) at the basis
+    functionals e_j*.  Those generator values G[n] = f_n(e_j*) do not
+    depend on x, so they are evaluated once, and every sample is formed
+    from them with the adds an Add of Scale nodes makes: from zero, in
+    generator order.  So each row is bit for bit beta_apply(T_apply(x)).
+    """
+    space = system.space
+    d = space.dim
+    # the draw and the lifted values are (samples, d) each
+    _check_samples(samples, d, samples * d, "use fewer samples")
+    # the same values as `samples` successive draws of standard_normal(d)
+    X = _rng(seed, 3).standard_normal((samples, d))
+    eye = np.eye(d)
+    out = np.zeros((samples, d))
+    for n, g in enumerate(system.generators):
+        out = out + X[:, n:n + 1] * eval_batch(g, space, eye)
+    if not np.all(np.isfinite(out)):
+        raise InputError("expression evaluated to a non-finite value")
+    err = np.abs(out - X).max(axis=1)
     report = CheckReport(check="beta_section", instances=samples, seed=seed,
-                         config={"space": str(system.space), "tol": tol})
-    for i in range(samples):
-        x = rng.standard_normal(d)
-        err = float(np.abs(beta_apply(T_apply(system, x), system.space) - x).max())
-        report.merge_slack(tol - err)
-        if err > tol:
-            report.failures.append({"instance": i, "x": x.tolist(), "error": err})
+                         config={"space": str(space), "tol": tol})
+    if samples:
+        # tol - err falls as err grows, so its minimum is at the largest error
+        report.worst_slack = float(tol - err.max())
+    for i in np.flatnonzero(err > tol):
+        report.failures.append({"instance": int(i), "x": X[i].tolist(), "error": float(err[i])})
     return report
 
 
@@ -256,33 +278,52 @@ def check_normspan(system: LiftingSystem, coefficients, search: SearchConfig) ->
 
 def check_freenorm(system: LiftingSystem, n: int, k: int, search: SearchConfig,
                    samples: int = 1000) -> CheckReport:
-    """Norm of the truncation error is bounded by the cutoff tail sum.
+    """The truncation check of one pair (n, k): check_freenorms of [(n, k)]."""
+    return check_freenorms(system, [(n, k)], search, samples)[0]
 
-    For n + k >= d the truncation equals the generator identically and the
-    difference is checked to be exactly zero at random samples.
+
+def check_freenorms(system: LiftingSystem, pairs, search: SearchConfig,
+                    samples: int = 1000) -> list[CheckReport]:
+    """Norm of each truncation error h(n,k) - f(n) is bounded by the cutoff tail sum.
+
+    One report per pair (n, k), in order.  The pairs with n + k < d are
+    searched in one batch, one search per pair over its own difference,
+    each the same as a separate fbl_lower_bound.  For n + k >= d the
+    truncation equals the generator identically and the difference is
+    checked to be exactly zero at random samples.
     """
-    d = system.space.dim
-    diff = Add([BuiltinH(n, k, system.params), Scale(-1.0, BuiltinF(n, system.params))])
-    report = CheckReport(
-        check="freenorm", instances=1, seed=search.seed,
-        config={"space": str(system.space), "n": n, "k": k},
-    )
-    if n + k >= d:
-        rng = _rng(search.seed, 4, n, k)
-        X = rng.standard_normal((samples, d))
-        vals = eval_batch(diff, system.space, X)
+    space, params = system.space, system.params
+    d = space.dim
+    _check_samples(samples, d, samples * d, "use fewer samples")
+    reports, searched, diffs = [], [], []
+    for n, k in pairs:
+        diff = Add([BuiltinH(n, k, params), Scale(-1.0, BuiltinF(n, params))])
+        report = CheckReport(
+            check="freenorm", instances=1, seed=search.seed,
+            config={"space": str(space), "n": n, "k": k},
+        )
+        reports.append(report)
+        if n + k < d:
+            searched.append(report)
+            diffs.append(diff)
+            continue
+        X = _rng(search.seed, 4, n, k).standard_normal((samples, d))
+        vals = eval_batch(diff, space, X)
         report.instances = samples
         report.worst_slack = -float(np.abs(vals).max(initial=0.0))
         for i in np.nonzero(vals != 0.0)[0]:
             report.failures.append({"xstar": X[i].tolist(), "difference": float(vals[i])})
-        return report
-    bound = system.params.tail_bound(n + k, d)
-    est = fbl_lower_bound(diff, system.space, search)
-    report.config["tail_bound"] = bound
-    report.worst_slack = bound - est.lower_bound
-    if est.lower_bound > bound + SLACK_TOL:
-        report.failures.append(
-            {"n": n, "k": k, "ratio": est.lower_bound, "tail_bound": bound,
-             "witness": est.witness.tolist()}
-        )
-    return report
+    if diffs:
+        # weight row e picks difference e alone: E searches, one term each
+        ests = fbl_lower_bounds(diffs, np.eye(len(diffs)), space, search)
+        for report, est in zip(searched, ests):
+            n, k = report.config["n"], report.config["k"]
+            bound = params.tail_bound(n + k, d)
+            report.config["tail_bound"] = bound
+            report.worst_slack = bound - est.lower_bound
+            if est.lower_bound > bound + SLACK_TOL:
+                report.failures.append(
+                    {"n": n, "k": k, "ratio": est.lower_bound, "tail_bound": bound,
+                     "witness": est.witness.tolist()}
+                )
+    return reports

@@ -26,7 +26,7 @@ from fbl.verify import (
     check_beta_section,
     check_biorthogonal,
     check_disjoint,
-    check_freenorm,
+    check_freenorms,
     check_lemma44,
     check_normspan,
 )
@@ -152,14 +152,11 @@ def test_criterion_4_lifting_suite():
 def run_criterion_5(seed=SEED):
     system = LiftingSystem(Space.lp(2, 6))
     search = SearchConfig(k=3, restarts=8, seed=seed)
-    rows = []
-    for n in range(1, 7):
-        for k in range(0, 8 - n):
-            rep = check_freenorm(system, n, k, search, samples=1000)
-            rows.append({"n": n, "k": k, "passed": rep.passed,
-                         "worst_slack": rep.worst_slack,
-                         "bound": rep.config.get("tail_bound")})
-    return rows
+    pairs = [(n, k) for n in range(1, 7) for k in range(0, 8 - n)]
+    reports = check_freenorms(system, pairs, search, samples=1000)
+    return [{"n": n, "k": k, "passed": rep.passed, "worst_slack": rep.worst_slack,
+             "bound": rep.config.get("tail_bound")}
+            for (n, k), rep in zip(pairs, reports)]
 
 
 def test_criterion_5_truncation_tail_bound():

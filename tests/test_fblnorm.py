@@ -253,6 +253,29 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
         fbl_lower_bounds(system.generators, A, system.space, cfg)
 
 
+def test_zero_weight_terms_are_not_evaluated(monkeypatch):
+    sp = Space.lp(2.0, 3)
+    terms = [parse("|d(1,0,0)| v d(0,1,-1)"), parse("f(1)"), parse("h(1,1) - f(1)")]
+    cfg = SearchConfig(k=2, restarts=3, seed=2)
+    rows = {}
+
+    def counting(term, space, X):
+        rows[term] = rows.get(term, 0) + len(X)
+        return eval_batch(term, space, X)
+
+    monkeypatch.setattr(fblnorm, "eval_batch", counting)
+    separate = [fbl_lower_bound(t, sp, cfg).to_json() for t in terms]
+    alone, rows = rows, {}
+    # weights eye(E): each term is evaluated on its own search's rows only
+    got = fbl_lower_bounds(terms, np.eye(3), sp, cfg)
+    assert rows == alone
+    assert [e.to_json() for e in got] == separate
+    # one dense weight row: every term on every row
+    rows.clear()
+    fbl_lower_bounds(terms, [[1.0, 0.5, -2.0]], sp, cfg)
+    assert len(set(rows.values())) == 1
+
+
 def test_batched_search_weights_shape():
     system = LiftingSystem(Space.lp(2.0, 3))
     cfg = SearchConfig(k=2, restarts=2)

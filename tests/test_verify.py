@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from fbl.fblnorm import SearchConfig
-from fbl.lifting import LiftingSystem
-from fbl.spaces import DimensionMismatch, Space
+from fbl import verify
+from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound
+from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale
+from fbl.lifting import LiftingSystem, T_apply, beta_apply
+from fbl.spaces import BasisIndexError, ConfigError, DimensionMismatch, InputError, Space
 from fbl.verify import (
     CheckReport,
     check_beta_section,
     check_biorthogonal,
     check_disjoint,
     check_freenorm,
+    check_freenorms,
     check_lemma44,
     check_normspan,
     lemma_unconditional_instance,
@@ -69,6 +72,49 @@ def test_disjoint_zero_failures():
 def test_beta_section_report():
     report = check_beta_section(LiftingSystem(Space.lp(2, 6)), samples=200, seed=0)
     assert report.passed
+
+
+def _per_sample_beta_section(system, samples, seed, tol):
+    """The beta-section report built one sample and one lift at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    slacks, failures = [], []
+    for i in range(samples):
+        x = rng.standard_normal(system.space.dim)
+        err = float(np.abs(beta_apply(T_apply(system, x), system.space) - x).max())
+        slacks.append(tol - err)
+        if err > tol:
+            failures.append({"instance": i, "x": x.tolist(), "error": err})
+    return {"check": "beta_section", "instances": samples, "failures": failures,
+            "worst_slack": min(slacks) if slacks else None, "seed": seed,
+            "config": {"space": str(system.space), "tol": tol}}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
+def test_beta_section_matches_per_sample_lift(p):
+    custom = LiftParams(kind="custom", m_values=(1.0, 3.0, 9.0, 27.0, 81.0, 243.0))
+    for d in (1, 3, 6):
+        for params in (LiftParams(), custom):
+            system = LiftingSystem(Space.lp(p, d), params)
+            got = check_beta_section(system, samples=300, seed=d).to_dict()
+            assert got == _per_sample_beta_section(system, 300, d, 1e-12)
+            assert got["failures"] == []
+    # a negative tolerance fails every sample, each with the oracle's entry
+    system = LiftingSystem(Space.lp(p, 6))
+    got = check_beta_section(system, samples=50, seed=4, tol=-1.0)
+    assert len(got.failures) == 50
+    assert got.to_dict() == _per_sample_beta_section(system, 50, 4, -1.0)
+    empty = check_beta_section(system, samples=0, seed=4)
+    assert (empty.instances, empty.failures, empty.worst_slack) == (0, [], None)
+
+
+def test_beta_section_refuses_bad_sample_counts_before_drawing(monkeypatch):
+    monkeypatch.setattr(verify, "_rng", lambda *a: pytest.fail("drew samples"))
+    system = LiftingSystem(Space.lp(2, 6))
+    with pytest.raises(ConfigError, match="samples must be >= 0"):
+        check_beta_section(system, samples=-1)
+    # 6 * (cap // 6 + 1) floats is just over the cap
+    with pytest.raises(ConfigError, match="over the cap"):
+        check_beta_section(system, samples=SIGN_TENSOR_CAP // 6 + 1)
 
 
 def test_normspan_basis_coefficients():
@@ -133,6 +179,53 @@ def test_freenorm_identically_zero_beyond_dimension():
     report = check_freenorm(system, 3, 3, SEARCH, samples=500)
     assert report.passed and report.worst_slack == 0.0
     assert report.instances == 500
+
+
+def _separate_freenorm(system, n, k, search):
+    """The report of one searched pair, from its own fbl_lower_bound."""
+    params, d = system.params, system.space.dim
+    diff = Add([BuiltinH(n, k, params), Scale(-1.0, BuiltinF(n, params))])
+    est = fbl_lower_bound(diff, system.space, search)
+    bound = params.tail_bound(n + k, d)
+    failures = []
+    if est.lower_bound > bound + 1e-9:
+        failures.append({"n": n, "k": k, "ratio": est.lower_bound, "tail_bound": bound,
+                         "witness": est.witness.tolist()})
+    return {"check": "freenorm", "instances": 1, "failures": failures,
+            "worst_slack": bound - est.lower_bound, "seed": search.seed,
+            "config": {"space": str(system.space), "n": n, "k": k, "tail_bound": bound}}
+
+
+@pytest.mark.parametrize("p, d", [(2.0, 6), (math.inf, 4)], ids=["l2:6", "linf:4"])
+def test_freenorms_match_separate_searches(p, d, monkeypatch):
+    system = LiftingSystem(Space.lp(p, d))
+    search = SearchConfig(k=2, restarts=4, seed=5)
+    pairs = [(n, k) for n in range(1, d + 1) for k in range(d - n + 1)]
+    reports = check_freenorms(system, pairs, search, samples=200)
+    assert len(reports) == len(pairs)
+    for (n, k), rep in zip(pairs, reports):
+        if n + k < d:
+            assert rep.to_dict() == _separate_freenorm(system, n, k, search)
+        else:
+            assert (rep.instances, rep.failures, rep.worst_slack) == (200, [], 0.0)
+            assert rep.to_dict() == check_freenorm(system, n, k, search, samples=200).to_dict()
+    # no pair, or only exact-zero pairs: no search runs
+    monkeypatch.setattr(verify, "fbl_lower_bounds", lambda *a: pytest.fail("searched"))
+    assert check_freenorms(system, [], search) == []
+    zero_pairs = [(d, 0), (1, d - 1)]
+    assert [r.instances for r in check_freenorms(system, zero_pairs, search, 10)] == [10, 10]
+
+
+def test_error_contract_leftovers_are_typed():
+    with pytest.raises(ConfigError) as exc:
+        lemma_unconditional_instance(Space.lp(2, 2), [1], [[3.0, 0.0]])
+    assert exc.type is ConfigError
+    with pytest.raises(ConfigError) as exc:
+        LiftParams().g(2, -1.0)
+    assert exc.type is ConfigError
+    with pytest.raises(BasisIndexError) as exc:
+        Space.lp(2, 3).basis_vector(4)
+    assert issubclass(exc.type, InputError) and issubclass(exc.type, IndexError)
 
 
 def test_report_json_roundtrip():
