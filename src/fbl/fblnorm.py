@@ -96,10 +96,14 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     return float(norms[idx]), S[idx].copy()
 
 
-def l1_extreme_point_constraint(functionals) -> float:
-    """Independent oracle for ell_1: C = max_j sum_i |x_i*(e_j)|."""
+def l1_extreme_point_constraint(functionals) -> np.ndarray:
+    """Independent oracle for ell_1: C = max_j sum_i |x_i*(e_j)|.
+
+    functionals: one (k, d) tuple or a stack (..., k, d) of them; returns
+    one C per tuple.
+    """
     X = np.asarray(functionals, dtype=np.float64)
-    return float(np.abs(X).sum(axis=0).max())
+    return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,10 @@ def _lockstep(terms, W, space, config, X0):
         witness = X[:, best]
         C, eps = tuple_constraint(space, witness)
         if C == 0.0:
-            raise ValueError("search converged to an all-zero tuple")
+            raise ConfigError(
+                f"search on {space} with k={k}, seed={config.seed} converged to "
+                "an all-zero tuple"
+            )
         # the objective afresh from the terms, not from the kept f-values
         obj = float(_fvalues(terms, W[e][:, None], space, witness[:, None], dense).sum())
         out.append(NormEstimate(

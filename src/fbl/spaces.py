@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import LARGE_EXPONENT
+from .kernels import _dual_norms
 
 __all__ = [
     "InputError",
@@ -53,19 +53,13 @@ class BasisIndexError(InputError, IndexError):
     """A basis index outside 1..d."""
 
 
-def _lp_norm(coords: np.ndarray, p: float) -> float:
-    a = np.abs(coords)
-    if p == math.inf:
-        return float(a.max(initial=0.0))
-    if p == 1.0:
-        return float(a.sum())
+def _lp_norm(coords: np.ndarray, p: float) -> np.ndarray:
+    """ell_p norms along the last axis, each with the bits of its row alone."""
     if p == 2.0:
-        return float(np.sqrt(np.dot(a, a)))
-    if p > LARGE_EXPONENT and a.any():
-        # a^p would over- or underflow: take the norm relative to the largest entry
-        m = a.max()
-        return float(m * np.power(np.power(a / m, p).sum(), 1.0 / p))
-    return float(np.power(np.power(a, p).sum(), 1.0 / p))
+        # a BLAS dot product per row, as np.dot takes it
+        a = np.abs(coords)
+        return np.sqrt(np.vecdot(a, a))
+    return _dual_norms(coords, p)
 
 
 @dataclass(frozen=True)
@@ -121,11 +115,11 @@ class Space:
 
     def norm(self, x) -> float:
         """Norm of a vector given by its coordinates in the normalized basis."""
-        return _lp_norm(self._check(x), self.p)
+        return float(_lp_norm(self._check(x), self.p))
 
     def dual_norm(self, xstar) -> float:
         """Dual norm of a functional given by its biorthogonal coordinates."""
-        return _lp_norm(self._check(xstar), self.q)
+        return float(_lp_norm(self._check(xstar), self.q))
 
     def apply(self, xstar, x) -> float:
         """Evaluate the functional at the vector: sum of coordinate products."""

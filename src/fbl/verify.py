@@ -14,23 +14,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .fblnorm import (
     SIGN_TENSOR_CAP,
     SearchConfig,
     check_sign_tensor,
     fbl_lower_bounds,
     l1_extreme_point_constraint,
-    tuple_constraint,
     SIGN_CUBE_CAP,
 )
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch
 from .lifting import LiftingSystem
-from .spaces import ConfigError, DimensionMismatch, InputError, Space
+from .spaces import BasisIndexError, ConfigError, DimensionMismatch, InputError, Space, _lp_norm
 
 __all__ = [
     "SLACK_TOL",
     "CheckReport",
+    "LEMMA44_PS",
+    "LEMMA44_DIMS",
     "lemma_unconditional_instance",
+    "lemma_unconditional_batch",
     "check_lemma44",
     "check_normspan",
     "check_freenorm",
@@ -41,6 +44,11 @@ __all__ = [
 ]
 
 SLACK_TOL = 1e-9
+
+# the exponents and the dimension range (both ends included) that
+# check_lemma44 draws each instance's space from when no space is given
+LEMMA44_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
+LEMMA44_DIMS = (2, 8)
 
 
 @dataclass
@@ -94,23 +102,81 @@ def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
 
 
 def lemma_unconditional_instance(space: Space, ms, functionals) -> tuple[float, float]:
-    """One instance of the sign-averaging inequality.
+    """One instance of the sign-averaging inequality: a stack of one for
+    lemma_unconditional_batch."""
+    X = np.asarray(functionals, dtype=np.float64)
+    lhs, rhs = lemma_unconditional_batch(space, np.asarray(ms)[None], X[None])
+    return float(lhs[0]), float(rhs[0])
 
-    Left side: dual norm of sum_i |x_i*(e_{m_i})| e_{m_i}*; right side: the
-    tuple constraint sup_{x in B} sum_i |x_i*(x)|.  Functionals must lie in
-    the dual unit ball.  The two sides use independent code paths (closed-form
-    dual norm vs. sign-cube enumeration).
+
+def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of n instances of the sign-averaging inequality.
+
+    functionals: (n, l, d), instance t the tuple functionals[t]; ms: (n, l)
+    its basis indices.  Left side: dual norm of sum_i |x_i*(e_{m_i})| e_{m_i}*;
+    right side: the tuple constraint sup_{x in B} sum_i |x_i*(x)|.
+    Functionals must lie in the dual unit ball.  The two sides use
+    independent code paths (closed-form dual norm vs. sign-cube
+    enumeration).  Each instance's (lhs, rhs) has the bits it has alone.
     """
     X = np.asarray(functionals, dtype=np.float64)
-    for row in X:
-        if space.dual_norm(row) > 1.0 + SLACK_TOL:
-            raise ConfigError("functionals must lie in the dual unit ball")
-    z = np.zeros(space.dim)
-    for m, row in zip(ms, X):
-        z[m - 1] += abs(row[m - 1])
-    lhs = space.dual_norm(z)
-    rhs, _ = tuple_constraint(space, X)
+    ms = np.asarray(ms)
+    if X.ndim != 3 or X.shape[2] != space.dim:
+        raise DimensionMismatch(
+            f"functionals must have shape (n, l, {space.dim}), got {X.shape}"
+        )
+    n, l, d = X.shape
+    if ms.shape != (n, l):
+        raise DimensionMismatch(f"indices must have shape {(n, l)}, got {ms.shape}")
+    if not 1 <= l <= SIGN_CUBE_CAP:
+        raise ConfigError(f"tuple size must be in 1..{SIGN_CUBE_CAP}, got {l}")
+    # the signed sums are (n, 2^(l-1), d)
+    check_sign_tensor(n * max(l, d) << (l - 1), "use fewer functionals")
+    if ms.size and not (1 <= ms.min() and ms.max() <= d):
+        raise BasisIndexError(f"basis indices must lie in 1..{d}")
+    if np.any(_lp_norm(X, space.q) > 1.0 + SLACK_TOL):
+        raise ConfigError("functionals must lie in the dual unit ball")
+    rows = np.arange(n)
+    z = np.zeros((n, d))
+    # in tuple order, so each entry of z is a sum in the order of the tuple
+    for i in range(l):
+        col = ms[:, i] - 1
+        z[rows, col] += np.abs(X[rows, i, col])
+    lhs = _lp_norm(z, space.q)
+    rhs = kernels.pattern_norms(X, kernels.sign_patterns(l), space.q).max(axis=-1)
     return lhs, rhs
+
+
+def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int, d_max: int):
+    """The instances lo..hi-1 of check_lemma44, drawn one stream each.
+
+    Returns the keys (n, 3) = (index into LEMMA44_PS, d, l), the raw
+    functionals and the basis indices, packed one instance after the
+    other, and each instance's offsets (n, 2) into those two.  All counts
+    fit int32: an instance holds at most l * d <= max(l, d) << (l - 1)
+    numbers, so a block under SIGN_TENSOR_CAP holds at most the cap.
+    """
+    n = hi - lo
+    keys = np.empty((n, 3), dtype=np.int32)
+    coords = np.empty(n * max_l * d_max)
+    indices = np.empty(n * max_l, dtype=np.int32)
+    at_c = at_m = 0
+    for t, i in enumerate(range(lo, hi)):
+        rng = _rng(seed, 1, i)
+        if space is None:
+            pi = rng.integers(len(LEMMA44_PS))
+            d = int(rng.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1))
+        else:
+            pi, d = 0, space.dim
+        l = int(rng.integers(1, max_l + 1))
+        # the same values as standard_normal((l, d)), in row order
+        rng.standard_normal(out=coords[at_c:at_c + l * d])
+        indices[at_m:at_m + l] = rng.integers(1, d + 1, size=l)
+        keys[t] = pi, d, l
+        at_c += l * d
+        at_m += l
+    sizes = np.stack([keys[:, 1] * keys[:, 2], keys[:, 2]], axis=1)
+    return keys, coords, indices, np.cumsum(sizes, axis=0, dtype=np.int32) - sizes
 
 
 def check_lemma44(
@@ -118,14 +184,17 @@ def check_lemma44(
     instances: int = 1000,
     max_l: int = 6,
     seed: int = 0,
-    dims=(2, 3, 4, 5, 6, 7, 8),
-    ps=(1.0, 1.5, 2.0, 3.0, math.inf),
 ) -> CheckReport:
     """Randomized suite for the sign-averaging inequality.
 
     With `space` given, dimension and exponent are fixed; otherwise each
-    instance draws them from `dims` x `ps`.  Every ell_1 instance additionally
-    cross-checks the sign-cube constraint against the extreme-point formula.
+    instance draws them from LEMMA44_PS x LEMMA44_DIMS.  Every ell_1
+    instance additionally cross-checks the sign-cube constraint against the
+    extreme-point formula.  Each instance is drawn from its own stream; the
+    instances are then evaluated one (p, d, l) group at a time with
+    lemma_unconditional_batch, in blocks of as many instances as keep the
+    sign-cube tensor and the draws under the cap.  Failures are listed in
+    instance order, an instance's inequality failure before its oracle one.
     """
     if not 1 <= max_l <= SIGN_CUBE_CAP:
         raise ConfigError(f"max tuple size must be in 1..{SIGN_CUBE_CAP}, got {max_l}")
@@ -133,39 +202,52 @@ def check_lemma44(
         raise ConfigError(f"instances must be >= 0, got {instances}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    check_sign_tensor(max(max_l, space.dim if space else max(dims)) << (max_l - 1),
-                      "lower --l")
+    d_max = space.dim if space else LEMMA44_DIMS[1]
+    per_instance = max(max_l, d_max) << (max_l - 1)
+    check_sign_tensor(per_instance, "lower --l")
     report = CheckReport(
         check="lemma44",
         instances=instances,
         seed=seed,
         config={"max_l": max_l, "space": str(space) if space else None},
     )
-    for i in range(instances):
-        rng = _rng(seed, 1, i)
-        sp = space or Space.lp(ps[rng.integers(len(ps))], int(rng.integers(dims[0], dims[-1] + 1)))
-        l = int(rng.integers(1, max_l + 1))
-        X = rng.standard_normal((l, sp.dim))
-        for row in X:
-            row /= max(1.0, sp.dual_norm(row))
-        ms = rng.integers(1, sp.dim + 1, size=l)
-        lhs, rhs = lemma_unconditional_instance(sp, ms, X)
-        report.merge_slack(rhs - lhs)
-        if lhs > rhs + SLACK_TOL:
-            report.failures.append(
-                {"instance": i, "space": str(sp), "lhs": lhs, "rhs": rhs,
-                 "ms": [int(m) for m in ms], "functionals": X.tolist()}
-            )
-        if sp.p == 1.0:
-            oracle = l1_extreme_point_constraint(X)
-            # both sides add the same l terms |x_i*(e_j)| in orders that depend
-            # on the BLAS; each sum is within (l-1)*2^-53 relative of the exact
-            # one, so they may differ by l*2^-52*oracle, no more
-            if abs(rhs - oracle) > l * 2.0**-52 * oracle:
-                report.failures.append(
-                    {"instance": i, "space": str(sp), "constraint": rhs,
-                     "extreme_point_oracle": oracle, "kind": "oracle-mismatch"}
-                )
+    failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
+    # per instance, a block keeps its draws (at most per_instance numbers)
+    # and a record of fewer than max_l + 8 more (indices, key, offsets and
+    # grouping), and evaluates sign-cube tensors of per_instance elements
+    block = SIGN_TENSOR_CAP // (per_instance + max_l + 8)
+    for lo in range(0, instances, block):
+        keys, coords, indices, starts = _lemma44_draws(
+            space, seed, lo, min(lo + block, instances), max_l, d_max)
+        groups, group_of, counts = np.unique(keys, axis=0, return_inverse=True,
+                                             return_counts=True)
+        # each group's members in instance order
+        members_of = np.split(np.argsort(group_of, kind="stable"), np.cumsum(counts)[:-1])
+        for (pi, d, l), members in zip(groups.tolist(), members_of):
+            sp = space or Space.lp(LEMMA44_PS[pi], d)
+            X = coords[starts[members, :1] + np.arange(l * d)].reshape(-1, l, d)
+            ms = indices[starts[members, 1:] + np.arange(l)]
+            X /= np.maximum(1.0, _lp_norm(X, sp.q))[..., None]
+            lhs, rhs = lemma_unconditional_batch(sp, ms, X)
+            report.merge_slack(float((rhs - lhs).min()))
+            for t in np.flatnonzero(lhs > rhs + SLACK_TOL):
+                failures.append((lo + members[t], 0, {
+                    "instance": int(lo + members[t]), "space": str(sp),
+                    "lhs": float(lhs[t]), "rhs": float(rhs[t]),
+                    "ms": ms[t].tolist(), "functionals": X[t].tolist()}))
+            if sp.p == 1.0:
+                oracle = l1_extreme_point_constraint(X)
+                # both sides add the same l terms |x_i*(e_j)| in orders that
+                # depend on the BLAS; each sum is within (l-1)*2^-53 relative
+                # of the exact one, so they may differ by l*2^-52*oracle, no more
+                for t in np.flatnonzero(np.abs(rhs - oracle) > l * 2.0**-52 * oracle):
+                    failures.append((lo + members[t], 1, {
+                        "instance": int(lo + members[t]), "space": str(sp),
+                        "constraint": float(rhs[t]),
+                        "extreme_point_oracle": float(oracle[t]),
+                        "kind": "oracle-mismatch"}))
+    failures.sort(key=lambda f: f[:2])
+    report.failures = [entry for *_, entry in failures]
     return report
 
 

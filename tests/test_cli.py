@@ -4,6 +4,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -245,6 +246,19 @@ def test_lift_verify_huge_instances_exits_3(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "lower --instances" in json.loads(out)["error"]["message"]
+    assert "Traceback" not in err
+
+
+def test_all_zero_search_exits_3(monkeypatch, capsys):
+    # a search whose best tuple has constraint 0 has no ratio to report
+    monkeypatch.setattr(fblnorm, "tuple_constraint",
+                        lambda space, X: (0.0, np.ones(len(X))))
+    code, out, err = run_cli(capsys, "norm", "--space", "l2:2", "--expr", "d(1,0)",
+                             "--k", "2", "--restarts", "2", "--seed", "5")
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert "all-zero tuple" in message
+    assert all(part in message for part in ("l2:2", "k=2", "seed=5"))
     assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from fbl.spaces import (
     DimensionMismatch,
+    _lp_norm,
     Space,
     SpaceSyntaxError,
     join,
@@ -128,3 +129,22 @@ def test_space_validation():
         Space.lp(2, 0)
     with pytest.raises(ValueError):
         Space.weighted_lp(2, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("p", ALL_PS + [1.0 + 1e-7])
+@pytest.mark.parametrize("d", [1, 3, 8, 40])
+def test_stacked_norms_match_each_row(p, d, rng):
+    # the norms of a stack along its last axis have the bits of each row's norm
+    sp = Space.lp(p, d)
+    stack = rng.standard_normal((4, 5, d)) * rng.uniform(1e-3, 1e3, (4, 5, 1))
+    stack[2, 3] = 0.0
+    for r, norm_of in ((sp.q, sp.dual_norm), (sp.p, sp.norm)):
+        norms = _lp_norm(stack, r)
+        assert norms.shape == (4, 5)
+        want = [[norm_of(row) for row in block] for block in stack]
+        assert np.array_equal(norms.view(np.int64), np.array(want).view(np.int64))
+        assert norms[2, 3] == 0.0
+    assert isinstance(sp.dual_norm(stack[0, 0]), float)
+    if p == 2.0:
+        # the ell_2 rows keep the bits of a BLAS dot product
+        assert all(sp.norm(row) == math.sqrt(np.dot(row, row)) for row in stack[0])

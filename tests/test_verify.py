@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from fbl import verify
-from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound
+from fbl import kernels, verify
+from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound, tuple_constraint
 from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
-from fbl.spaces import BasisIndexError, ConfigError, DimensionMismatch, InputError, Space
+from fbl.spaces import (
+    BasisIndexError,
+    ConfigError,
+    DimensionMismatch,
+    InputError,
+    Space,
+    parse_space,
+)
 from fbl.verify import (
     CheckReport,
     check_beta_section,
@@ -56,6 +63,115 @@ def test_lemma44_random_suite():
 def test_lemma44_fixed_space():
     report = check_lemma44(Space.lp(1, 5), instances=500, max_l=4, seed=1)
     assert report.passed
+
+
+def _per_instance_lemma44(space, instances, max_l, seed):
+    """The lemma44 report built one instance at a time, with Space.dual_norm
+    and tuple_constraint."""
+    report = CheckReport(check="lemma44", instances=instances, seed=seed,
+                         config={"max_l": max_l, "space": str(space) if space else None})
+    ps, (d_lo, d_hi) = verify.LEMMA44_PS, verify.LEMMA44_DIMS
+    for i in range(instances):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, i)))
+        sp = space or Space.lp(ps[rng.integers(len(ps))], int(rng.integers(d_lo, d_hi + 1)))
+        l = int(rng.integers(1, max_l + 1))
+        X = rng.standard_normal((l, sp.dim))
+        for row in X:
+            row /= max(1.0, sp.dual_norm(row))
+        ms = rng.integers(1, sp.dim + 1, size=l)
+        z = np.zeros(sp.dim)
+        for m, row in zip(ms, X):
+            z[m - 1] += abs(row[m - 1])
+        lhs = sp.dual_norm(z)
+        rhs, _ = tuple_constraint(sp, X)
+        report.merge_slack(rhs - lhs)
+        if lhs > rhs + verify.SLACK_TOL:
+            report.failures.append(
+                {"instance": i, "space": str(sp), "lhs": lhs, "rhs": rhs,
+                 "ms": [int(m) for m in ms], "functionals": X.tolist()})
+        if sp.p == 1.0:
+            oracle = float(np.abs(X).sum(axis=0).max())
+            if abs(rhs - oracle) > l * 2.0**-52 * oracle:
+                report.failures.append(
+                    {"instance": i, "space": str(sp), "constraint": rhs,
+                     "extreme_point_oracle": oracle, "kind": "oracle-mismatch"})
+    return report
+
+
+LEMMA44_SPACES = [None, "l1:5", "l2:3", "linf:8", "lp:1.0000001:3"]
+
+
+@pytest.mark.parametrize("space", LEMMA44_SPACES)
+def test_lemma44_batched_equals_per_instance_loop(space):
+    sp = parse_space(space) if space else None
+    for seed in range(4):
+        for max_l in (1, 6):
+            got = check_lemma44(sp, instances=60, max_l=max_l, seed=seed).to_json()
+            assert got == _per_instance_lemma44(sp, 60, max_l, seed).to_json()
+
+
+def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
+    whole = {space: check_lemma44(parse_space(space) if space else None,
+                                  instances=7, seed=2).to_json()
+             for space in (None, "l1:5")}
+    blocks = []
+    draws = verify._lemma44_draws
+    monkeypatch.setattr(verify, "_lemma44_draws",
+                        lambda space, seed, lo, hi, *rest:
+                        blocks.append(hi - lo) or draws(space, seed, lo, hi, *rest))
+    for per_block, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
+        for space, d_max in ((None, 8), ("l1:5", 5)):
+            sp = parse_space(space) if space else None
+            # one instance of --l 6 takes max(6, d) * 2^5 elements and a
+            # record of 6 + 8
+            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP",
+                                per_block * ((max(6, d_max) << 5) + 6 + 8))
+            blocks.clear()
+            assert check_lemma44(sp, instances=7, seed=2).to_json() == whole[space]
+            assert blocks == sizes
+    # with the real cap, --space l2:8 --l 20 still passes the up-front check
+    monkeypatch.undo()
+    assert check_lemma44(Space.lp(2, 8), instances=0, max_l=20).instances == 0
+    with pytest.raises(ConfigError, match="lower --l"):
+        check_lemma44(Space.lp(2, 8), instances=0, max_l=24)
+
+
+def test_lemma44_failures_come_in_instance_order(monkeypatch):
+    # halved pattern norms break the inequality and, on ell_1, the oracle
+    # agreement; both code paths see the same halved kernel
+    pattern_norms = kernels.pattern_norms
+    monkeypatch.setattr(kernels, "pattern_norms", lambda X, S, q: 0.5 * pattern_norms(X, S, q))
+    report = check_lemma44(instances=120, max_l=6, seed=3)
+    assert report.to_json() == _per_instance_lemma44(None, 120, 6, 3).to_json()
+    keys = [(f["instance"], "kind" in f) for f in report.failures]
+    assert keys == sorted(keys)
+    kinds = {kind for _, kind in keys}
+    assert kinds == {False, True}
+    # an ell_1 instance that fails both lists the inequality first
+    both = [i for i, kind in keys if kind and (i, False) in keys]
+    assert both
+    # the oracle alone: only mismatch entries, in instance order
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "l1_extreme_point_constraint",
+                        lambda X: 2.0 * np.abs(X).sum(axis=-2).max(axis=-1))
+    report = check_lemma44(parse_space("l1:3"), instances=40, max_l=3, seed=1)
+    assert [f["instance"] for f in report.failures] == list(range(40))
+    assert all(f["kind"] == "oracle-mismatch" for f in report.failures)
+
+
+def test_lemma_instance_is_a_stack_of_one(rng):
+    sp = Space.lp(3.0, 4)
+    X = rng.standard_normal((5, 3, 4))
+    # ell_1 norms below 1 put every functional in every dual unit ball
+    X /= 1.0 + np.abs(X).sum(axis=-1, keepdims=True)
+    ms = rng.integers(1, 5, size=(5, 3))
+    lhs, rhs = verify.lemma_unconditional_batch(sp, ms, X)
+    assert [lemma_unconditional_instance(sp, m, x) for m, x in zip(ms, X)] == \
+        list(zip(lhs.tolist(), rhs.tolist()))
+    with pytest.raises(BasisIndexError):
+        lemma_unconditional_instance(sp, [5], X[0, :1])
+    with pytest.raises(DimensionMismatch):
+        verify.lemma_unconditional_batch(sp, ms[:, :2], X)
 
 
 def test_biorthogonal_identity_matrix():
