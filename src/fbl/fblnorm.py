@@ -56,7 +56,7 @@ STEP_DECAY = 0.7
 DECAY_ROUNDS = 20
 
 
-class DependenceError(ValueError):
+class DependenceError(InputError):
     """Function depends on coordinates outside the declared support."""
 
 
@@ -176,7 +176,7 @@ def _fvalues(terms, W, space, X, dense=None):
             if cols.size:
                 t = eval_batch(term, space, X[:, cols].reshape(-1, d))
                 vals[:, cols] = vals[:, cols] + w[cols] * t.reshape(L, cols.size)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise InputError("expression evaluated to a non-finite value")
     return np.abs(vals)
 
@@ -195,9 +195,11 @@ def _unit_moves(d):
 
 
 @functools.lru_cache(maxsize=SIGN_CUBE_CAP)
-def _others(k):
-    """The (k, k) 0/1 matrix that sums all but entry i; cached and read-only."""
-    out = 1.0 - np.eye(k)
+def _others_index(k):
+    """index[c, i] = c + (c >= i), the c-th functional other than i, shape
+    (k-1, k); cached and read-only."""
+    c = np.arange(k - 1)[:, None]
+    out = c + (c >= np.arange(k))
     out.flags.writeable = False
     return out
 
@@ -216,9 +218,9 @@ def _neighbourhood(terms, W, space, X, Z, fvals, step, dense=None):
     # x + 0.0 == x, so only coordinate j moves
     rows = X[:, None, None] + _unit_moves(d) * step[:, None]
     new = _fvalues(terms, W, space, rows.reshape(-1, B, d), dense).reshape(k, d, 2, B)
-    # the other k-1 f-values of each tuple; they are finite and >= 0, so the
-    # 0/1 weights add them without cancellation
-    obj = (_others(k) @ fvals)[:, None, None] + new
+    # the other k-1 f-values of each tuple, added in index order along the
+    # outer axis: each column's sum is the same at every batch width
+    obj = fvals[_others_index(k)].sum(axis=0)[:, None, None] + new
     return _ratios(obj, kernels.move_constraints(Z, step, space.q)), rows, new
 
 
@@ -234,14 +236,18 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     draw standard-normal tuples from streams derived from (seed, restart
     index), the same R tuples for every search, then refine by
     single-coordinate perturbations with a geometrically decaying step.
-    Restart trajectories are independent, so results are deterministic,
-    monotone in the restart budget and the same as E separate searches.
     All E*R restarts climb in lockstep, so each neighbourhood evaluates
     each term once for all the searches that weight it; a search whose
     weight on a term is zero does not evaluate that term, so with weights
     eye(E) each of E expressions is evaluated only for its own search.
-    Each restart keeps its signed sums and its f-values, so scoring a move
-    costs one f-evaluation and one column of signed sums.
+    The loop runs over the live restarts only: a restart retires when its
+    last decay round ends, and the loop state drops it on that iteration.
+    Each restart's arithmetic does not depend on which or how many others
+    are live, so a restart climbs as it would alone; results are
+    deterministic, monotone in the restart budget and the same as E
+    separate searches.  Each restart keeps its signed sums and its
+    f-values, so scoring a move costs one f-evaluation and one column of
+    signed sums.
     """
     terms = tuple(terms)
     W = np.asarray(weights, dtype=np.float64)
@@ -280,43 +286,58 @@ def _lockstep(terms, W, space, config, X0):
     # decided once: a term with a zero weight is evaluated only where it counts
     dense = tuple(bool(v) for v in (W != 0.0).all(axis=0))
     fvals = _fvalues(terms, Wb, space, X, dense)
-    cur = _ratios(fvals.sum(axis=0), kernels.constraint_batch(X.transpose(1, 0, 2), S, space.q))
+    # cumsum adds the k f-values in order at every batch width; a sum over
+    # a lone column would switch to pairwise blocks from k = 9 on
+    cur = _ratios(fvals.cumsum(axis=0)[-1],
+                  kernels.constraint_batch(X.transpose(1, 0, 2), S, space.q))
     Z = kernels.signed_sums(X, S)
-    visits = np.zeros(E * R, dtype=int)  # neighbourhoods scored per restart
 
+    # the loop state holds the live restarts only, ids their columns; a
+    # retiring restart leaves its tuple and ratio in X_out and cur_out
+    X_out, cur_out = np.empty_like(X), np.empty_like(cur)
+    visits = np.zeros(E * R, dtype=int)  # neighbourhoods scored per restart
+    ids = np.arange(E * R)
     step = np.full(E * R, STEP_INIT)
     rounds_left = np.full(E * R, DECAY_ROUNDS, dtype=int)
     moves_left = np.full(E * R, config.local_steps, dtype=int)
-    active = np.arange(E * R)
 
-    while active.size:
-        ratio, rows, new = _neighbourhood(terms, Wb[:, active], space, X[:, active],
-                                          Z[:, :, active], fvals[:, active], step[active],
-                                          dense)
-        visits[active] += 1
+    it = 0
+    while ids.size:
+        ratio, rows, new = _neighbourhood(terms, Wb, space, X, Z, fvals, step, dense)
+        it += 1
         # moves in (i, j, s) order; argmax takes the first best one
-        ratio = ratio.reshape(-1, active.size)
+        ratio = ratio.reshape(-1, ids.size)
         best_idx = ratio.argmax(axis=0)
-        best_val = ratio[best_idx, np.arange(active.size)]
-        improved = best_val > cur[active]
+        best_val = ratio.max(axis=0)
+        improved = best_val > cur
 
         # apply each accepted move: functional i, column j of the signed sums
-        acc = active[improved]
         n = np.flatnonzero(improved)
-        i, j, s = np.unravel_index(best_idx[improved], (k, d, 2))
-        X[i, acc] = rows[i, j, s, n]
-        Z[:, j, acc] += step[acc] * (1.0 - 2.0 * s) * S[:, i]
-        fvals[i, acc] = new[i, j, s, n]
-        cur[acc] = best_val[improved]
-        moves_left[acc] -= 1
+        i, j, s = np.unravel_index(best_idx[n], (k, d, 2))
+        X[i, n] = rows[i, j, s, n]
+        Z[:, j, n] += step[n] * (1.0 - 2.0 * s) * S[:, i]
+        fvals[i, n] = new[i, j, s, n]
+        np.maximum(cur, best_val, out=cur)
+        moves_left -= improved
 
         # a round ends when no move improves or the move budget is spent
-        decayed = np.concatenate([active[~improved], acc[moves_left[acc] == 0]])
+        decayed = ~improved | (moves_left == 0)
         step[decayed] *= STEP_DECAY
-        rounds_left[decayed] -= 1
+        rounds_left -= decayed
         moves_left[decayed] = config.local_steps
 
-        active = active[rounds_left[active] > 0]
+        if not rounds_left.all():
+            # every live restart has scored every neighbourhood so far
+            done = rounds_left == 0
+            gone = ids[done]
+            X_out[:, gone] = X[:, done]
+            cur_out[gone] = cur[done]
+            visits[gone] = it
+            live = ~done
+            ids, cur, step, rounds_left, moves_left = (
+                ids[live], cur[live], step[live], rounds_left[live], moves_left[live])
+            X, fvals, Wb, Z = X[:, live], fvals[:, live], Wb[:, live], Z[:, :, live]
+    X, cur = X_out, cur_out
 
     evals = R + 2 * k * d * visits.reshape(E, R).sum(axis=1)
     out = []

@@ -28,6 +28,10 @@ BACKEND = "numpy"
 # (q ~ 1e7 at p = 1 + 1e-7), so norms are taken relative to the largest entry
 LARGE_EXPONENT = 32.0
 
+# the two signs of a move, one row each
+_SIGNS = np.array([[1.0], [-1.0]])
+_SIGNS.flags.writeable = False
+
 
 @functools.lru_cache(maxsize=None)
 def sign_patterns(k: int) -> np.ndarray:
@@ -156,7 +160,7 @@ def move_constraints(Z, step, q) -> np.ndarray:
     d = Z.shape[1]
     a = np.abs(Z)
     # moved[:, :, t] holds |Z + step| for t = 0 and |Z - step| for t = 1
-    moved = np.abs(Z[:, :, None, :] + np.array([[1.0], [-1.0]]) * step)
+    moved = np.abs(Z[:, :, None, :] + _SIGNS * step)
     if q == math.inf or q > LARGE_EXPONENT:
         # leave-one-out maximum from each pattern's top two entries
         is_top = np.arange(d)[:, None] == a.argmax(axis=1)[:, None, :]
@@ -186,15 +190,18 @@ def _max_over_patterns(A: np.ndarray) -> np.ndarray:
 
     Move (i, j, s) takes A[p, j, 0] where s*S[p, i] = +1 and A[p, j, 1]
     elsewhere.  S[:, 0] = +1; for i >= 1, S[p, i] = +1 exactly where bit
-    k-1-i of p is set, so the two halves are one axis of a reshape of p.
+    k-1-i of p is set, the leading axis of A once the higher bits are
+    folded away by a maximum.  So M[i, h], the max of A over the patterns
+    with S[p, i] = 2h - 1, comes from one halving fold per bit.
     """
     npat = A.shape[0]
     k = npat.bit_length()
-    C = np.empty((k,) + A.shape[1:])
-    C[0] = A.max(axis=0)
+    rest = A.shape[1:]
+    M = np.empty((k, 2) + rest)
+    M[0, 0] = -np.inf  # no pattern has S[p, 0] = -1
     for i in range(1, k):
-        # G[h]: max of A over the patterns with S[p, i] = 2h - 1
-        G = A.reshape(1 << (i - 1), 2, npat >> i, -1).max(axis=(0, 2))
-        G = G.reshape((2,) + A.shape[1:])
-        np.maximum(G[1], G[0, :, ::-1], out=C[i])
-    return C
+        A = A.reshape((2, -1) + rest)
+        A.max(axis=1, out=M[i])
+        A = np.maximum(A[0], A[1])
+    M[0, 1] = A[0]
+    return np.maximum(M[:, 1], M[:, 0, :, ::-1])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -20,7 +21,7 @@ from fbl.fblnorm import (
 )
 from fbl.homfun import Abs, Add, Delta, Join, Pos, Scale, eval_batch, parse
 from fbl.lifting import LiftingSystem, T_apply
-from fbl.spaces import DimensionMismatch, Space
+from fbl.spaces import DimensionMismatch, InputError, Space, parse_space
 
 from conftest import random_expr
 
@@ -141,6 +142,79 @@ def test_search_monotone_in_restarts():
         est = fbl_lower_bound(expr, sp, SearchConfig(k=2, restarts=restarts, seed=3))
         assert est.lower_bound >= prev
         prev = est.lower_bound
+
+
+def _start_tuples(seed, R, k, d):
+    """The start tuples of fbl_lower_bounds: restart r draws from child r."""
+    X0 = np.empty((k, R, d))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
+        X0[:, r] = np.random.Generator(np.random.PCG64(child)).standard_normal((k, d))
+    return X0
+
+
+@pytest.mark.parametrize("space, text", [
+    ("l1:2", "d(0.1,0.9)"), ("l2:2", "d(0.1,0.9)"), ("linf:2", "d(0.1,0.9)"),
+    ("lp:3:2", "d(0.1,0.9)"), ("lp:1.0000001:2", "d(0.1,0.9)"),
+    ("l1:2", "|d(1,0)| v |d(0,1)|"),
+], ids=["l1", "l2", "linf", "l3", "p=1+1e-7", "l1-join"])
+def test_restarts_climb_independently(space, text, monkeypatch):
+    # an R-restart search reports, bit for bit, the witness of one of its
+    # restarts searched alone, and scores as many moves as they do together;
+    # restarts retire on different iterations, so the live batch shrinks.
+    # Four decay rounds instead of twenty keep the 17 lone searches short.
+    monkeypatch.setattr(fblnorm, "DECAY_ROUNDS", 4)
+    sp, expr, ones = parse_space(space), parse(text), np.ones((1, 1))
+    for k, local_steps in product((1, 2, 4), (1, 8)):
+        X0 = _start_tuples(1, 17, k, sp.dim)
+        one = SearchConfig(k=k, restarts=1, local_steps=local_steps, seed=1)
+        alone = [fblnorm._lockstep([expr], ones, sp, one, X0[:, r:r + 1])[0].to_dict()
+                 for r in range(17)]
+        if local_steps == 1:
+            # every neighbourhood ends a round: four, of 2kd moves each
+            assert {a["evaluations"] for a in alone} == {1 + 2 * k * sp.dim * 4}
+        for R in (3, 17):
+            cfg = replace(one, restarts=R)
+            got = fblnorm._lockstep([expr], ones, sp, cfg, X0[:, :R])[0]
+            assert got.to_json() == fbl_lower_bound(expr, sp, cfg).to_json()
+            got = got.to_dict()
+            assert got["evaluations"] == sum(a["evaluations"] for a in alone[:R])
+            same = [a for a in alone[:R]
+                    if {**a, "restarts": R, "evaluations": got["evaluations"]} == got]
+            assert same, (k, local_steps, R)
+
+
+def test_start_ratios_do_not_depend_on_the_batch(monkeypatch):
+    # the k f-values of each start tuple are added in order at any batch
+    # width; a numpy sum over one column switches to pairwise blocks at k >= 9
+    k, R = 12, 8
+    sp, expr, ones = parse_space("l2:3"), parse("d(0.1,0.9,-0.4)"), np.ones((1, 1))
+    X0 = _start_tuples(0, R, k, 3)
+    starts, ratios = [], fblnorm._ratios
+
+    def stop(*args):
+        raise StopIteration  # the start ratios are all this test needs
+
+    monkeypatch.setattr(fblnorm, "_ratios", lambda obj, C: starts.append(ratios(obj, C)))
+    monkeypatch.setattr(fblnorm, "_neighbourhood", stop)
+    cfg = SearchConfig(k=k, restarts=1)
+    for r in range(R):
+        with pytest.raises(StopIteration):
+            fblnorm._lockstep([expr], ones, sp, cfg, X0[:, r:r + 1])
+    with pytest.raises(StopIteration):
+        fblnorm._lockstep([expr], ones, sp, replace(cfg, restarts=R), X0)
+    assert np.array_equal(np.concatenate(starts[:R]), starts[R])
+
+
+@pytest.mark.parametrize("space", ["l1:4", "l2:4", "linf:4", "lp:3:4"])
+def test_lower_bound_monotone_in_restarts_at_k4(space):
+    # adding a restart never lowers the certified bound; --restarts 1 beat
+    # --restarts 2 on lp:3:4 with seed 3 while the other f-values of a tuple
+    # were added by a BLAS product whose bits depend on the batch width
+    sp, expr = parse_space(space), parse("d(0.1,0.9,0.2,0.3)")
+    for seed in (3, 4):
+        bounds = [fbl_lower_bound(expr, sp, SearchConfig(k=4, restarts=R, seed=seed)).lower_bound
+                  for R in range(1, 13)]
+        assert bounds == sorted(bounds), (seed, bounds)
 
 
 def test_witness_reproduces_bound():
@@ -333,6 +407,12 @@ def test_upper_bound_dependence_probe():
     expr = parse("|d(0,1)|")
     with pytest.raises(DependenceError):
         upper_bound_finite_coords(expr, Space.lp(1, 2), [1])
+
+
+def test_dependence_error_is_an_input_error():
+    # inside the error contract: the CLI maps every InputError to exit 2
+    assert issubclass(DependenceError, InputError)
+    assert "DependenceError" in fblnorm.__all__
 
 
 def test_upper_bound_dominates_search():
