@@ -10,6 +10,7 @@ space or command line (InputError), 3 configuration out of range
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -131,7 +132,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     ap = _ArgumentParser(prog="fbl", description="free-Banach-lattice numerical workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 

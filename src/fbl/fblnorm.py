@@ -232,9 +232,11 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
 def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list[NormEstimate]:
     """Lower bounds for the norms of the combinations sum_j weights[e, j] * terms[j].
 
-    One seeded multistart hill climb per row e of weights (E, m).  Restarts
-    draw standard-normal tuples from streams derived from (seed, restart
-    index), the same R tuples for every search, then refine by
+    One seeded multistart hill climb per row e of weights (E, m).  Restart
+    r draws a standard-normal tuple from SeedSequence(seed, spawn_key=(r,)),
+    the same R tuples for every search; the R streams are seeded in one
+    vectorised pass (kernels.sibling_states) that reproduces those seed
+    sequences bit for bit.  Then each restart refines by
     single-coordinate perturbations with a geometrically decaying step.
     All E*R restarts climb in lockstep, so each neighbourhood evaluates
     each term once for all the searches that weight it; a search whose
@@ -265,9 +267,10 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
 
     # restarts along axis 1: X0[:, r] is the tuple of restart r
     X0 = np.empty((k, R, d))
-    # child r of the seed is SeedSequence(seed, spawn_key=(r,))
-    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(R)):
-        X0[:, r] = np.random.Generator(np.random.PCG64(child)).standard_normal((k, d))
+    # restart r draws from SeedSequence(seed, spawn_key=(r,)), the r-th child
+    # of SeedSequence(seed); all R streams are seeded in one vectorised pass
+    for r, rng in enumerate(kernels.sibling_rngs(config.seed, (), 0, R)):
+        X0[:, r] = rng.standard_normal((k, d))
     # as many searches at once as keep the temporaries under the cap
     chunk = SIGN_TENSOR_CAP // per_search
     return [est for lo in range(0, len(W), chunk)

@@ -161,8 +161,8 @@ def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int,
     coords = np.empty(n * max_l * d_max)
     indices = np.empty(n * max_l, dtype=np.int32)
     at_c = at_m = 0
-    for t, i in enumerate(range(lo, hi)):
-        rng = _rng(seed, 1, i)
+    # instance i draws from SeedSequence(seed, spawn_key=(1, i))
+    for t, rng in enumerate(kernels.sibling_rngs(seed, (1,), lo, hi)):
         if space is None:
             pi = rng.integers(len(LEMMA44_PS))
             d = int(rng.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1))
@@ -190,16 +190,21 @@ def check_lemma44(
     With `space` given, dimension and exponent are fixed; otherwise each
     instance draws them from LEMMA44_PS x LEMMA44_DIMS.  Every ell_1
     instance additionally cross-checks the sign-cube constraint against the
-    extreme-point formula.  Each instance is drawn from its own stream; the
-    instances are then evaluated one (p, d, l) group at a time with
-    lemma_unconditional_batch, in blocks of as many instances as keep the
-    sign-cube tensor and the draws under the cap.  Failures are listed in
-    instance order, an instance's inequality failure before its oracle one.
+    extreme-point formula.  Each instance is drawn from its own stream,
+    SeedSequence(seed, spawn_key=(1, i)) for instance i, and a block's
+    streams are seeded in one vectorised pass; the instances are then
+    evaluated one (p, d, l) group at a time with lemma_unconditional_batch,
+    in blocks of as many instances as keep the sign-cube tensor, the draws
+    and the stream seeds under the cap.  Failures are listed in instance
+    order, an instance's inequality failure before its oracle one.
     """
     if not 1 <= max_l <= SIGN_CUBE_CAP:
         raise ConfigError(f"max tuple size must be in 1..{SIGN_CUBE_CAP}, got {max_l}")
     if instances < 0:
         raise ConfigError(f"instances must be >= 0, got {instances}")
+    if instances > 2**32:
+        # instance i's stream key holds i as one 32-bit word
+        raise ConfigError(f"instances must be at most 2^32, got {instances}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     d_max = space.dim if space else LEMMA44_DIMS[1]
@@ -212,10 +217,12 @@ def check_lemma44(
         config={"max_l": max_l, "space": str(space) if space else None},
     )
     failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
-    # per instance, a block keeps its draws (at most per_instance numbers)
-    # and a record of fewer than max_l + 8 more (indices, key, offsets and
-    # grouping), and evaluates sign-cube tensors of per_instance elements
-    block = SIGN_TENSOR_CAP // (per_instance + max_l + 8)
+    # per instance, a block keeps its draws (at most per_instance numbers),
+    # a record of fewer than max_l + 8 more (indices, key, offsets and
+    # grouping) and its stream's 4 state words with the hash temporaries
+    # that make them (kernels.SIBLING_WORDS at the peak), and evaluates
+    # sign-cube tensors of per_instance elements
+    block = SIGN_TENSOR_CAP // (per_instance + max_l + 8 + kernels.SIBLING_WORDS)
     for lo in range(0, instances, block):
         keys, coords, indices, starts = _lemma44_draws(
             space, seed, lo, min(lo + block, instances), max_l, d_max)

@@ -174,6 +174,7 @@ ERROR_TABLE = [
     (["norm", "--space", "wlp:2:[1,nan]", "--expr", "d(1,0)"], 3, "finite"),
     (["norm", "--space", "l2:1100", "--expr", "f(1)"], 3, "no float64 term 1023"),
     (["lemma44", "--instances", "-3"], 3, "instances"),
+    (["lemma44", "--instances", str(2**32 + 1)], 3, "at most 2^32"),
     (["lemma44", "--l", "0"], 3, "1..24"),
     (["lemma44", "--l", "30"], 3, "1..24"),
     (["lemma44", "--seed", "-1"], 3, "seed"),

@@ -111,9 +111,14 @@ def test_lemma44_batched_equals_per_instance_loop(space):
 
 
 def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
+    # halved pattern norms fail most instances, so each report lists their
+    # draws: a block that drew from the wrong streams changes it
+    pattern_norms = kernels.pattern_norms
+    monkeypatch.setattr(kernels, "pattern_norms", lambda X, S, q: 0.5 * pattern_norms(X, S, q))
     whole = {space: check_lemma44(parse_space(space) if space else None,
                                   instances=7, seed=2).to_json()
              for space in (None, "l1:5")}
+    assert all(json.loads(report)["failures"] for report in whole.values())
     blocks = []
     draws = verify._lemma44_draws
     monkeypatch.setattr(verify, "_lemma44_draws",
@@ -122,13 +127,17 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
     for per_block, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
         for space, d_max in ((None, 8), ("l1:5", 5)):
             sp = parse_space(space) if space else None
-            # one instance of --l 6 takes max(6, d) * 2^5 elements and a
-            # record of 6 + 8
-            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP",
-                                per_block * ((max(6, d_max) << 5) + 6 + 8))
+            # one instance of --l 6 takes max(6, d) * 2^5 elements, a
+            # record of 6 + 8 and the words that seed its stream
+            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", per_block * (
+                (max(6, d_max) << 5) + 6 + 8 + kernels.SIBLING_WORDS))
             blocks.clear()
-            assert check_lemma44(sp, instances=7, seed=2).to_json() == whole[space]
+            got = check_lemma44(sp, instances=7, seed=2).to_json()
+            assert got == whole[space]
             assert blocks == sizes
+            # the oracle seeds each instance with numpy: a block whose
+            # streams started at the wrong index would differ
+            assert got == _per_instance_lemma44(sp, 7, 6, 2).to_json()
     # with the real cap, --space l2:8 --l 20 still passes the up-front check
     monkeypatch.undo()
     assert check_lemma44(Space.lp(2, 8), instances=0, max_l=20).instances == 0
