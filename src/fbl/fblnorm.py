@@ -45,9 +45,14 @@ __all__ = [
 ]
 
 SIGN_CUBE_CAP = 24
-# largest sign-cube tensor (elements) a constraint evaluation may build:
-# 512 MB of float64, 128x the largest shape the tests and benchmark use
+# most float64 elements a constraint evaluation may hold in sign-cube
+# tensors at once (a search counts all its live temporaries): 512 MB
 SIGN_TENSOR_CAP = 2**26
+
+# float64 arrays of the moved functionals' shape (2kd rows of d per
+# restart) that one search step holds at once, its terms' values included
+# (measured with tracemalloc on the lifting generators)
+ROW_ARRAYS = 5
 
 # hill-climbing schedule; 20 decay rounds so the final step (~4e-4) resolves
 # ratios at lattice kinks to well under 1e-3
@@ -61,10 +66,10 @@ class DependenceError(InputError):
 
 
 def check_sign_tensor(elements: int, remedy: str) -> None:
-    """Refuse, before allocating, a sign-cube tensor over SIGN_TENSOR_CAP."""
+    """Refuse, before allocating, sign-cube tensors over SIGN_TENSOR_CAP."""
     if elements > SIGN_TENSOR_CAP:
         raise ConfigError(
-            f"the sign-cube tensor would hold {elements} elements, over the cap "
+            f"the sign-cube tensors would hold {elements} elements, over the cap "
             f"of {SIGN_TENSOR_CAP}; {remedy}"
         )
 
@@ -162,36 +167,40 @@ def _fvalues(terms, W, space, X, dense=None):
     weight row may hold zeros (None: all True).  Such a term is evaluated
     only on the columns where its weight is nonzero; a zero weight would
     add only +-0, which the absolute value removes.  A non-finite value is
-    an input error.  Returns (L, B).
+    an input error.  The caller ignores numpy's overflow and invalid
+    warnings (the check below reports them).  Returns (L, B).
     """
     L, B, d = X.shape
     flat = X.reshape(-1, d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.zeros((L, B))
-        for term, w, full in zip(terms, W, dense or (True,) * len(terms)):
-            if full:
-                vals = vals + w * eval_batch(term, space, flat).reshape(L, B)
-                continue
-            cols = np.flatnonzero(w)
-            if cols.size:
-                t = eval_batch(term, space, X[:, cols].reshape(-1, d))
-                vals[:, cols] = vals[:, cols] + w[cols] * t.reshape(L, cols.size)
+    dense = dense or (True,) * len(terms)
+    # a sum of dense terms starts at the first one, not at +0.0 + it: the two
+    # differ only at -0.0, which the absolute value removes
+    vals = None if all(dense) and terms else np.zeros((L, B))
+    for term, w, full in zip(terms, W, dense):
+        if full:
+            v = w * eval_batch(term, space, flat).reshape(L, B)
+            vals = v if vals is None else vals + v
+            continue
+        cols = np.flatnonzero(w)
+        if cols.size:
+            t = eval_batch(term, space, X[:, cols].reshape(-1, d))
+            vals[:, cols] = vals[:, cols] + w[cols] * t.reshape(L, cols.size)
     if not np.isfinite(vals).all():
         raise InputError("expression evaluated to a non-finite value")
     return np.abs(vals)
 
 
 def _ratios(obj, C):
-    """obj / C, with -inf where the constraint is zero."""
-    return np.divide(obj, C, out=np.full_like(obj, -np.inf), where=C > 0.0)
+    """obj / C in place of obj, with -inf where the constraint is zero; the
+    caller ignores numpy's division warnings."""
+    ratio = np.divide(obj, C, out=obj)
+    np.copyto(ratio, -np.inf, where=~(C > 0.0))
+    return ratio
 
 
-@functools.lru_cache(maxsize=32)
-def _unit_moves(d):
-    """unit[j, s] = (1 - 2s) e_j, shape (d, 2, 1, d); cached and read-only."""
-    unit = np.eye(d)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
-    unit.flags.writeable = False
-    return unit
+# the sign of move (i, j, s): +1 for s = 0, -1 for s = 1
+_MOVE_SIGNS = np.array([1.0, -1.0])
+_MOVE_SIGNS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=SIGN_CUBE_CAP)
@@ -204,24 +213,33 @@ def _others_index(k):
     return out
 
 
-def _neighbourhood(terms, W, space, X, Z, fvals, step, dense=None):
+def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step, dense=None):
     """Ratio of every move (i, j, s) of each tuple in a batch.
 
     X: (k, B, d) tuples, W: (m, B) their objective weights and dense their
     per-term flags (see _fvalues),
     Z = kernels.signed_sums(X, S), fvals: (k, B) the values |f(x_i*)|,
-    step: (B,).  A move changes one functional, so only its f-value is
-    evaluated afresh.  Returns the ratios (k, d, 2, B), the moved
-    functionals (k, d, 2, B, d) and their f-values (k, d, 2, B).
+    step: (B,).  Move (i, j, s) adds (1 - 2s) * step[b] to coordinate j of
+    functional i of tuple b, and new: (k, d, 2, B) holds the f-values of
+    the moved functionals.  Only the slots (i, b) that stale (k, B) marks,
+    those whose functional or step changed since new was last filled, are
+    evaluated: their 2d moved rows in one batch, written into new in place.
+    Every other value was computed from the same row.  Returns the ratios
+    (k, d, 2, B).
     """
     k, B, d = X.shape
-    # x + 0.0 == x, so only coordinate j moves
-    rows = X[:, None, None] + _unit_moves(d) * step[:, None]
-    new = _fvalues(terms, W, space, rows.reshape(-1, B, d), dense).reshape(k, d, 2, B)
+    si, sb = stale.nonzero()
+    # rows[j, s, p]: the functional of slot p with coordinate j moved
+    rows = np.empty((d, 2, len(si), d))
+    rows[...] = X[si, sb]
+    diagonal = np.arange(d)
+    rows[diagonal, :, :, diagonal] += _MOVE_SIGNS[:, None] * step[sb]
+    vals = _fvalues(terms, W[:, sb], space, rows.reshape(2 * d, -1, d), dense)
+    new[si, :, :, sb] = vals.reshape(d, 2, -1).transpose(2, 0, 1)
     # the other k-1 f-values of each tuple, added in index order along the
     # outer axis: each column's sum is the same at every batch width
     obj = fvals[_others_index(k)].sum(axis=0)[:, None, None] + new
-    return _ratios(obj, kernels.move_constraints(Z, step, space.q)), rows, new
+    return _ratios(obj, kernels.move_constraints(Z, step, space.q))
 
 
 def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEstimate:
@@ -247,9 +265,14 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     Each restart's arithmetic does not depend on which or how many others
     are live, so a restart climbs as it would alone; results are
     deterministic, monotone in the restart budget and the same as E
-    separate searches.  Each restart keeps its signed sums and its
-    f-values, so scoring a move costs one f-evaluation and one column of
-    signed sums.
+    separate searches.  Each restart keeps its signed sums, its f-values
+    and the f-values of all its 2kd moved functionals.  Scoring a move
+    costs one column of signed sums; after an accepted move only the moved
+    functional's 2d moved rows are evaluated afresh, after a decay all 2kd
+    of them.  The search refuses up front a batch whose live temporaries
+    (the move constraints' sign-cube tensors, the moved functionals and
+    each term's values on them) would exceed SIGN_TENSOR_CAP elements,
+    and runs as many searches at once as stay under it.
     """
     terms = tuple(terms)
     W = np.asarray(weights, dtype=np.float64)
@@ -258,11 +281,12 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
             f"weights must have shape (E, {len(terms)}), got {W.shape}"
         )
     k, d, R = config.k, space.dim, config.restarts
-    # each neighbourhood scores 2kd moves of every restart at once; the
-    # largest temporaries are the two moved values of each signed sum
-    # (2d * 2^(k-1) per restart) and the moved functionals (2kd * d), which
-    # also bound each term's values on them (2kd)
-    per_search = R * 2 * d * max(k * d, 1 << (k - 1))
+    # each neighbourhood scores 2kd moves of every restart at once: the
+    # peak of one search, in float64 elements, is the temporaries of
+    # move_constraints plus at most ROW_ARRAYS * 2kd * d for the moved
+    # functionals and each term's values on them
+    per_search = R * 2 * d * (kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k)
+                              + ROW_ARRAYS * k * d)
     check_sign_tensor(per_search, "lower --k or --restarts")
 
     # restarts along axis 1: X0[:, r] is the tuple of restart r
@@ -277,6 +301,10 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
             for est in _lockstep(terms, W[lo:lo + chunk], space, config, X0)]
 
 
+# overflow and invalid values are caught by the finiteness check of
+# _fvalues, divisions by a zero constraint replaced by _ratios; one errstate
+# covers the whole search
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lockstep(terms, W, space, config, X0):
     """The searches of fbl_lower_bounds for the weight rows W (E, m)."""
     E, R = len(W), config.restarts
@@ -303,10 +331,14 @@ def _lockstep(terms, W, space, config, X0):
     step = np.full(E * R, STEP_INIT)
     rounds_left = np.full(E * R, DECAY_ROUNDS, dtype=int)
     moves_left = np.full(E * R, config.local_steps, dtype=int)
+    # the f-values of every move, kept between neighbourhoods (see
+    # _neighbourhood); at first every slot is stale
+    new = np.empty((k, d, 2, E * R))
+    stale = np.ones((k, E * R), dtype=bool)
 
     it = 0
     while ids.size:
-        ratio, rows, new = _neighbourhood(terms, Wb, space, X, Z, fvals, step, dense)
+        ratio = _neighbourhood(terms, Wb, space, X, Z, fvals, new, stale, step, dense)
         it += 1
         # moves in (i, j, s) order; argmax takes the first best one
         ratio = ratio.reshape(-1, ids.size)
@@ -314,20 +346,25 @@ def _lockstep(terms, W, space, config, X0):
         best_val = ratio.max(axis=0)
         improved = best_val > cur
 
-        # apply each accepted move: functional i, column j of the signed sums
+        # apply each accepted move: coordinate j of functional i, column j
+        # of the signed sums; x + delta has the bits of the scored moved row
         n = np.flatnonzero(improved)
         i, j, s = np.unravel_index(best_idx[n], (k, d, 2))
-        X[i, n] = rows[i, j, s, n]
-        Z[:, j, n] += step[n] * (1.0 - 2.0 * s) * S[:, i]
+        delta = _MOVE_SIGNS[s] * step[n]
+        X[i, n, j] += delta
+        Z[:, j, n] += delta * S[:, i]
         fvals[i, n] = new[i, j, s, n]
         np.maximum(cur, best_val, out=cur)
         moves_left -= improved
 
         # a round ends when no move improves or the move budget is spent
         decayed = ~improved | (moves_left == 0)
-        step[decayed] *= STEP_DECAY
+        np.multiply(step, STEP_DECAY, out=step, where=decayed)
         rounds_left -= decayed
-        moves_left[decayed] = config.local_steps
+        np.copyto(moves_left, config.local_steps, where=decayed)
+        # the moved rows changed with the step, or with the moved functional
+        stale[:] = decayed
+        stale[i, n] = True
 
         if not rounds_left.all():
             # every live restart has scored every neighbourhood so far
@@ -340,6 +377,7 @@ def _lockstep(terms, W, space, config, X0):
             ids, cur, step, rounds_left, moves_left = (
                 ids[live], cur[live], step[live], rounds_left[live], moves_left[live])
             X, fvals, Wb, Z = X[:, live], fvals[:, live], Wb[:, live], Z[:, :, live]
+            new, stale = new[..., live], stale[:, live]
     X, cur = X_out, cur_out
 
     evals = R + 2 * k * d * visits.reshape(E, R).sum(axis=1)

@@ -136,9 +136,15 @@ class HomExpr:
 @dataclass(frozen=True)
 class Delta(HomExpr):
     coords: tuple[float, ...]
+    # the coordinates as a read-only float64 array, built once
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(float(c) for c in coords))
+        coords = tuple(float(c) for c in coords)
+        array = np.array(coords)
+        array.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "array", array)
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,7 @@ def _eval(expr, space, X):
                 f"generator has {len(expr.coords)} coordinates in a "
                 f"{space.dim}-dimensional space"
             )
-        return X @ np.asarray(expr.coords)
+        return X @ expr.array
     if isinstance(expr, Scale):
         return expr.c * _eval(expr.child, space, X)
     if isinstance(expr, Add):

@@ -19,6 +19,7 @@ __all__ = [
     "constraint_batch",
     "signed_sums",
     "move_constraints",
+    "MOVE_ARRAYS",
     "SIBLING_WORDS",
     "sibling_states",
     "sibling_rngs",
@@ -30,6 +31,12 @@ BACKEND = "numpy"
 # above this exponent |z|^q leaves float64 for |z| outside about [1e-10, 1e9]
 # (q ~ 1e7 at p = 1 + 1e-7), so norms are taken relative to the largest entry
 LARGE_EXPONENT = 32.0
+
+# move_constraints holds at most MOVE_ARRAYS * (2^(k-1) + k) * 2dB float64
+# at once, for B tuples of k functionals in d dimensions: the moved pattern
+# norms are (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Measured with
+# tracemalloc; the scaled branch (q > LARGE_EXPONENT) is the largest.
+MOVE_ARRAYS = 9
 
 # the two signs of a move, one row each
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -70,6 +77,15 @@ def _power(a: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         return a * a
     return np.power(a, q)
+
+
+def _abs_power(x: np.ndarray, q: float, out=None) -> np.ndarray:
+    """|x|^q for finite q, into out if given; x * x at q = 2, the bits of
+    |x| * |x| without the absolute value."""
+    if q == 2.0:
+        return np.multiply(x, x, out=out)
+    a = np.abs(x, out=out)
+    return a if q == 1.0 else np.power(a, q, out=a)
 
 
 def _root(s: np.ndarray, q: float) -> np.ndarray:
@@ -145,16 +161,33 @@ def signed_sums(X, S) -> np.ndarray:
     return np.ascontiguousarray(np.tensordot(S, X, axes=(1, 0)).transpose(0, 2, 1))
 
 
-def _leave_one_out_sums(W: np.ndarray) -> np.ndarray:
-    """Sum of W >= 0 along axis 1 without each entry in turn.
+def _leave_one_out(W: np.ndarray, op=np.add) -> np.ndarray:
+    """op (np.add or np.maximum) of W >= 0 along axis 0 without each entry in turn.
 
     Prefix plus suffix sums, so no entry is subtracted back out: an entry
     much larger than the rest does not cancel their digits away, and an
-    overflowed inf stays inf instead of turning into inf - inf.
+    overflowed inf stays inf instead of turning into inf - inf.  Both run
+    one row at a time, each added in the order of a cumulative sum, on
+    whole rows (contiguous blocks for a C-contiguous W): numpy's cumsum
+    pays a per-lane overhead that outweighs the sums at a search's few
+    coordinates.  With one row, nothing is left: 0.
     """
-    out = np.zeros_like(W)
-    np.cumsum(W[:, :-1], axis=1, out=out[:, 1:])
-    out[:, :-1] += np.cumsum(W[:, :0:-1], axis=1)[:, ::-1]
+    d = len(W)
+    out = np.empty_like(W)
+    if d == 1:
+        out.fill(0.0)
+        return out
+    # prefixes: out[m] = op(W[0], ..., W[m-1])
+    out[1] = W[0]
+    for m in range(2, d):
+        op(out[m - 1], W[m - 1], out=out[m])
+    # suffixes op(W[d-1], ..., W[m+1]), taken onto the prefixes; row 0 has
+    # no prefix (W >= 0, so op(0.0, suffix) is the suffix)
+    suffix = W[d - 1]
+    for m in range(d - 2, 0, -1):
+        op(out[m], suffix, out=out[m])
+        suffix = op(suffix, W[m])
+    out[0] = suffix
     return out
 
 
@@ -168,34 +201,43 @@ def move_constraints(Z, step, q) -> np.ndarray:
     pattern norm of every move is one of two per entry of Z: with
     Z[p, j, b] + step or with Z[p, j, b] - step in column j, combined with
     an aggregate of the other d-1 columns built once.  Returns
-    (k, d, 2, B), sign s = +1 before -1.
+    (k, d, 2, B), sign s = +1 before -1.  A power sum that overflows is
+    inf, an upper value; the caller decides whether numpy warns of it
+    (the search ignores overflow).
     """
-    d = Z.shape[1]
-    a = np.abs(Z)
-    # moved[:, :, t] holds |Z + step| for t = 0 and |Z - step| for t = 1
-    moved = np.abs(Z[:, :, None, :] + _SIGNS * step)
-    if q == math.inf or q > LARGE_EXPONENT:
-        # leave-one-out maximum from each pattern's top two entries
-        is_top = np.arange(d)[:, None] == a.argmax(axis=1)[:, None, :]
-        rest = np.where(is_top, 0.0, a)
-        top1 = a.max(axis=1, keepdims=True)
-        top2 = rest.max(axis=1, keepdims=True)
-        others = np.where(is_top, top2, top1)[:, :, None, :]
+    npat, d, B = Z.shape
+    # moved[:, :, t] holds Z + step for t = 0 and Z - step for t = 1
+    moved = Z[:, :, None, :] + _SIGNS * step
+    # the aggregates of the other columns are built coordinates-first, so
+    # that each column is one contiguous block
     if q == math.inf:
-        return _max_over_patterns(np.maximum(moved, others))
-    with np.errstate(over="ignore"):
-        if q <= LARGE_EXPONENT:
-            # the root is increasing, so it is taken after the max
-            sums = _leave_one_out_sums(_power(a, q))[:, :, None, :]
-            return _root(_max_over_patterns(sums + _power(moved, q)), q)
-        # scaled power sums: the other columns relative to their largest
-        # entry, then everything relative to the moved tuple's largest entry
-        top1, top2 = _nonzero(top1), _nonzero(top2)
-        scaled = np.where(is_top, _power(rest / top2, q).sum(axis=1, keepdims=True),
-                          _leave_one_out_sums(_power(a / top1, q)))[:, :, None, :]
-        m = _nonzero(np.maximum(others, moved))
-        total = scaled * _power(others / m, q) + _power(moved / m, q)
-        return _max_over_patterns(_root(total, q) * m)
+        a = np.abs(Z.transpose(1, 0, 2), out=np.empty((d, npat, B)))
+        others = _leave_one_out(a, np.maximum).transpose(1, 0, 2)[:, :, None, :]
+        total = np.abs(moved, out=moved)
+        return _max_over_patterns(np.maximum(total, others, out=total))
+    if q <= LARGE_EXPONENT:
+        powers = _abs_power(Z.transpose(1, 0, 2), q, out=np.empty((d, npat, B)))
+        total = _abs_power(moved, q, out=moved)
+        total += _leave_one_out(powers).transpose(1, 0, 2)[:, :, None, :]
+        # the root is increasing, so it is taken after the max
+        return _root(_max_over_patterns(total), q)
+    a = np.abs(Z)
+    np.abs(moved, out=moved)
+    # leave-one-out maximum from each pattern's top two entries
+    is_top = np.arange(d)[:, None] == a.argmax(axis=1)[:, None, :]
+    rest = np.where(is_top, 0.0, a)
+    top1 = a.max(axis=1, keepdims=True)
+    top2 = rest.max(axis=1, keepdims=True)
+    others = np.where(is_top, top2, top1)[:, :, None, :]
+    # scaled power sums: the other columns relative to their largest
+    # entry, then everything relative to the moved tuple's largest entry
+    top1, top2 = _nonzero(top1), _nonzero(top2)
+    scaled = np.where(is_top, _power(rest / top2, q).sum(axis=1, keepdims=True),
+                      _leave_one_out(_power(a / top1, q).transpose(1, 0, 2))
+                      .transpose(1, 0, 2))[:, :, None, :]
+    m = _nonzero(np.maximum(others, moved))
+    total = scaled * _power(others / m, q) + _power(moved / m, q)
+    return _max_over_patterns(_root(total, q) * m)
 
 
 def _max_over_patterns(A: np.ndarray) -> np.ndarray:
@@ -214,7 +256,7 @@ def _max_over_patterns(A: np.ndarray) -> np.ndarray:
     M[0, 0] = -np.inf  # no pattern has S[p, 0] = -1
     for i in range(1, k):
         A = A.reshape((2, -1) + rest)
-        A.max(axis=1, out=M[i])
+        np.maximum.reduce(A, axis=1, out=M[i])
         A = np.maximum(A[0], A[1])
     M[0, 1] = A[0]
     return np.maximum(M[:, 1], M[:, 0, :, ::-1])

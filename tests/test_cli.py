@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -183,6 +184,8 @@ ERROR_TABLE = [
     (["lift-verify", "--space", "l2:3", "--coeff-vectors", "-1"], 3, "--coeff-vectors"),
     (["lift-verify", "--space", "l2:3", "--mseq", "custom:1,2"], 3, "no term 3"),
     (["lift-verify", "--space", "l2:3", "--mseq", "harmonic"], 3, "diverges"),
+    # the search's live temporaries, not one tensor, are over the cap
+    (["lift-verify", "--space", "l2:2", "--k", "20"], 3, "--k or --restarts"),
 ]
 
 
@@ -198,6 +201,34 @@ def test_error_contract(argv, code, fragment, tmp_path, capsys):
     assert got == code
     assert fragment in json.loads(out)["error"]["message"]
     assert "Traceback" not in err
+
+
+# sha256 of the stdout of fixed-seed commands, taken before the search kept
+# f-values between neighbourhoods: that change must leave every report as
+# it was.  The digests hold for this numpy and BLAS build; a float64
+# library whose rounding differs changes them.
+PINNED_REPORTS = [
+    (["norm", "--space", "l2:4", "--expr", "d(0.1,0.9,0.2,0.3)", "--k", "4",
+      "--restarts", "20", "--seed", "5"],
+     "85336297552c58fce18933e2201e568a6b107afb5f345001a5af7aa108f413ce"),
+    (["norm", "--space", "l2:4", "--expr", "f(1) v 0.5*h(2,1) - f(3)", "--k", "3",
+      "--restarts", "10", "--seed", "2"],
+     "ed7c354a784691e19dd0d54899216fa9531ee77348d1cca7218b84b72c540e36"),
+    (["lift-verify", "--space", "l2:4", "--k", "4", "--instances", "500",
+      "--coeff-vectors", "5", "--seed", "1"],
+     "3525b6ac66a352cf9ef9e90b2aa2f8d6b897a94361125879c29224f1be0c272c"),
+    (["lift-verify", "--space", "lp:3:4", "--k", "4", "--mseq", "custom:2,5,11,23,47",
+      "--instances", "500", "--coeff-vectors", "5", "--seed", "3"],
+     "0b18a466224749c718c202ff9d5b56bd829cc419ed18854f20103fcc69cc946b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS,
+                         ids=["norm-delta", "norm-f-h", "lift-verify-l2", "lift-verify-lp3"])
+def test_reports_are_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_expression_errors_report_their_offset(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -253,11 +254,22 @@ def test_lower_bound_sound_for_delta(rng):
         assert est.lower_bound <= sp.norm(x) + 1e-9
 
 
+def _all_moved_fvalues(terms, W, space, X, step, dense=None):
+    """f-values of all 2kd moved functionals of each tuple, (k, d, 2, B)."""
+    k, B, d = X.shape
+    unit = np.eye(d)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
+    rows = X[:, None, None] + unit * step[:, None]
+    return _fvalues(terms, W, space, rows.reshape(-1, B, d), dense).reshape(k, d, 2, B)
+
+
 @pytest.mark.parametrize("p", [math.inf, 3.0, 2.0, 1.5, 1.0, 1.0 + 1e-7],
                          ids=["q=1", "q=1.5", "q=2", "q=3", "q=inf", "p=1+1e-7"])
 def test_incremental_neighbourhood_matches_full_rebuild(p, rng):
     # every move (i, j, s) scored from the kept signed sums and f-values
-    # equals the ratio of the explicitly built candidate tuple
+    # equals the ratio of the explicitly built candidate tuple, at the first
+    # neighbourhood and after tuple 0 accepts a move and tuple 1 decays;
+    # the kept f-values of the moved functionals equal, bit for bit, a
+    # fresh evaluation of all moved rows
     for k in range(1, 6):
         for d in range(1, 6):
             sp = Space.lp(p, d)
@@ -267,22 +279,74 @@ def test_incremental_neighbourhood_matches_full_rebuild(p, rng):
             step = rng.uniform(1e-3, 0.5, 2)
             ones = np.ones((1, 2))
             fvals = _fvalues([expr], ones, sp, X)
-            got, _, _ = _neighbourhood([expr], ones, sp, X, kernels.signed_sums(X, S),
-                                       fvals, step)
-            cand = np.empty((k, d, 2, 2, k, d))
-            for i, j, s, b in product(range(k), range(d), range(2), range(2)):
-                cand[i, j, s, b] = X[:, b]
-                cand[i, j, s, b, i, j] += (1.0 - 2.0 * s) * step[b]
-            cand = cand.reshape(-1, k, d)
-            C = kernels.constraint_batch(cand, S, sp.q)
-            assert np.all(C > 0.0)
-            obj = np.abs(eval_batch(expr, sp, cand.reshape(-1, d))).reshape(-1, k).sum(axis=1)
-            want = obj / C
-            np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0.0)
+            Z = kernels.signed_sums(X, S)
+            new, stale = np.empty((k, d, 2, 2)), np.ones((k, 2), dtype=bool)
+            for visit in range(2):
+                got = _neighbourhood([expr], ones, sp, X, Z, fvals, new, stale, step)
+                assert np.array_equal(new, _all_moved_fvalues([expr], ones, sp, X, step))
+                cand = np.empty((k, d, 2, 2, k, d))
+                for i, j, s, b in product(range(k), range(d), range(2), range(2)):
+                    cand[i, j, s, b] = X[:, b]
+                    cand[i, j, s, b, i, j] += (1.0 - 2.0 * s) * step[b]
+                cand = cand.reshape(-1, k, d)
+                C = kernels.constraint_batch(cand, S, sp.q)
+                assert np.all(C > 0.0)
+                obj = np.abs(eval_batch(expr, sp, cand.reshape(-1, d))).reshape(-1, k).sum(axis=1)
+                want = obj / C
+                np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0.0)
+                if visit:
+                    break
+                # tuple 0 takes its best move, as _lockstep applies it
+                i, j, s = np.unravel_index(int(got[..., 0].argmax()), (k, d, 2))
+                delta = (1.0 - 2.0 * s) * step[0]
+                X[i, 0, j] += delta
+                Z[:, j, 0] += delta * S[:, i]
+                fvals[i, 0] = new[i, j, s, 0]
+                # tuple 1 decays: all its moved rows change
+                step[1] *= fblnorm.STEP_DECAY
+                stale[:] = False
+                stale[i, 0] = stale[:, 1] = True
     cfg = SearchConfig(k=2, restarts=5, seed=11)
     expr = parse("|d(1,0)| v 0.5*|d(0,1)|")
     assert (fbl_lower_bound(expr, Space.lp(p, 2), cfg).to_json()
             == fbl_lower_bound(expr, Space.lp(p, 2), cfg).to_json())
+
+
+@pytest.mark.parametrize("space, k", [("l2:3", 3), ("linf:4", 2), ("lp:3:2", 4)])
+def test_kept_fvalues_match_a_fresh_evaluation(space, k, monkeypatch):
+    # through a whole lockstep search of three weighted generator sums (one
+    # a zero row), with accepted moves, decays and retiring restarts: at
+    # every neighbourhood the f-values kept for all moves are those of a
+    # fresh evaluation of every moved row, bit for bit
+    monkeypatch.setattr(fblnorm, "DECAY_ROUNDS", 6)
+    system = LiftingSystem(parse_space(space))
+    d = system.space.dim
+    rng = np.random.default_rng(5)
+    neighbourhood = fblnorm._neighbourhood
+    cfg = SearchConfig(k=k, restarts=5, local_steps=3, seed=2)
+    seen = []
+    # the zero row makes every term sparse (evaluated where weighted only)
+    for A in (_lift_weights(rng, d, 3), rng.standard_normal((3, d))):
+        widths = []
+
+        def checked(terms, W, sp, X, Z, fvals, new, stale, step, dense):
+            ratio = neighbourhood(terms, W, sp, X, Z, fvals, new, stale, step, dense)
+            assert np.array_equal(new, _all_moved_fvalues(terms, W, sp, X, step, dense))
+            widths.append((X.shape[1], int(stale.sum())))
+            return ratio
+
+        monkeypatch.setattr(fblnorm, "_neighbourhood", checked)
+        got = fbl_lower_bounds(system.generators, A, system.space, cfg)
+        monkeypatch.setattr(fblnorm, "_neighbourhood", neighbourhood)
+        assert [e.to_json() for e in got] == [
+            e.to_json() for e in fbl_lower_bounds(system.generators, A, system.space, cfg)]
+        # every slot at the first neighbourhood, then fewer than all of
+        # them while restarts accept moves
+        assert widths[0] == (15, 15 * k)
+        assert any(stale < k * width for width, stale in widths)
+        seen += widths
+    # the batch shrinks as restarts retire
+    assert min(width for width, _ in seen) < 15
 
 
 def _lift_weights(rng, d, E):
@@ -312,8 +376,10 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
     cfg = SearchConfig(k=2, restarts=3, seed=1)
     A = _lift_weights(rng, 3, 7)
     whole = [e.to_json() for e in fbl_lower_bounds(system.generators, A, system.space, cfg)]
-    # one search needs R * 2d * max(kd, 2^(k-1)) = 108 elements: three per chunk
-    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 3 * 108)
+    # one search holds R * 2d * (MOVE_ARRAYS * (2^(k-1) + k) + ROW_ARRAYS * kd)
+    # = 3 * 6 * (9 * 4 + 5 * 6) = 1188 elements: three per chunk
+    assert kernels.MOVE_ARRAYS == 9 and fblnorm.ROW_ARRAYS == 5
+    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 3 * 1188)
     sizes = []
     lockstep = fblnorm._lockstep
     monkeypatch.setattr(fblnorm, "_lockstep",
@@ -322,9 +388,32 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
     assert sizes == [3, 3, 1]
     assert chunked == whole
     # one search over the cap is still refused before any work
-    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 107)
+    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 1187)
     with pytest.raises(ConfigError, match="--restarts"):
         fbl_lower_bounds(system.generators, A, system.space, cfg)
+
+
+@pytest.mark.parametrize("space, k", [("l2:2", 11), ("lp:1.0000001:3", 9), ("l1:6", 3),
+                                      ("linf:3", 1)])
+def test_search_peak_memory_within_the_checked_count(space, k, monkeypatch):
+    # the cap check counts every live temporary of a search: a batch of E
+    # searches holds at most E times the elements it checks, up to a few
+    # small arrays
+    monkeypatch.setattr(fblnorm, "DECAY_ROUNDS", 2)
+    system = LiftingSystem(parse_space(space))
+    A = np.random.default_rng(1).standard_normal((3, system.space.dim))
+    cfg = SearchConfig(k=k, restarts=16, seed=1)
+    fbl_lower_bounds(system.generators, A, system.space, cfg)  # caches built
+    checked, check = [], fblnorm.check_sign_tensor
+    monkeypatch.setattr(fblnorm, "check_sign_tensor",
+                        lambda n, remedy: checked.append(n) or check(n, remedy))
+    tracemalloc.start()
+    try:
+        fbl_lower_bounds(system.generators, A, system.space, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(A) * checked[0] + 65536
 
 
 def test_zero_weight_terms_are_not_evaluated(monkeypatch):

@@ -150,3 +150,43 @@ def test_sibling_states_peak_memory():
         tracemalloc.stop()
     # within SIBLING_WORDS 8-byte words per stream, up to a few fixed arrays
     assert peak <= 8 * kernels.SIBLING_WORDS * n + 4096
+
+
+def test_leave_one_out_matches_cumulative_reference(rng):
+    # the row-at-a-time prefixes and suffixes add in the order of cumsum,
+    # bit for bit; the maximum variant is the max over the other rows,
+    # the top-two rule: the runner-up at the first largest row, else the max
+    for d in range(1, 9):
+        for scale in (1.0, 1e300):
+            W = np.abs(rng.standard_normal((d, 5, 7))) ** 3 * scale
+            W[:, 0, 0] = 0.0
+            W[0, 1, :] = np.inf
+            with np.errstate(over="ignore"):
+                want = np.zeros_like(W)
+                np.cumsum(W[:-1], axis=0, out=want[1:])
+                want[:-1] += np.cumsum(W[:0:-1], axis=0)[::-1]
+            assert np.array_equal(kernels._leave_one_out(W), want)
+            top = W.argmax(axis=0) == np.arange(d)[:, None, None]
+            rest = np.where(top, 0.0, W)
+            want = np.where(top, rest.max(axis=0), W.max(axis=0))
+            assert np.array_equal(kernels._leave_one_out(W, np.maximum), want)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
+                         ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
+def test_move_constraints_peak_memory(q, rng):
+    # the budget of the search's cap check: at most MOVE_ARRAYS float64 per
+    # entry of the (2^(k-1) + k, d, 2, B) moved norms and results, up to a
+    # few small arrays; the k term is the larger one for k <= 2
+    for k, d, B in itertools.product((1, 2, 3, 6, 10), (1, 2, 6), (64,)):
+        X = rng.standard_normal((k, B, d))
+        Z = kernels.signed_sums(X, kernels.sign_patterns(k))
+        step = rng.uniform(0.1, 0.5, B)
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore"):
+                kernels.move_constraints(Z, step, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k) * 2 * d * B + 16384

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from fbl import kernels, verify
+from fbl import fblnorm, kernels, verify
 from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound, tuple_constraint
-from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale
+from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale, eval_batch
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
 from fbl.spaces import (
     BasisIndexError,
@@ -277,6 +277,27 @@ def test_normspan_batch_matches_single_vectors():
     assert batch.config["coefficients"] == A.tolist()
     empty = check_normspan(system, np.empty((0, 4)), SEARCH)
     assert (empty.instances, empty.worst_slack, empty.seed) == (0, None, None)
+
+
+def test_normspan_evaluates_only_the_changed_moved_rows(monkeypatch):
+    # the default lift-verify --space l2:6 span search: a neighbourhood
+    # evaluates only the moved rows of the functionals whose row or step
+    # changed, 2,307,240 generator rows against the 5,532,840 of scoring
+    # every move afresh
+    rows = []
+
+    def counting(term, space, X):
+        rows.append(len(X))
+        return eval_batch(term, space, X)
+
+    monkeypatch.setattr(fblnorm, "eval_batch", counting)
+    system = LiftingSystem(Space.lp(2.0, 6))
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(9,)))
+    report = verify.check_normspan(system, rng.standard_normal((20, 6)),
+                                   SearchConfig(k=3, restarts=8, seed=0))
+    assert report.passed
+    assert sum(rows) == 2_307_240 < 5_532_840 // 2
+    assert len(rows) == 1086  # the same calls as before
 
 
 def test_normspan_coefficient_shape_is_an_input_error():
