@@ -93,8 +93,7 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
         raise ConfigError("tuple must contain at least one functional")
     if k > SIGN_CUBE_CAP:
         raise ConfigError(f"tuple size {k} exceeds the sign-cube cap {SIGN_CUBE_CAP}")
-    # the pattern matrix is (2^(k-1), k), the signed sums (2^(k-1), d)
-    check_sign_tensor(max(k, d) << (k - 1), "use fewer functionals")
+    check_sign_tensor(kernels.pattern_elements(1, k, d), "use fewer functionals")
     S = kernels.sign_patterns(k)
     norms = kernels.pattern_norms(X, S, space.q)
     idx = int(np.argmax(norms))
@@ -271,8 +270,9 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     functional's 2d moved rows are evaluated afresh, after a decay all 2kd
     of them.  The search refuses up front a batch whose live temporaries
     (the move constraints' sign-cube tensors, the moved functionals and
-    each term's values on them) would exceed SIGN_TENSOR_CAP elements,
-    and runs as many searches at once as stay under it.
+    each term's values on them), or the certificate of its witness, would
+    exceed SIGN_TENSOR_CAP elements, and runs as many searches at once as
+    stay under it.
     """
     terms = tuple(terms)
     W = np.asarray(weights, dtype=np.float64)
@@ -287,7 +287,9 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     # functionals and each term's values on them
     per_search = R * 2 * d * (kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k)
                               + ROW_ARRAYS * k * d)
-    check_sign_tensor(per_search, "lower --k or --restarts")
+    # after the search, tuple_constraint certifies each witness
+    check_sign_tensor(max(per_search, kernels.pattern_elements(1, k, d)),
+                      "lower --k or --restarts")
 
     # restarts along axis 1: X0[:, r] is the tuple of restart r
     X0 = np.empty((k, R, d))

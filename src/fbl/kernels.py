@@ -20,9 +20,13 @@ __all__ = [
     "signed_sums",
     "move_constraints",
     "MOVE_ARRAYS",
+    "PATTERN_ARRAYS",
+    "pattern_elements",
     "SIBLING_WORDS",
     "sibling_states",
     "sibling_rngs",
+    "pcg64_words32",
+    "bounded_draws",
 ]
 
 # recorded in benchmark environment blocks; numpy is the only implementation
@@ -37,6 +41,15 @@ LARGE_EXPONENT = 32.0
 # norms are (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Measured with
 # tracemalloc; the scaled branch (q > LARGE_EXPONENT) is the largest.
 MOVE_ARRAYS = 9
+
+# pattern_norms of n k-tuples in d dimensions holds at most PATTERN_ARRAYS
+# float64 per sign pattern and coordinate at once: the signed sums (n,
+# 2^(k-1), d) and the norms' temporaries, plus two per pattern of each
+# tuple for the norms themselves.  sign_patterns(k) holds as many per
+# pattern and tuple entry while it builds the (2^(k-1), k) matrix, and the
+# matrix stays cached.  Measured with tracemalloc; the scaled branch
+# (q > LARGE_EXPONENT) is the largest.
+PATTERN_ARRAYS = 4
 
 # the two signs of a move, one row each
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -124,14 +137,30 @@ def hom_batch(X, n, mhi, Mv, Nv) -> np.ndarray:
     # at most mhi coordinates is an elementwise operation on whole rows
     a = np.abs(np.asarray(X, dtype=np.float64).T[:mhi], order="C")
     an = a[n - 1]
-    prev = a[: n - 1].max(axis=0, initial=0.0)
-    base = np.maximum(an - Nv[n - 1] * prev, 0.0)
+    # max(an - N_n * prev, 0), built in the array of the prefix maxima prev
+    base = a[: n - 1].max(axis=0, initial=0.0)
+    base *= Nv[n - 1]
+    np.subtract(an, base, out=base)
+    np.maximum(base, 0.0, out=base)
     if mhi > n:
-        t = np.divide(a[n:], an, out=np.zeros_like(a[n:]), where=an > 0.0)
-        g = (Nv[n:mhi, None] - t) / (Nv[n:mhi, None] - Mv[n:mhi, None])
-        np.minimum(np.maximum(g, 0.0, out=g), 1.0, out=g)
-        base = base * g.prod(axis=0)
-    return np.where(an == 0.0, 0.0, base)
+        # the ramps g_m(a_m / a_n) in place of the coordinates a_m, m > n; the
+        # lanes with a_n = 0 keep their coordinates, clamped into [0, 1] so
+        # that their product stays finite, and are zeroed below
+        t = a[n:]
+        nonzero = an > 0.0
+        np.divide(t, an, out=t, where=nonzero)
+        np.subtract(Nv[n:mhi, None], t, out=t, where=nonzero)
+        np.divide(t, Nv[n:mhi, None] - Mv[n:mhi, None], out=t, where=nonzero)
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        base *= t.prod(axis=0)
+    base[an == 0.0] = 0.0
+    return base
+
+
+def pattern_elements(n: int, k: int, d: int) -> int:
+    """Float64 elements that pattern_norms of n k-tuples in d dimensions
+    holds at its peak, sign_patterns(k) included (see PATTERN_ARRAYS)."""
+    return (PATTERN_ARRAYS * (k + n * d) + 2 * n) << (k - 1)
 
 
 def pattern_norms(X, S, q) -> np.ndarray:
@@ -366,3 +395,36 @@ def sibling_rngs(seed: int, key: tuple, start: int, stop: int):
     for i in range(start, stop), one at a time, seeded from sibling_states."""
     for words in sibling_states(seed, key, start, stop):
         yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+def pcg64_words32(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit words that PCG64 hands out from its 64-bit outputs raw,
+    as a uint32 view of raw.
+
+    PCG64 answers a request for 32 bits with the low half of a fresh 64-bit
+    output and keeps the high half for the next request, so output j gives
+    words 2j and 2j + 1 along the last axis.  A draw that takes whole
+    64-bit outputs, such as standard_normal, leaves a kept half in place.
+    """
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
+def bounded_draws(x, r):
+    """The value Generator.integers(0, r) draws from the 32-bit word x, with
+    whether numpy accepts x: (x * r >> 32, x * r mod 2^32 >= 2^32 mod r).
+
+    numpy draws an integer from a range of r < 2^32 values by Lemire's
+    method ("Fast random integer generation in an interval", ACM TOMACS
+    2019), one 32-bit word per draw: with m = x * r it rejects x, and
+    draws the next word, while m mod 2^32 < 2^32 mod r, and otherwise
+    returns m >> 32.  A range of one value takes no word; any x decodes to
+    its value 0 and is accepted.  x and r are Python ints, or x is an
+    unsigned integer array and r a uint64 array or scalar that broadcasts
+    with it, so that x * r is exact in uint64; the value and the flag come
+    out as an int and a bool, or as a uint64 and a bool array.  Rejection
+    has probability (2^32 mod r) / 2^32 < r / 2^32 per draw.
+    """
+    m = x * r
+    accepted = (m & _MASK32) >= (1 << 32) % r
+    m >>= 32
+    return m, accepted

@@ -32,7 +32,6 @@ __all__ = [
     "CheckReport",
     "LEMMA44_PS",
     "LEMMA44_DIMS",
-    "lemma_unconditional_instance",
     "lemma_unconditional_batch",
     "check_lemma44",
     "check_normspan",
@@ -101,14 +100,6 @@ def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
 # sign-averaging inequality for biorthogonal functionals
 
 
-def lemma_unconditional_instance(space: Space, ms, functionals) -> tuple[float, float]:
-    """One instance of the sign-averaging inequality: a stack of one for
-    lemma_unconditional_batch."""
-    X = np.asarray(functionals, dtype=np.float64)
-    lhs, rhs = lemma_unconditional_batch(space, np.asarray(ms)[None], X[None])
-    return float(lhs[0]), float(rhs[0])
-
-
 def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray, np.ndarray]:
     """A stack of n instances of the sign-averaging inequality.
 
@@ -130,8 +121,7 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
         raise DimensionMismatch(f"indices must have shape {(n, l)}, got {ms.shape}")
     if not 1 <= l <= SIGN_CUBE_CAP:
         raise ConfigError(f"tuple size must be in 1..{SIGN_CUBE_CAP}, got {l}")
-    # the signed sums are (n, 2^(l-1), d)
-    check_sign_tensor(n * max(l, d) << (l - 1), "use fewer functionals")
+    check_sign_tensor(kernels.pattern_elements(n, l, d), "use fewer functionals")
     if ms.size and not (1 <= ms.min() and ms.max() <= d):
         raise BasisIndexError(f"basis indices must lie in 1..{d}")
     if np.any(_lp_norm(X, space.q) > 1.0 + SLACK_TOL):
@@ -147,6 +137,20 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     return lhs, rhs
 
 
+def _lemma44_generator_draws(space: Space | None, seed: int, i: int, max_l: int):
+    """Instance i's key (index into LEMMA44_PS, d, l), its l * d normals
+    and its l basis indices, drawn with numpy's Generator calls in the
+    order the test oracle makes them."""
+    rng = _rng(seed, 1, i)
+    if space is None:
+        pi = int(rng.integers(len(LEMMA44_PS)))
+        d = int(rng.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1))
+    else:
+        pi, d = 0, space.dim
+    l = int(rng.integers(1, max_l + 1))
+    return (pi, d, l), rng.standard_normal(l * d), rng.integers(1, d + 1, size=l)
+
+
 def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int, d_max: int):
     """The instances lo..hi-1 of check_lemma44, drawn one stream each.
 
@@ -155,28 +159,73 @@ def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int,
     other, and each instance's offsets (n, 2) into those two.  All counts
     fit int32: an instance holds at most l * d <= max(l, d) << (l - 1)
     numbers, so a block under SIGN_TENSOR_CAP holds at most the cap.
+
+    Every value is the one _lemma44_generator_draws gives.  The bounded
+    draws are decoded from the stream's raw 64-bit outputs with
+    kernels.bounded_draws instead of Generator.integers calls: the key per
+    instance with Python ints, the indices of the whole block in one
+    uint64 pass.  Only the normals are drawn with the Generator.  An
+    instance with a word numpy would reject (probability below 2^-29 per
+    draw) is drawn again with the Generator calls.
     """
     n = hi - lo
     keys = np.empty((n, 3), dtype=np.int32)
     coords = np.empty(n * max_l * d_max)
-    indices = np.empty(n * max_l, dtype=np.int32)
-    at_c = at_m = 0
+    # numpy takes one 32-bit word per bounded draw from more than one
+    # value: the low half of a fresh 64-bit output, or the high half kept
+    # from the last one.  Without --space the key takes both halves of one
+    # output, and l takes the low half of the next when max_l > 1, whose
+    # high half the first index takes; the other index words come after
+    # the normals.  raw holds per instance the output l took from, then
+    # those drawn after the normals.
+    kept = int(max_l > 1)
+    raw = np.zeros((n, 1 + (max_l + 1) // 2), dtype=np.uint64)
+    redraw = np.zeros(n, dtype=bool)
+    at_c = 0
     # instance i draws from SeedSequence(seed, spawn_key=(1, i))
     for t, rng in enumerate(kernels.sibling_rngs(seed, (1,), lo, hi)):
+        bits = rng.bit_generator
         if space is None:
-            pi = rng.integers(len(LEMMA44_PS))
-            d = int(rng.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1))
+            w = bits.random_raw()
+            pi, ok = kernels.bounded_draws(w & 0xFFFFFFFF, len(LEMMA44_PS))
+            d, ok_d = kernels.bounded_draws(w >> 32, LEMMA44_DIMS[1] - LEMMA44_DIMS[0] + 1)
+            d += LEMMA44_DIMS[0]
+            ok &= ok_d
         else:
-            pi, d = 0, space.dim
-        l = int(rng.integers(1, max_l + 1))
-        # the same values as standard_normal((l, d)), in row order
-        rng.standard_normal(out=coords[at_c:at_c + l * d])
-        indices[at_m:at_m + l] = rng.integers(1, d + 1, size=l)
+            pi, d, ok = 0, space.dim, True
+        l = 1  # a one-value range takes no word
+        if kept:
+            w = bits.random_raw()
+            raw[t, 0] = w
+            l, ok_l = kernels.bounded_draws(w & 0xFFFFFFFF, max_l)
+            l += 1
+            ok &= ok_l
+        if ok:
+            # the same values as standard_normal((l, d)), in row order
+            rng.standard_normal(out=coords[at_c:at_c + l * d])
+            # l index words, one of them the kept half if there is one; a
+            # one-value range (d = 1) takes none, but decodes from any word
+            raw[t, 1:1 + (l + 1 - kept) // 2] = bits.random_raw((l + 1 - kept) // 2)
+        else:
+            (pi, d, l), normals, _ = _lemma44_generator_draws(space, seed, lo + t, max_l)
+            coords[at_c:at_c + l * d] = normals
+            redraw[t] = True
         keys[t] = pi, d, l
         at_c += l * d
-        at_m += l
+    # the last generator holds a view of the whole block's seed words
+    rng = bits = None
+    # the index words start at the kept half, the high half of column 0
+    values, ok = kernels.bounded_draws(kernels.pcg64_words32(raw)[:, 2 - kept:2 - kept + max_l],
+                                       keys[:, 1:2].astype(np.uint64))
+    drawn = np.arange(max_l) < keys[:, 2:]
+    indices = values[drawn].astype(np.int32)
+    indices += 1
     sizes = np.stack([keys[:, 1] * keys[:, 2], keys[:, 2]], axis=1)
-    return keys, coords, indices, np.cumsum(sizes, axis=0, dtype=np.int32) - sizes
+    starts = np.cumsum(sizes, axis=0, dtype=np.int32) - sizes
+    for t in np.flatnonzero(redraw | (drawn & ~ok).any(axis=1)):
+        _, _, ms = _lemma44_generator_draws(space, seed, lo + t, max_l)
+        indices[starts[t, 1]:starts[t, 1] + len(ms)] = ms
+    return keys, coords, indices, starts
 
 
 def check_lemma44(
@@ -194,8 +243,8 @@ def check_lemma44(
     SeedSequence(seed, spawn_key=(1, i)) for instance i, and a block's
     streams are seeded in one vectorised pass; the instances are then
     evaluated one (p, d, l) group at a time with lemma_unconditional_batch,
-    in blocks of as many instances as keep the sign-cube tensor, the draws
-    and the stream seeds under the cap.  Failures are listed in instance
+    in blocks of as many instances as keep pattern_norms at its peak, the
+    draws and the stream seeds under the cap.  Failures are listed in instance
     order, an instance's inequality failure before its oracle one.
     """
     if not 1 <= max_l <= SIGN_CUBE_CAP:
@@ -208,8 +257,10 @@ def check_lemma44(
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     d_max = space.dim if space else LEMMA44_DIMS[1]
-    per_instance = max(max_l, d_max) << (max_l - 1)
-    check_sign_tensor(per_instance, "lower --l")
+    # pattern_norms' count: the sign patterns, once, and per instance
+    patterns = kernels.pattern_elements(0, max_l, d_max)
+    tensors = kernels.pattern_elements(1, max_l, d_max) - patterns
+    check_sign_tensor(patterns + tensors, "lower --l")
     report = CheckReport(
         check="lemma44",
         instances=instances,
@@ -217,12 +268,14 @@ def check_lemma44(
         config={"max_l": max_l, "space": str(space) if space else None},
     )
     failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
-    # per instance, a block keeps its draws (at most per_instance numbers),
-    # a record of fewer than max_l + 8 more (indices, key, offsets and
-    # grouping) and its stream's 4 state words with the hash temporaries
-    # that make them (kernels.SIBLING_WORDS at the peak), and evaluates
-    # sign-cube tensors of per_instance elements
-    block = SIGN_TENSOR_CAP // (per_instance + max_l + 8 + kernels.SIBLING_WORDS)
+    # per instance, a block keeps its draws and their copy in its group
+    # (max_l * d_max numbers each), a record of fewer than 2 * max_l + 9
+    # more (raw words, indices, key, offsets and grouping) and its stream's
+    # 4 state words with the hash temporaries that make them
+    # (kernels.SIBLING_WORDS at the peak), and evaluates pattern_norms;
+    # decoding the indices holds fewer than pattern_norms, and before it
+    block = (SIGN_TENSOR_CAP - patterns) // (
+        tensors + 2 * max_l * d_max + 2 * max_l + 9 + kernels.SIBLING_WORDS)
     for lo in range(0, instances, block):
         keys, coords, indices, starts = _lemma44_draws(
             space, seed, lo, min(lo + block, instances), max_l, d_max)

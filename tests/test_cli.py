@@ -180,12 +180,16 @@ ERROR_TABLE = [
     (["lemma44", "--l", "30"], 3, "1..24"),
     (["lemma44", "--seed", "-1"], 3, "seed"),
     (["lemma44", "--space", "l2:50", "--l", "24"], 3, "lower --l"),
+    (["lemma44", "--l", "21"], 3, "lower --l"),
     (["lift-verify", "--space", "l2:3", "--instances", "-5"], 3, "samples"),
     (["lift-verify", "--space", "l2:3", "--coeff-vectors", "-1"], 3, "--coeff-vectors"),
     (["lift-verify", "--space", "l2:3", "--mseq", "custom:1,2"], 3, "no term 3"),
     (["lift-verify", "--space", "l2:3", "--mseq", "harmonic"], 3, "diverges"),
     # the search's live temporaries, not one tensor, are over the cap
     (["lift-verify", "--space", "l2:2", "--k", "20"], 3, "--k or --restarts"),
+    # a search under the cap whose witness certificate is not
+    (["norm", "--space", "l2:1", "--expr", "d(1)", "--k", "22", "--restarts", "1"], 3,
+     "--k or --restarts"),
 ]
 
 
@@ -220,11 +224,23 @@ PINNED_REPORTS = [
     (["lift-verify", "--space", "lp:3:4", "--k", "4", "--mseq", "custom:2,5,11,23,47",
       "--instances", "500", "--coeff-vectors", "5", "--seed", "3"],
      "0b18a466224749c718c202ff9d5b56bd829cc419ed18854f20103fcc69cc946b"),
+    # lemma44, taken before its bounded draws were decoded from raw PCG64
+    # words; --l 1 and the one-dimensional space have one-value ranges,
+    # for which numpy takes no word
+    (["lemma44", "--instances", "3000", "--seed", "4"],
+     "347326bbb21f365148e0b7b30db43b05c697698aa86067bca2d47f560057eefa"),
+    (["lemma44", "--space", "l1:5", "--l", "4", "--instances", "2000", "--seed", "6"],
+     "9f96dd2cacf7aed0a4d568b1ac369aa5a8a8571d99a4ad8acf8b00f4073a5854"),
+    (["lemma44", "--l", "1", "--instances", "2000", "--seed", "7"],
+     "8c843ae466cba90381a96d5b7b2ca4482a78c1eda4ec52677a210bd0dc4611f2"),
+    (["lemma44", "--space", "l2:1", "--instances", "2000", "--seed", "8"],
+     "6b3696b476da2474bf199d989335a552dc7cba6f68425315cb64cb8951a49f69"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_REPORTS,
-                         ids=["norm-delta", "norm-f-h", "lift-verify-l2", "lift-verify-lp3"])
+                         ids=["norm-delta", "norm-f-h", "lift-verify-l2", "lift-verify-lp3",
+                              "lemma44-random", "lemma44-l1", "lemma44-l-1", "lemma44-dim-1"])
 def test_reports_are_pinned(argv, digest, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fbl import kernels
 from fbl.homfun import LiftParams
@@ -63,6 +63,18 @@ def test_hom_batch_bits_do_not_depend_on_layout(rng):
             want = kernels.hom_batch(np.ascontiguousarray(X), n, mhi, Mv, Nv).tobytes()
             for name, Y in layouts.items():
                 assert kernels.hom_batch(Y, n, mhi, Mv, Nv).tobytes() == want, name
+
+
+def test_hom_batch_is_zero_where_its_coordinate_is(rng):
+    # f_n(x*) = 0 where x*(e_n) = 0, whatever the other coordinates hold
+    d = 5
+    Mv, Nv = P.arrays(d)
+    X = rng.standard_normal((40, d))
+    X[::2, 2] = 0.0
+    X[::4, 0] = np.nan
+    X[1::4, 4] = np.nan
+    out = kernels.hom_batch(X, 3, d, Mv, Nv)
+    assert out[::2].tobytes() == np.zeros(20).tobytes()
 
 
 def test_sign_patterns_lexicographic():
@@ -150,6 +162,84 @@ def test_sibling_states_peak_memory():
         tracemalloc.stop()
     # within SIBLING_WORDS 8-byte words per stream, up to a few fixed arrays
     assert peak <= 8 * kernels.SIBLING_WORDS * n + 4096
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**64), key=st.lists(st.integers(1, 8), max_size=3),
+       normals=st.integers(0, 9), index_range=st.integers(1, 8),
+       count=st.integers(1, 8))
+@example(seed=0, key=[5, 7, 1], normals=2, index_range=1, count=3)
+@example(seed=1, key=[1], normals=0, index_range=3, count=1)
+def test_bounded_draws_match_generator_integers(seed, key, normals, index_range, count):
+    # lemma44's order: bounded draws (pi, d, l), normals, then count draws
+    # from one range (the indices); numpy's Generator makes the calls
+    want_rng = np.random.default_rng(seed)
+    want_key = [int(want_rng.integers(r)) for r in key]
+    want_normals = want_rng.standard_normal(normals)
+    want_indices = want_rng.integers(index_range, size=count).tolist()
+    # the same values from the raw 64-bit outputs; a one-value range takes
+    # no word, and PCG64 keeps the high half of an output for the next
+    # 32-bit request, across the normals
+    rng = np.random.default_rng(seed)
+    bits = rng.bit_generator
+    kept = []
+    got_key = []
+    for r in key:
+        if r == 1:
+            got_key.append(0)
+            continue
+        if kept:
+            x = kept.pop()
+        else:
+            w = bits.random_raw()
+            x, kept = w & 0xFFFFFFFF, [w >> 32]
+        value, ok = kernels.bounded_draws(x, r)
+        assume(ok)
+        got_key.append(value)
+    assert rng.standard_normal(normals).tobytes() == want_normals.tobytes()
+    fresh = kernels.pcg64_words32(bits.random_raw((count + 1) // 2))
+    words = np.concatenate([np.array(kept, dtype=np.uint64), fresh])[:count]
+    values, ok = kernels.bounded_draws(words, np.uint64(index_range))
+    assume(ok.all())
+    assert got_key == want_key
+    assert values.tolist() == want_indices
+
+
+def test_bounded_draws_report_rejected_words():
+    # numpy rejects x where x * r mod 2^32 < 2^32 mod r: craft the words
+    # whose x * r mod 2^32 is one below and at that threshold
+    for r in (3, 5, 7):
+        threshold = 2**32 % r
+        inverse = pow(r, -1, 2**32)
+        below, at = (threshold - 1) * inverse % 2**32, threshold * inverse % 2**32
+        for x, accepted in ((below, False), (at, True), (0, False)):
+            value, ok = kernels.bounded_draws(x, r)
+            assert (value, ok) == (x * r >> 32, accepted)
+            values, oks = kernels.bounded_draws(np.array([x, x], dtype=np.uint64), np.uint64(r))
+            assert values.tolist() == [value] * 2 and oks.tolist() == [accepted] * 2
+    # even ranges: 2^32 mod 6 = 4, and x = 0 gives 0; powers of two reject nothing
+    assert kernels.bounded_draws(0, 6) == (0, False)
+    assert kernels.bounded_draws(0, 8) == (0, True)
+    # a one-value range decodes any word to 0
+    assert kernels.bounded_draws(2**32 - 1, 1) == (0, True)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
+                         ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
+def test_pattern_norms_peak_memory(q, rng):
+    # the count of tuple_constraint's and lemma44's cap checks: the sign
+    # patterns built afresh and the norms of n k-tuples in d dimensions
+    # stay within pattern_elements(n, k, d) float64, up to a few small arrays
+    for k, d, n in itertools.product((1, 2, 5, 11), (1, 3, 8), (1, 40)):
+        X = rng.standard_normal((n, k, d))
+        kernels.sign_patterns.cache_clear()
+        tracemalloc.start()
+        try:
+            kernels.pattern_norms(X, kernels.sign_patterns(k), q).max(axis=-1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * kernels.pattern_elements(n, k, d) + 4096
 
 
 def test_leave_one_out_matches_cumulative_reference(rng):

@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from fbl.verify import (
     check_freenorms,
     check_lemma44,
     check_normspan,
-    lemma_unconditional_instance,
+    lemma_unconditional_batch,
 )
 
 SEARCH = SearchConfig(k=3, restarts=8, seed=0)
@@ -33,8 +35,8 @@ SEARCH = SearchConfig(k=3, restarts=8, seed=0)
 
 def test_lemma_instance_single_basis_functional():
     sp = Space.lp(2, 2)
-    lhs, rhs = lemma_unconditional_instance(sp, [1], [[1.0, 0.0]])
-    assert lhs == 1.0 and rhs == 1.0
+    lhs, rhs = lemma_unconditional_batch(sp, [[1]], [[[1.0, 0.0]]])
+    assert lhs.tolist() == [1.0] and rhs.tolist() == [1.0]
 
 
 def test_lemma_instance_hand_computed():
@@ -42,15 +44,15 @@ def test_lemma_instance_hand_computed():
     # LHS = ||(1/sqrt2, 1/sqrt2)||_2 = 1, RHS = ||(2/sqrt2, 2/sqrt2)||_2 = 2
     sp = Space.lp(2, 2)
     u = np.array([1.0, 1.0]) / math.sqrt(2)
-    lhs, rhs = lemma_unconditional_instance(sp, [1, 2], [u, u])
-    assert lhs == pytest.approx(1.0, rel=1e-14)
-    assert rhs == pytest.approx(2.0, rel=1e-14)
+    lhs, rhs = lemma_unconditional_batch(sp, [[1, 2]], [[u, u]])
+    assert lhs[0] == pytest.approx(1.0, rel=1e-14)
+    assert rhs[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_lemma_instance_requires_unit_ball():
     sp = Space.lp(2, 2)
     with pytest.raises(ValueError):
-        lemma_unconditional_instance(sp, [1], [[3.0, 0.0]])
+        lemma_unconditional_batch(sp, [[1]], [[[3.0, 0.0]]])
 
 
 def test_lemma44_random_suite():
@@ -98,14 +100,15 @@ def _per_instance_lemma44(space, instances, max_l, seed):
     return report
 
 
-LEMMA44_SPACES = [None, "l1:5", "l2:3", "linf:8", "lp:1.0000001:3"]
+# l2:1: numpy takes no word for the one-value index range
+LEMMA44_SPACES = [None, "l1:5", "l2:3", "linf:8", "lp:1.0000001:3", "l2:1"]
 
 
 @pytest.mark.parametrize("space", LEMMA44_SPACES)
 def test_lemma44_batched_equals_per_instance_loop(space):
     sp = parse_space(space) if space else None
     for seed in range(4):
-        for max_l in (1, 6):
+        for max_l in (1, 2, 6):
             got = check_lemma44(sp, instances=60, max_l=max_l, seed=seed).to_json()
             assert got == _per_instance_lemma44(sp, 60, max_l, seed).to_json()
 
@@ -127,10 +130,13 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
     for per_block, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
         for space, d_max in ((None, 8), ("l1:5", 5)):
             sp = parse_space(space) if space else None
-            # one instance of --l 6 takes max(6, d) * 2^5 elements, a
-            # record of 6 + 8 and the words that seed its stream
-            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", per_block * (
-                (max(6, d_max) << 5) + 6 + 8 + kernels.SIBLING_WORDS))
+            # --l 6 takes 4 * 6 * 2^5 elements for the sign patterns, and
+            # one instance (4 * d + 2) * 2^5 for pattern_norms, twice 6 * d
+            # for its draws, a record of 2 * 6 + 9 and the words that seed
+            # its stream
+            assert kernels.PATTERN_ARRAYS == 4
+            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", (4 * 6 << 5) + per_block * (
+                ((4 * d_max + 2) << 5) + 2 * 6 * d_max + 2 * 6 + 9 + kernels.SIBLING_WORDS))
             blocks.clear()
             got = check_lemma44(sp, instances=7, seed=2).to_json()
             assert got == whole[space]
@@ -143,6 +149,57 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
     assert check_lemma44(Space.lp(2, 8), instances=0, max_l=20).instances == 0
     with pytest.raises(ConfigError, match="lower --l"):
         check_lemma44(Space.lp(2, 8), instances=0, max_l=24)
+
+
+def test_lemma44_redraws_instances_with_rejected_words(monkeypatch):
+    # a word numpy would reject sends its instance to the Generator calls:
+    # reject a fifth of all words, in the key and in the index words (not
+    # the word 0, which numpy itself rejects for most ranges)
+    bounded = kernels.bounded_draws
+
+    def rejecting(x, r):
+        value, ok = bounded(x, r)
+        return value, ok & (x % 5 != 1)
+
+    monkeypatch.setattr(kernels, "bounded_draws", rejecting)
+    redrawn = []
+    generator_draws = verify._lemma44_generator_draws
+    monkeypatch.setattr(verify, "_lemma44_generator_draws",
+                        lambda space, seed, i, max_l: redrawn.append(i)
+                        or generator_draws(space, seed, i, max_l))
+    for space in (None, "l2:3"):
+        sp = parse_space(space) if space else None
+        redrawn.clear()
+        got = check_lemma44(sp, instances=60, max_l=6, seed=5).to_json()
+        assert got == _per_instance_lemma44(sp, 60, 6, 5).to_json()
+        # an instance whose key word is rejected is drawn once for its key
+        # and normals and once more for its indices; one with only a
+        # rejected index word once
+        assert set(collections.Counter(redrawn).values()) == {1, 2}
+
+
+@pytest.mark.parametrize("space, max_l", [(None, 6), (None, 1), ("l1:1", 1),
+                                          ("lp:1.0000001:3", 3), ("l2:12", 2)])
+def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
+    # the block count covers every array a block holds: the sign patterns,
+    # the draws and their records, the stream seeds and pattern_norms
+    monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", 1 << 16)
+    sp = parse_space(space) if space else None
+    blocks = []
+    draws = verify._lemma44_draws
+    monkeypatch.setattr(verify, "_lemma44_draws",
+                        lambda space, seed, lo, hi, *rest:
+                        blocks.append(hi - lo) or draws(space, seed, lo, hi, *rest))
+    kernels.sign_patterns.cache_clear()
+    tracemalloc.start()
+    try:
+        check_lemma44(sp, instances=5000, max_l=max_l, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) > 1
+    # about 12 KB of report and Python objects whatever the block
+    assert peak <= 8 * verify.SIGN_TENSOR_CAP + 16384
 
 
 def test_lemma44_failures_come_in_instance_order(monkeypatch):
@@ -174,13 +231,14 @@ def test_lemma_instance_is_a_stack_of_one(rng):
     # ell_1 norms below 1 put every functional in every dual unit ball
     X /= 1.0 + np.abs(X).sum(axis=-1, keepdims=True)
     ms = rng.integers(1, 5, size=(5, 3))
-    lhs, rhs = verify.lemma_unconditional_batch(sp, ms, X)
-    assert [lemma_unconditional_instance(sp, m, x) for m, x in zip(ms, X)] == \
+    lhs, rhs = lemma_unconditional_batch(sp, ms, X)
+    alone = [lemma_unconditional_batch(sp, m[None], x[None]) for m, x in zip(ms, X)]
+    assert [(float(a[0]), float(b[0])) for a, b in alone] == \
         list(zip(lhs.tolist(), rhs.tolist()))
     with pytest.raises(BasisIndexError):
-        lemma_unconditional_instance(sp, [5], X[0, :1])
+        lemma_unconditional_batch(sp, [[5]], X[:1, :1])
     with pytest.raises(DimensionMismatch):
-        verify.lemma_unconditional_batch(sp, ms[:, :2], X)
+        lemma_unconditional_batch(sp, ms[:, :2], X)
 
 
 def test_biorthogonal_identity_matrix():
@@ -364,7 +422,7 @@ def test_freenorms_match_separate_searches(p, d, monkeypatch):
 
 def test_error_contract_leftovers_are_typed():
     with pytest.raises(ConfigError) as exc:
-        lemma_unconditional_instance(Space.lp(2, 2), [1], [[3.0, 0.0]])
+        lemma_unconditional_batch(Space.lp(2, 2), [[1]], [[[3.0, 0.0]]])
     assert exc.type is ConfigError
     with pytest.raises(ConfigError) as exc:
         LiftParams().g(2, -1.0)
