@@ -1,6 +1,6 @@
 """Numerical workbench for free Banach lattices over finite-dimensional spaces."""
 
-from .spaces import Space, parse_space, join, meet, vabs, pos, DimensionMismatch
+from .spaces import Space, parse_space, DimensionMismatch
 from .spaces import InputError, ConfigError
 from .homfun import (
     LiftParams,
@@ -30,6 +30,6 @@ from .fblnorm import (
     dim1_norm,
     upper_bound_finite_coords,
 )
-from .lifting import LiftingSystem, beta_apply, T_apply, T_lattice_check
+from .lifting import LiftingSystem, beta_apply, T_apply
 
 __version__ = "0.1.0"

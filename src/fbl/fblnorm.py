@@ -297,6 +297,8 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     # of SeedSequence(seed); all R streams are seeded in one vectorised pass
     for r, rng in enumerate(kernels.sibling_rngs(config.seed, (), 0, R)):
         X0[:, r] = rng.standard_normal((k, d))
+    # the last generator holds a view of all R streams' seed words
+    rng = None
     # as many searches at once as keep the temporaries under the cap
     chunk = SIGN_TENSOR_CAP // per_search
     return [est for lo in range(0, len(W), chunk)

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "sign_patterns",
+    "CACHED_PATTERNS",
     "hom_batch",
     "pattern_norms",
     "constraint_batch",
@@ -23,8 +24,10 @@ __all__ = [
     "PATTERN_ARRAYS",
     "pattern_elements",
     "SIBLING_WORDS",
+    "PCG64_WORDS",
     "sibling_states",
     "sibling_rngs",
+    "pcg64_take",
     "pcg64_words32",
     "bounded_draws",
 ]
@@ -46,9 +49,9 @@ MOVE_ARRAYS = 9
 # float64 per sign pattern and coordinate at once: the signed sums (n,
 # 2^(k-1), d) and the norms' temporaries, plus two per pattern of each
 # tuple for the norms themselves.  sign_patterns(k) holds as many per
-# pattern and tuple entry while it builds the (2^(k-1), k) matrix, and the
-# matrix stays cached.  Measured with tracemalloc; the scaled branch
-# (q > LARGE_EXPONENT) is the largest.
+# pattern and tuple entry while it builds the (2^(k-1), k) matrix, which
+# stays cached only up to k = CACHED_PATTERNS.  Measured with tracemalloc;
+# the scaled branch (q > LARGE_EXPONENT) is the largest.
 PATTERN_ARRAYS = 4
 
 # the two signs of a move, one row each
@@ -64,16 +67,27 @@ _POOL = 4
 # 8-byte words per stream that sibling_states holds at its peak, its 4
 # output words included
 SIBLING_WORDS = 10
+# 8-byte words per stream that pcg64_take holds at its peak for count <= 2,
+# its input and output words included; more than SIBLING_WORDS
+PCG64_WORDS = 24
+
+# sign_patterns caches its matrices up to this tuple size: 2^15 rows, about
+# 8 MB for all of them together; a larger one is built afresh per call
+CACHED_PATTERNS = 16
 
 
-@functools.lru_cache(maxsize=None)
 def sign_patterns(k: int) -> np.ndarray:
     """All sign vectors in {-1,1}^k with first entry fixed to +1.
 
     Rows are in lexicographic order (-1 before +1), so scanning for the first
     maximum yields the lexicographically smallest certificate.  The matrix is
-    cached per k and read-only.
+    read-only, and cached per k up to CACHED_PATTERNS;
+    sign_patterns.cache_clear() empties the cache.
     """
+    return _cached_sign_patterns(k) if k <= CACHED_PATTERNS else _sign_patterns(k)
+
+
+def _sign_patterns(k: int) -> np.ndarray:
     # entry i >= 1 of pattern number pat is bit k-1-i of pat
     bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 2, -1, -1)) & 1
     out = np.empty((bits.shape[0], k))
@@ -81,6 +95,10 @@ def sign_patterns(k: int) -> np.ndarray:
     out[:, 1:] = 2.0 * bits - 1.0
     out.flags.writeable = False
     return out
+
+
+_cached_sign_patterns = functools.lru_cache(maxsize=None)(_sign_patterns)
+sign_patterns.cache_clear = _cached_sign_patterns.cache_clear
 
 
 def _power(a: np.ndarray, q: float) -> np.ndarray:
@@ -395,6 +413,94 @@ def sibling_rngs(seed: int, key: tuple, start: int, stop: int):
     for i in range(start, stop), one at a time, seeded from sibling_states."""
     for words in sibling_states(seed, key, start, stop):
         yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+def _limbs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The 128-bit numbers hi << 64 | lo, for uint64 arrays hi and lo, as
+    a (4, n) uint64 array of 32-bit limbs, least significant first."""
+    return np.stack([lo & _MASK32, lo >> 32, hi & _MASK32, hi >> 32])
+
+
+def _carry(s: np.ndarray) -> np.ndarray:
+    """Limbs s of up to 35 bits each, reduced in place to 32-bit limbs of
+    the same number mod 2^128."""
+    for k in range(3):
+        s[k + 1] += s[k] >> 32
+        s[k] &= _MASK32
+    s[3] &= _MASK32
+    return s
+
+
+# the limbs of PCG64's multiplier
+_PCG64_MULT = [np.uint64(0x2360ED051FC65DA44385DF649FCCF645 >> 32 * j & _MASK32)
+               for j in range(4)]
+
+
+def _pcg64_step(s: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """The next PCG64 states s * M + inc mod 2^128, as limbs.
+
+    Column k sums inc's limb k and the products of the limbs i and k - i
+    of s and M.  The columns below 3 take each product's low half and
+    pass its high half to the next column, so a column sum stays below
+    2^35; column 3 keeps only its low 32 bits, which wrapping uint64 sums
+    give exactly.
+    """
+    out = inc.copy()
+    for k in range(4):
+        for i in range(k + 1):
+            p = s[i] * _PCG64_MULT[k - i]
+            if k < 3:
+                out[k + 1] += p >> 32
+                p &= _MASK32
+            out[k] += p
+    return _carry(out)
+
+
+def _xsl_rr(s: np.ndarray) -> np.ndarray:
+    """PCG64's outputs from the states s (limbs): the xor of the two 64-bit
+    halves of each, rotated right by its top 6 bits."""
+    hi = s[2] | s[3] << 32
+    x = (s[0] | s[1] << 32) ^ hi
+    rot = hi >> 58
+    # (-rot) & 63, so that a rotation by 0 shifts by 0, not by 64
+    return x >> rot | x << (-rot & 63)
+
+
+def pcg64_take(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first count outputs of PCG64 seeded with each row of words (n,
+    4), as random_raw(count) gives them, and seed rows that start right
+    after them.
+
+    numpy's PCG64 (O'Neill, "PCG: a family of simple fast space-efficient
+    statistically good algorithms", 2014) is a 128-bit LCG with multiplier
+    M and the odd increment inc = (w2 << 64 | w3) << 1 | 1.  Seeding from
+    initstate = w0 << 64 | w1 sets the state to (inc + initstate) * M +
+    inc; each output steps s <- s * M + inc and returns the XSL-RR of the
+    new state.  So the generator seeded with initstate' = s - inc, for the
+    state s before the last step taken (inc + initstate for count = 0),
+    and the same w2, w3 continues where those outputs stop.  The
+    arithmetic runs on 32-bit limbs in uint64 lanes, one pass for the
+    whole block.  Returns a (n, count) uint64 array and a C-contiguous (n,
+    4) uint64 copy of words with w0, w1 replaced.
+    """
+    w = words.T
+    inc = _limbs(w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
+    before = _carry(inc + _limbs(w[0], w[1]))
+    out = np.empty((len(words), count), dtype=np.uint64)
+    if count:
+        s = _pcg64_step(before, inc)
+        for j in range(count):
+            before, s = s, _pcg64_step(s, inc)
+            out[:, j] = _xsl_rr(s)
+        s = None
+    # before - inc: add the two's complement of inc
+    inc ^= _MASK32
+    inc[0] += 1
+    before = _carry(before + inc)
+    shifted = np.array(words, dtype=np.uint64, order="C")
+    shifted[:, 0] = before[2] | before[3] << 32
+    shifted[:, 1] = before[0] | before[1] << 32
+    return out, shifted
 
 
 def pcg64_words32(raw: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homfun import Add, BuiltinF, HomExpr, Join, LiftParams, Scale, eval_batch
-from .spaces import DimensionMismatch, InputError, Space, join as vec_join
+from .homfun import Add, BuiltinF, HomExpr, LiftParams, Scale, eval_batch
+from .spaces import DimensionMismatch, InputError, Space
 
-__all__ = ["LiftingSystem", "beta_apply", "T_apply", "T_lattice_check"]
+__all__ = ["LiftingSystem", "beta_apply", "T_apply"]
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,3 @@ def T_apply(system: LiftingSystem, x) -> HomExpr:
     if x.shape != (system.space.dim,):
         raise DimensionMismatch(f"expected {system.space.dim} coordinates, got shape {x.shape}")
     return Add(Scale(float(c), g) for c, g in zip(x, system.generators))
-
-
-def T_lattice_check(system: LiftingSystem, x, y, xstar, tol: float = 1e-12) -> bool:
-    """Check T(x v y) = T(x) v T(y) at one functional, to absolute tol.
-
-    Disjointness of the generators makes at most one term of either side
-    nonzero at any functional, which is what forces the identity.
-    """
-    space = system.space
-    lhs = T_apply(system, vec_join(x, y))(space, xstar)
-    rhs = Join(T_apply(system, x), T_apply(system, y))(space, xstar)
-    return abs(lhs - rhs) <= tol

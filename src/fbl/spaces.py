@@ -26,10 +26,6 @@ __all__ = [
     "SpaceSyntaxError",
     "BasisIndexError",
     "parse_space",
-    "join",
-    "meet",
-    "vabs",
-    "pos",
 ]
 
 
@@ -145,32 +141,6 @@ class Space:
         if self.family == "weighted_lp":
             return f"wlp:{self.p:g}:[{','.join(f'{w:g}' for w in self.weights)}]"
         return f"{tag}:{self.dim}"
-
-
-def join(x, y) -> np.ndarray:
-    """Coordinatewise maximum."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return np.maximum(x, y)
-
-
-def meet(x, y) -> np.ndarray:
-    """Coordinatewise minimum."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return np.minimum(x, y)
-
-
-def vabs(x) -> np.ndarray:
-    """Coordinatewise absolute value."""
-    return np.abs(np.asarray(x, float))
-
-
-def pos(x) -> np.ndarray:
-    """Coordinatewise positive part."""
-    return np.maximum(np.asarray(x, float), 0.0)
 
 
 _SPACE_RE = re.compile(

@@ -8,6 +8,7 @@ exact because the generator formulas clamp to literal zeros.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 from dataclasses import dataclass, field
@@ -152,80 +153,117 @@ def _lemma44_generator_draws(space: Space | None, seed: int, i: int, max_l: int)
 
 
 def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int, d_max: int):
-    """The instances lo..hi-1 of check_lemma44, drawn one stream each.
+    """The instances lo..hi-1 of check_lemma44, drawn one stream each, in
+    (p, d, l) groups.
 
-    Returns the keys (n, 3) = (index into LEMMA44_PS, d, l), the raw
-    functionals and the basis indices, packed one instance after the
-    other, and each instance's offsets (n, 2) into those two.  All counts
-    fit int32: an instance holds at most l * d <= max(l, d) << (l - 1)
-    numbers, so a block under SIGN_TENSOR_CAP holds at most the cap.
+    Returns one tuple ((index into LEMMA44_PS, d, l), members, X, ms) per
+    group: the group's instances as offsets from lo, in order, their raw
+    functionals X (n_g, l, d) and their basis indices ms (n_g, l).  The
+    groups' X are views of one buffer of the block's normals, their ms of
+    one array of its indices, both laid out group after group.
 
-    Every value is the one _lemma44_generator_draws gives.  The bounded
-    draws are decoded from the stream's raw 64-bit outputs with
-    kernels.bounded_draws instead of Generator.integers calls: the key per
-    instance with Python ints, the indices of the whole block in one
-    uint64 pass.  Only the normals are drawn with the Generator.  An
-    instance with a word numpy would reject (probability below 2^-29 per
-    draw) is drawn again with the Generator calls.
+    Every value is the one _lemma44_generator_draws gives.  The key words
+    come from kernels.pcg64_take, which computes the first outputs of
+    every stream of the block in one pass and the seed that starts each
+    stream right after them.  The bounded draws are decoded from those and
+    from the raw outputs after the normals with kernels.bounded_draws,
+    each for the whole block.  Only the normals are drawn with a
+    Generator, straight into the instance's slot of its group.  An
+    instance with a key word numpy would reject (probability below 2^-29
+    per draw) takes its key and normals from the Generator calls, and one
+    with a rejected index word its indices.
     """
     n = hi - lo
-    keys = np.empty((n, 3), dtype=np.int32)
-    coords = np.empty(n * max_l * d_max)
     # numpy takes one 32-bit word per bounded draw from more than one
     # value: the low half of a fresh 64-bit output, or the high half kept
     # from the last one.  Without --space the key takes both halves of one
     # output, and l takes the low half of the next when max_l > 1, whose
     # high half the first index takes; the other index words come after
-    # the normals.  raw holds per instance the output l took from, then
-    # those drawn after the normals.
+    # the normals.
     kept = int(max_l > 1)
-    raw = np.zeros((n, 1 + (max_l + 1) // 2), dtype=np.uint64)
-    redraw = np.zeros(n, dtype=bool)
-    at_c = 0
     # instance i draws from SeedSequence(seed, spawn_key=(1, i))
-    for t, rng in enumerate(kernels.sibling_rngs(seed, (1,), lo, hi)):
-        bits = rng.bit_generator
-        if space is None:
-            w = bits.random_raw()
-            pi, ok = kernels.bounded_draws(w & 0xFFFFFFFF, len(LEMMA44_PS))
-            d, ok_d = kernels.bounded_draws(w >> 32, LEMMA44_DIMS[1] - LEMMA44_DIMS[0] + 1)
-            d += LEMMA44_DIMS[0]
-            ok &= ok_d
-        else:
-            pi, d, ok = 0, space.dim, True
-        l = 1  # a one-value range takes no word
-        if kept:
-            w = bits.random_raw()
-            raw[t, 0] = w
-            l, ok_l = kernels.bounded_draws(w & 0xFFFFFFFF, max_l)
-            l += 1
-            ok &= ok_l
-        if ok:
+    head, states = kernels.pcg64_take(kernels.sibling_states(seed, (1,), lo, hi),
+                                      int(space is None) + kept)
+    keys = np.empty((n, 3), dtype=np.int64)
+    ok = np.ones(n, dtype=bool)
+    if space is None:
+        keys[:, 0], ok = kernels.bounded_draws(head[:, 0] & 0xFFFFFFFF,
+                                               np.uint64(len(LEMMA44_PS)))
+        keys[:, 1], ok_d = kernels.bounded_draws(
+            head[:, 0] >> 32, np.uint64(LEMMA44_DIMS[1] - LEMMA44_DIMS[0] + 1))
+        keys[:, 1] += LEMMA44_DIMS[0]
+        ok &= ok_d
+    else:
+        keys[:, :2] = 0, space.dim
+    if kept:
+        keys[:, 2], ok_l = kernels.bounded_draws(head[:, -1] & 0xFFFFFFFF, np.uint64(max_l))
+        keys[:, 2] += 1
+        ok &= ok_l
+    else:
+        keys[:, 2] = 1  # a one-value range takes no word
+    redrawn = {}
+    for t in np.flatnonzero(~ok).tolist():
+        keys[t], redrawn[t], _ = _lemma44_generator_draws(space, seed, lo + t, max_l)
+    # the instances group after group, each group in instance order
+    order = np.argsort((keys[:, 0] * (d_max + 1) + keys[:, 1]) * (max_l + 1) + keys[:, 2],
+                       kind="stable")
+    keys, states, ok = keys[order], states[order], ok[order]
+    edges = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(), n]
+    ds, ls = keys[:, 1], keys[:, 2]
+    coords = np.empty(int(ds @ ls))
+    # per instance, the outputs drawn after the normals that hold its
+    # index words
+    fresh = (ls + 1 - kept) // 2
+    words = array.array("Q")
+    at = 0
+    for rank, (row, d, l, c, key_ok) in enumerate(zip(states, ds.tolist(), ls.tolist(),
+                                                      fresh.tolist(), ok.tolist())):
+        if key_ok:
+            bits = np.random.PCG64(kernels._StateWords(row))
             # the same values as standard_normal((l, d)), in row order
-            rng.standard_normal(out=coords[at_c:at_c + l * d])
-            # l index words, one of them the kept half if there is one; a
-            # one-value range (d = 1) takes none, but decodes from any word
-            raw[t, 1:1 + (l + 1 - kept) // 2] = bits.random_raw((l + 1 - kept) // 2)
+            np.random.Generator(bits).standard_normal(out=coords[at:at + l * d])
+            for _ in range(c):
+                words.append(bits.random_raw())
         else:
-            (pi, d, l), normals, _ = _lemma44_generator_draws(space, seed, lo + t, max_l)
-            coords[at_c:at_c + l * d] = normals
-            redraw[t] = True
-        keys[t] = pi, d, l
-        at_c += l * d
+            coords[at:at + l * d] = redrawn[int(order[rank])]
+            words.extend([0] * c)
+        at += l * d
     # the last generator holds a view of the whole block's seed words
-    rng = bits = None
-    # the index words start at the kept half, the high half of column 0
-    values, ok = kernels.bounded_draws(kernels.pcg64_words32(raw)[:, 2 - kept:2 - kept + max_l],
-                                       keys[:, 1:2].astype(np.uint64))
-    drawn = np.arange(max_l) < keys[:, 2:]
-    indices = values[drawn].astype(np.int32)
+    bits = row = states = None
+    # the 32-bit words of the outputs l took from, one per instance if
+    # max_l > 1, then of the fresh ones.  Index word j of an instance is
+    # the high half of its l output for j = 0 if there is one, else fresh
+    # word j - kept (a one-value range, d = 1, takes none, but decodes from
+    # any word)
+    lead = head[order, -1] if kept else np.empty(0, dtype=np.uint64)
+    starts = np.cumsum(ls) - ls
+    src = np.repeat(2 * (len(lead) + np.cumsum(fresh) - fresh) - kept - starts, ls)
+    src += np.arange(len(src))
+    if kept:
+        src[starts] = 2 * np.arange(n) + 1
+    x = kernels.pcg64_words32(np.concatenate([lead, np.frombuffer(words, dtype=np.uint64)]))[src]
+    head = lead = words = src = None
+    values, accepted = kernels.bounded_draws(x, np.repeat(ds.astype(np.uint64), ls))
+    x = None
+    indices = values.astype(np.int32)
     indices += 1
-    sizes = np.stack([keys[:, 1] * keys[:, 2], keys[:, 2]], axis=1)
-    starts = np.cumsum(sizes, axis=0, dtype=np.int32) - sizes
-    for t in np.flatnonzero(redraw | (drawn & ~ok).any(axis=1)):
-        _, _, ms = _lemma44_generator_draws(space, seed, lo + t, max_l)
-        indices[starts[t, 1]:starts[t, 1] + len(ms)] = ms
-    return keys, coords, indices, starts
+    values = None
+    # the instances redrawn for their key or with a rejected index word
+    ok[np.searchsorted(starts, np.flatnonzero(~accepted), side="right") - 1] = False
+    for rank in np.flatnonzero(~ok).tolist():
+        _, _, ms = _lemma44_generator_draws(space, seed, lo + int(order[rank]), max_l)
+        indices[starts[rank]:starts[rank] + len(ms)] = ms
+    groups = []
+    at_c = at_i = 0
+    for g0, g1 in zip(edges[:-1], edges[1:]):
+        pi, d, l = keys[g0].tolist()
+        size = g1 - g0
+        groups.append(((pi, d, l), order[g0:g1],
+                       coords[at_c:at_c + size * l * d].reshape(size, l, d),
+                       indices[at_i:at_i + size * l].reshape(size, l)))
+        at_c += size * l * d
+        at_i += size * l
+    return groups
 
 
 def check_lemma44(
@@ -268,25 +306,18 @@ def check_lemma44(
         config={"max_l": max_l, "space": str(space) if space else None},
     )
     failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
-    # per instance, a block keeps its draws and their copy in its group
-    # (max_l * d_max numbers each), a record of fewer than 2 * max_l + 9
-    # more (raw words, indices, key, offsets and grouping) and its stream's
-    # 4 state words with the hash temporaries that make them
-    # (kernels.SIBLING_WORDS at the peak), and evaluates pattern_norms;
-    # decoding the indices holds fewer than pattern_norms, and before it
+    # per instance, a block keeps its normals (max_l * d_max numbers at
+    # most) from their draw on.  Besides them it holds, one phase after
+    # the other, its stream's seed words while they are made and advanced
+    # (kernels.PCG64_WORDS at the peak, more than kernels.SIBLING_WORDS),
+    # a record of fewer than 5 * max_l + 8 numbers (key, order, raw words
+    # and the index decode), and pattern_norms; it counts their sum
     block = (SIGN_TENSOR_CAP - patterns) // (
-        tensors + 2 * max_l * d_max + 2 * max_l + 9 + kernels.SIBLING_WORDS)
+        tensors + max_l * d_max + 5 * max_l + 8 + kernels.PCG64_WORDS)
     for lo in range(0, instances, block):
-        keys, coords, indices, starts = _lemma44_draws(
-            space, seed, lo, min(lo + block, instances), max_l, d_max)
-        groups, group_of, counts = np.unique(keys, axis=0, return_inverse=True,
-                                             return_counts=True)
-        # each group's members in instance order
-        members_of = np.split(np.argsort(group_of, kind="stable"), np.cumsum(counts)[:-1])
-        for (pi, d, l), members in zip(groups.tolist(), members_of):
+        for (pi, d, l), members, X, ms in _lemma44_draws(
+                space, seed, lo, min(lo + block, instances), max_l, d_max):
             sp = space or Space.lp(LEMMA44_PS[pi], d)
-            X = coords[starts[members, :1] + np.arange(l * d)].reshape(-1, l, d)
-            ms = indices[starts[members, 1:] + np.arange(l)]
             X /= np.maximum(1.0, _lp_norm(X, sp.q))[..., None]
             lhs, rhs = lemma_unconditional_batch(sp, ms, X)
             report.merge_slack(float((rhs - lhs).min()))

@@ -97,6 +97,22 @@ def test_constraint_cap_and_errors():
         tuple_constraint(sp, np.ones((1, 2, 2)))
 
 
+def test_large_tuples_leave_no_memory_behind(rng):
+    # sign_patterns caches its matrices only up to CACHED_PATTERNS: the
+    # (2^17, 18) matrix of an 18-tuple, 18.9 MB, goes when the call returns
+    assert kernels.CACHED_PATTERNS < 18
+    sp, X = Space.lp(2, 1), rng.standard_normal((18, 1)) / 18
+    tuple_constraint(sp, X)  # numpy's own caches built
+    kernels.sign_patterns.cache_clear()
+    tracemalloc.start()
+    try:
+        tuple_constraint(sp, X)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 65536
+
+
 # ---------------------------------------------------------------------------
 # lower-bound search
 

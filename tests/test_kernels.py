@@ -164,6 +164,75 @@ def test_sibling_states_peak_memory():
     assert peak <= 8 * kernels.SIBLING_WORDS * n + 4096
 
 
+_WORD = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(rows=st.lists(st.lists(_WORD, min_size=4, max_size=4), min_size=1, max_size=4),
+       count=st.integers(0, 2))
+@example(rows=[[0] * 4], count=0)
+@example(rows=[[0] * 4, [2**64 - 1] * 4], count=2)
+@example(rows=[[2**64 - 1] * 4], count=1)
+def test_pcg64_take_matches_numpy(rows, count):
+    words = np.array(rows, dtype=np.uint64)
+    head, shifted = kernels.pcg64_take(words, count)
+    assert head.shape == (len(rows), count) and head.dtype == np.uint64
+    assert shifted.flags.c_contiguous and np.array_equal(shifted[:, 2:], words[:, 2:])
+    for row, got_head, got_words in zip(words, head, shifted):
+        bits = np.random.PCG64(kernels._StateWords(row.copy()))
+        assert got_head.tolist() == bits.random_raw(count).tolist()
+        # the shifted seed continues where numpy's generator stands
+        got = np.random.Generator(np.random.PCG64(kernels._StateWords(got_words)))
+        assert got.bit_generator.random_raw(3).tolist() == bits.random_raw(3).tolist()
+        assert (got.standard_normal((3, 2)).tobytes()
+                == np.random.Generator(bits).standard_normal((3, 2)).tobytes())
+
+
+def test_pcg64_take_peak_memory():
+    n = 50_000
+    words = kernels.sibling_states(3, (1,), 0, n)
+    kernels.pcg64_take(words[:8], 2)  # constants and caches built
+    for count in (0, 1, 2):
+        tracemalloc.start()
+        try:
+            kernels.pcg64_take(words, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # with the 4 input words, within PCG64_WORDS 8-byte words per stream
+        assert peak + words.nbytes <= 8 * kernels.PCG64_WORDS * n + 4096
+
+
+def _xsl_rr_reference(state: int) -> int:
+    """PCG64's output from a 128-bit state, with Python ints."""
+    hi, lo = state >> 64, state & (2**64 - 1)
+    x, rot = hi ^ lo, hi >> 58
+    return (x >> rot | x << (64 - rot)) & (2**64 - 1)
+
+
+def test_pcg64_output_rotation_by_zero():
+    # states whose top 6 bits are 0 rotate by 0; a shift by 64 would lose x
+    states = [0, 1, 2**64 - 1, (2**58 - 1) << 64 | 0x0123456789ABCDEF,
+              0x00DEADBEEF << 64 | 2**64 - 1, 2**128 - 1, 1 << 122 | 5, 63 << 122]
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    lo = np.array([s & (2**64 - 1) for s in states], dtype=np.uint64)
+    got = kernels._xsl_rr(kernels._limbs(hi, lo))
+    assert got.tolist() == [_xsl_rr_reference(s) for s in states]
+    # seed words that put such a state first: numpy's first output agrees
+    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
+    inverse = pow(mult, -1, 2**128)
+    w2, w3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
+    inc = ((w2 << 64 | w3) << 1 | 1) & mask
+    for first in states[:5]:
+        # seeding steps (inc + initstate) to s0, the first output steps s0 to first
+        s0 = (first - inc) * inverse & mask
+        initstate = ((s0 - inc) * inverse - inc) & mask
+        words = np.array([[initstate >> 64, initstate & (2**64 - 1), w2, w3]], dtype=np.uint64)
+        head, _ = kernels.pcg64_take(words, 1)
+        want = np.random.PCG64(kernels._StateWords(words[0])).random_raw()
+        assert head[0, 0] == want == _xsl_rr_reference(first)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(seed=st.integers(0, 2**64), key=st.lists(st.integers(1, 8), max_size=3),
        normals=st.integers(0, 9), index_range=st.integers(1, 8),

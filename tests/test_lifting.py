@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fbl.fblnorm import SearchConfig, fbl_lower_bound
-from fbl.homfun import Abs, BuiltinF, Delta, LiftParams, eval_batch
-from fbl.lifting import LiftingSystem, T_apply, T_lattice_check, beta_apply
+from fbl.homfun import Abs, BuiltinF, Delta, Join, LiftParams, eval_batch
+from fbl.lifting import LiftingSystem, T_apply, beta_apply
 from fbl.spaces import DimensionMismatch, InputError, Space
 
 
@@ -54,15 +54,21 @@ def test_beta_T_is_identity(rng, system):
 
 
 def test_T_lattice_homomorphism_trivial(system, rng):
-    x = rng.standard_normal(6)
-    assert T_lattice_check(system, x, x, rng.standard_normal(6))
+    # T(x v y) = T(x) v T(y) at one functional, to 1e-12: disjointness of the
+    # generators makes at most one term of either side nonzero there
+    x, xs = rng.standard_normal(6), rng.standard_normal(6)
+    lhs = T_apply(system, np.maximum(x, x))(system.space, xs)
+    rhs = Join(T_apply(system, x), T_apply(system, x))(system.space, xs)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_T_lattice_homomorphism_on_basis(system):
     # at e_1* only the first generator is nonzero, so both sides reduce to it
     e1 = system.space.basis_vector(1)
     e2 = system.space.basis_vector(2)
-    assert T_lattice_check(system, e1, e2, e1)
+    lhs = T_apply(system, np.maximum(e1, e2))(system.space, e1)
+    rhs = Join(T_apply(system, e1), T_apply(system, e2))(system.space, e1)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_T_lattice_homomorphism_random(system, rng):
@@ -70,7 +76,9 @@ def test_T_lattice_homomorphism_random(system, rng):
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
         xs = rng.standard_normal(6)
-        assert T_lattice_check(system, x, y, xs)
+        lhs = T_apply(system, np.maximum(x, y))(system.space, xs)
+        rhs = Join(T_apply(system, x), T_apply(system, y))(system.space, xs)
+        assert abs(lhs - rhs) <= 1e-12
 
 
 def test_disjoint_sum_has_single_active_term(system, rng):

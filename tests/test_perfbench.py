@@ -1,0 +1,21 @@
+"""The benchmark harness against the package as it stands."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_perfbench_traced_lemma44_round():
+    # the tracer wraps every one of its layers by module and name, so a
+    # renamed function breaks --trace 1; one short traced run finds it
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lemma44", "--seed", "1",
+         "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    details, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
+    assert result["correct"] and result["failed"] == 0
+    assert details["count_mismatches"] == 0

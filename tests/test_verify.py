@@ -101,14 +101,14 @@ def _per_instance_lemma44(space, instances, max_l, seed):
 
 
 # l2:1: numpy takes no word for the one-value index range
-LEMMA44_SPACES = [None, "l1:5", "l2:3", "linf:8", "lp:1.0000001:3", "l2:1"]
+LEMMA44_SPACES = [None, "l1:5", "l2:3", "linf:8", "lp:1.0000001:3", "l2:1", "lp:1.5:4"]
 
 
 @pytest.mark.parametrize("space", LEMMA44_SPACES)
 def test_lemma44_batched_equals_per_instance_loop(space):
     sp = parse_space(space) if space else None
     for seed in range(4):
-        for max_l in (1, 2, 6):
+        for max_l in (1, 2, 3, 6):
             got = check_lemma44(sp, instances=60, max_l=max_l, seed=seed).to_json()
             assert got == _per_instance_lemma44(sp, 60, max_l, seed).to_json()
 
@@ -127,16 +127,18 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
     monkeypatch.setattr(verify, "_lemma44_draws",
                         lambda space, seed, lo, hi, *rest:
                         blocks.append(hi - lo) or draws(space, seed, lo, hi, *rest))
-    for per_block, sizes in ((1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1])):
+    # one element short of three instances' count leaves blocks of two
+    for per_block, short, sizes in ((1, 0, [1] * 7), (2, 0, [2, 2, 2, 1]), (3, 0, [3, 3, 1]),
+                                    (3, 1, [2, 2, 2, 1])):
         for space, d_max in ((None, 8), ("l1:5", 5)):
             sp = parse_space(space) if space else None
             # --l 6 takes 4 * 6 * 2^5 elements for the sign patterns, and
-            # one instance (4 * d + 2) * 2^5 for pattern_norms, twice 6 * d
-            # for its draws, a record of 2 * 6 + 9 and the words that seed
+            # one instance (4 * d + 2) * 2^5 for pattern_norms, 6 * d for
+            # its normals, a record of 5 * 6 + 8 and the words that seed
             # its stream
             assert kernels.PATTERN_ARRAYS == 4
-            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", (4 * 6 << 5) + per_block * (
-                ((4 * d_max + 2) << 5) + 2 * 6 * d_max + 2 * 6 + 9 + kernels.SIBLING_WORDS))
+            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
+                ((4 * d_max + 2) << 5) + 6 * d_max + 5 * 6 + 8 + kernels.PCG64_WORDS))
             blocks.clear()
             got = check_lemma44(sp, instances=7, seed=2).to_json()
             assert got == whole[space]
