@@ -94,6 +94,8 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     if k > SIGN_CUBE_CAP:
         raise ConfigError(f"tuple size {k} exceeds the sign-cube cap {SIGN_CUBE_CAP}")
     check_sign_tensor(kernels.pattern_elements(1, k, d), "use fewer functionals")
+    if not np.isfinite(X).all():
+        raise InputError("functionals must be finite")
     S = kernels.sign_patterns(k)
     norms = kernels.pattern_norms(X, S, space.q)
     idx = int(np.argmax(norms))

@@ -6,6 +6,7 @@ All kernels are careful to produce *literal* zeros where the formulas clamp
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 
@@ -29,6 +30,8 @@ __all__ = [
     "sibling_rngs",
     "pcg64_take",
     "pcg64_words32",
+    "pcg64_normals",
+    "pcg64_word_runs",
     "bounded_draws",
 ]
 
@@ -134,7 +137,7 @@ def _nonzero(m: np.ndarray) -> np.ndarray:
 
 
 def _dual_norms(Z: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
-    """ell_q norms of Z along `axis`."""
+    """ell_q norms of Z along `axis`, with one temporary the size of Z."""
     a = np.abs(Z)
     if q == math.inf:
         return a.max(axis=axis)
@@ -515,6 +518,42 @@ def pcg64_words32(raw: np.ndarray) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u4")
 
 
+def pcg64_normals(words: np.ndarray, sizes, counts, out: np.ndarray) -> np.ndarray:
+    """Draw from PCG64 seeded with each row of words (n, 4) in turn:
+    sizes[i] standard normals into the next sizes[i] entries of out, the
+    values Generator.standard_normal gives, then counts[i] raw 64-bit
+    outputs.  Returns the raw outputs, row after row, as a uint64 array.
+    """
+    raw = array.array("Q")
+    at = 0
+    for row, size, count in zip(words, sizes.tolist(), counts.tolist()):
+        bits = np.random.PCG64(_StateWords(row))
+        np.random.Generator(bits).standard_normal(out=out[at:at + size])
+        for _ in range(count):
+            raw.append(bits.random_raw())
+        at += size
+    return np.frombuffer(raw, dtype=np.uint64)
+
+
+def pcg64_word_runs(kept, raw: np.ndarray, outputs, counts) -> np.ndarray:
+    """The first counts[i] 32-bit words that PCG64 stream i hands out,
+    stream after stream, as a uint32 array.
+
+    A stream's words are the high half of kept[i], the 64-bit output whose
+    low half it handed out last, if kept is given (then every counts[i] >=
+    1), and then both halves of its outputs[i] fresh 64-bit outputs, which
+    follow one another in raw (see pcg64_words32).
+    """
+    k = int(kept is not None)
+    lead = kept if k else np.empty(0, dtype=np.uint64)
+    starts = np.cumsum(counts) - counts
+    src = np.repeat(2 * (len(lead) + np.cumsum(outputs) - outputs) - k - starts, counts)
+    src += np.arange(len(src))
+    if k:
+        src[starts] = 2 * np.arange(len(counts)) + 1
+    return pcg64_words32(np.concatenate([lead, raw]))[src]
+
+
 def bounded_draws(x, r):
     """The value Generator.integers(0, r) draws from the 32-bit word x, with
     whether numpy accepts x: (x * r >> 32, x * r mod 2^32 >= 2^32 mod r).
@@ -525,12 +564,22 @@ def bounded_draws(x, r):
     draws the next word, while m mod 2^32 < 2^32 mod r, and otherwise
     returns m >> 32.  A range of one value takes no word; any x decodes to
     its value 0 and is accepted.  x and r are Python ints, or x is an
-    unsigned integer array and r a uint64 array or scalar that broadcasts
-    with it, so that x * r is exact in uint64; the value and the flag come
-    out as an int and a bool, or as a uint64 and a bool array.  Rejection
-    has probability (2^32 mod r) / 2^32 < r / 2^32 per draw.
+    unsigned integer array and r an unsigned integer array or scalar below
+    2^32 that broadcasts with it; the value and the flag come out as an int
+    and a bool, or as a uint32 view of the uint64 products and a bool
+    array.  Rejection has probability (2^32 mod r) / 2^32 < r / 2^32 per
+    draw.
     """
-    m = x * r
-    accepted = (m & _MASK32) >= (1 << 32) % r
-    m >>= 32
-    return m, accepted
+    if isinstance(x, int):
+        m = x * r
+        return m >> 32, (m & _MASK32) >= (1 << 32) % r
+    m = np.multiply(x, r, dtype=np.uint64)
+    halves = pcg64_words32(m)
+    low, value = halves[..., 0::2], halves[..., 1::2]
+    # 2^32 mod r < r, so only a low half below r can be rejected: the
+    # threshold is taken at those few words alone
+    accepted = low >= r
+    near = np.nonzero(~accepted)
+    accepted[near] = low[near] >= np.remainder(1 << 32, np.broadcast_to(r, m.shape)[near],
+                                               dtype=np.uint64)
+    return value, accepted

@@ -8,10 +8,9 @@ exact because the generator formulas clamp to literal zeros.
 
 from __future__ import annotations
 
-import array
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,14 +68,7 @@ class CheckReport:
             self.worst_slack = slack
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instances": self.instances,
-            "failures": self.failures,
-            "worst_slack": self.worst_slack,
-            "seed": self.seed,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -107,9 +99,10 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     functionals: (n, l, d), instance t the tuple functionals[t]; ms: (n, l)
     its basis indices.  Left side: dual norm of sum_i |x_i*(e_{m_i})| e_{m_i}*;
     right side: the tuple constraint sup_{x in B} sum_i |x_i*(x)|.
-    Functionals must lie in the dual unit ball.  The two sides use
-    independent code paths (closed-form dual norm vs. sign-cube
-    enumeration).  Each instance's (lhs, rhs) has the bits it has alone.
+    Functionals must be finite and lie in the dual unit ball.  The two
+    sides use independent code paths (closed-form dual norm vs. sign-cube
+    enumeration), the ones check_lemma44 evaluates its (p, d) blocks with.
+    Each instance's (lhs, rhs) has the bits it has alone.
     """
     X = np.asarray(functionals, dtype=np.float64)
     ms = np.asarray(ms)
@@ -123,19 +116,34 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     if not 1 <= l <= SIGN_CUBE_CAP:
         raise ConfigError(f"tuple size must be in 1..{SIGN_CUBE_CAP}, got {l}")
     check_sign_tensor(kernels.pattern_elements(n, l, d), "use fewer functionals")
-    if ms.size and not (1 <= ms.min() and ms.max() <= d):
-        raise BasisIndexError(f"basis indices must lie in 1..{d}")
-    if np.any(_lp_norm(X, space.q) > 1.0 + SLACK_TOL):
+    if ms.size and not (ms.dtype.kind in "iu" and 1 <= ms.min() and ms.max() <= d):
+        raise BasisIndexError(f"basis indices must be integers in 1..{d}")
+    if not np.isfinite(X).all():
+        raise InputError("functionals must be finite")
+    if not (_lp_norm(X, space.q) <= 1.0 + SLACK_TOL).all():
         raise ConfigError("functionals must lie in the dual unit ball")
-    rows = np.arange(n)
-    z = np.zeros((n, d))
-    # in tuple order, so each entry of z is a sum in the order of the tuple
-    for i in range(l):
-        col = ms[:, i] - 1
-        z[rows, col] += np.abs(X[rows, i, col])
-    lhs = _lp_norm(z, space.q)
-    rhs = kernels.pattern_norms(X, kernels.sign_patterns(l), space.q).max(axis=-1)
-    return lhs, rhs
+    return _lemma_sides(space, X.reshape(-1, d), ms.astype(np.intp).ravel(), np.full(n, l), [X])
+
+
+def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of the sign-averaging inequality for the instances whose
+    tuples are the rows (sum(ls), d) of rows, instance after instance.
+
+    ms: (sum(ls),) each row's basis index; ls: each instance's tuple size;
+    stacks: the (n_g, l, d) stacks of rows, one per run of instances with
+    the same l, in order.  Every norm runs row by row, so each instance's
+    values have the bits it has alone.
+    """
+    n, d = len(ls), space.dim
+    # entry (t, m) of z adds |x_i*(e_m)| over instance t's functionals i
+    # with index m.  bincount adds in input order from 0.0, so each entry
+    # is a sum in the order of the tuple
+    z = np.bincount(np.repeat(np.arange(-1, n * d - 1, d), ls) + ms,
+                    np.abs(np.take(rows, np.arange(-1, rows.size - 1, d) + ms)), n * d)
+    lhs = _lp_norm(z.reshape(n, d), space.q)
+    return lhs, np.concatenate([
+        kernels.pattern_norms(S, kernels.sign_patterns(S.shape[1]), space.q).max(axis=-1)
+        for S in stacks])
 
 
 def _lemma44_generator_draws(space: Space | None, seed: int, i: int, max_l: int):
@@ -154,13 +162,15 @@ def _lemma44_generator_draws(space: Space | None, seed: int, i: int, max_l: int)
 
 def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int, d_max: int):
     """The instances lo..hi-1 of check_lemma44, drawn one stream each, in
-    (p, d, l) groups.
+    (p, d) blocks of (p, d, l) groups.
 
-    Returns one tuple ((index into LEMMA44_PS, d, l), members, X, ms) per
-    group: the group's instances as offsets from lo, in order, their raw
-    functionals X (n_g, l, d) and their basis indices ms (n_g, l).  The
-    groups' X are views of one buffer of the block's normals, their ms of
-    one array of its indices, both laid out group after group.
+    Returns one tuple (index into LEMMA44_PS, d, members, ls, rows, ms,
+    stacks) per (p, d) block: its instances' numbers, group after group
+    and each group in instance order; their tuple sizes; their
+    raw functionals, the rows (sum(ls), d), instance after instance; each
+    row's basis index; and the (n_g, l, d) stacks of rows, one per group.
+    The blocks' rows are views of one buffer of the normals, their ms of
+    one array of the indices, and the stacks views of the rows.
 
     Every value is the one _lemma44_generator_draws gives.  The key words
     come from kernels.pcg64_take, which computes the first outputs of
@@ -168,7 +178,7 @@ def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int,
     stream right after them.  The bounded draws are decoded from those and
     from the raw outputs after the normals with kernels.bounded_draws,
     each for the whole block.  Only the normals are drawn with a
-    Generator, straight into the instance's slot of its group.  An
+    Generator (kernels.pcg64_normals), straight into the instance's rows.  An
     instance with a key word numpy would reject (probability below 2^-29
     per draw) takes its key and normals from the Generator calls, and one
     with a rejected index word its indices.
@@ -208,62 +218,47 @@ def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int,
     order = np.argsort((keys[:, 0] * (d_max + 1) + keys[:, 1]) * (max_l + 1) + keys[:, 2],
                        kind="stable")
     keys, states, ok = keys[order], states[order], ok[order]
-    edges = [0, *(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1).tolist(), n]
+    # a (p, d) block starts where p or d changes
+    new_block = (keys[1:, :2] != keys[:-1, :2]).any(axis=1)
+    block_edges = [0, *(np.flatnonzero(new_block) + 1).tolist(), n]
     ds, ls = keys[:, 1], keys[:, 2]
-    coords = np.empty(int(ds @ ls))
-    # per instance, the outputs drawn after the normals that hold its
-    # index words
+    first_coord = np.concatenate([[0], np.cumsum(ds * ls)])
+    coords = np.empty(first_coord[-1])
+    # each instance's normals, the same values as standard_normal((l, d)),
+    # then the outputs that hold its index words
     fresh = (ls + 1 - kept) // 2
-    words = array.array("Q")
-    at = 0
-    for rank, (row, d, l, c, key_ok) in enumerate(zip(states, ds.tolist(), ls.tolist(),
-                                                      fresh.tolist(), ok.tolist())):
-        if key_ok:
-            bits = np.random.PCG64(kernels._StateWords(row))
-            # the same values as standard_normal((l, d)), in row order
-            np.random.Generator(bits).standard_normal(out=coords[at:at + l * d])
-            for _ in range(c):
-                words.append(bits.random_raw())
-        else:
-            coords[at:at + l * d] = redrawn[int(order[rank])]
-            words.extend([0] * c)
-        at += l * d
-    # the last generator holds a view of the whole block's seed words
-    bits = row = states = None
-    # the 32-bit words of the outputs l took from, one per instance if
-    # max_l > 1, then of the fresh ones.  Index word j of an instance is
-    # the high half of its l output for j = 0 if there is one, else fresh
-    # word j - kept (a one-value range, d = 1, takes none, but decodes from
-    # any word)
-    lead = head[order, -1] if kept else np.empty(0, dtype=np.uint64)
-    starts = np.cumsum(ls) - ls
-    src = np.repeat(2 * (len(lead) + np.cumsum(fresh) - fresh) - kept - starts, ls)
-    src += np.arange(len(src))
-    if kept:
-        src[starts] = 2 * np.arange(n) + 1
-    x = kernels.pcg64_words32(np.concatenate([lead, np.frombuffer(words, dtype=np.uint64)]))[src]
-    head = lead = words = src = None
-    values, accepted = kernels.bounded_draws(x, np.repeat(ds.astype(np.uint64), ls))
+    words = kernels.pcg64_normals(states, ds * ls, fresh, coords)
+    states = None
+    for rank in np.flatnonzero(~ok).tolist():
+        coords[first_coord[rank]:first_coord[rank + 1]] = redrawn[int(order[rank])]
+    # index word j of an instance is the high half of the output l took
+    # from for j = 0 if max_l > 1, else fresh word j - kept (a one-value
+    # range, d = 1, takes none, but decodes from any word)
+    x = kernels.pcg64_word_runs(head[order, -1] if kept else None, words, fresh, ls)
+    head = words = None
+    values, accepted = kernels.bounded_draws(x, np.repeat(ds.astype(np.uint32), ls))
     x = None
     indices = values.astype(np.int32)
     indices += 1
     values = None
+    first_row = np.concatenate([[0], np.cumsum(ls)])
+    starts = first_row[:-1]
     # the instances redrawn for their key or with a rejected index word
-    ok[np.searchsorted(starts, np.flatnonzero(~accepted), side="right") - 1] = False
+    ok &= np.logical_and.reduceat(accepted, starts)
     for rank in np.flatnonzero(~ok).tolist():
         _, _, ms = _lemma44_generator_draws(space, seed, lo + int(order[rank]), max_l)
         indices[starts[rank]:starts[rank] + len(ms)] = ms
-    groups = []
-    at_c = at_i = 0
-    for g0, g1 in zip(edges[:-1], edges[1:]):
-        pi, d, l = keys[g0].tolist()
-        size = g1 - g0
-        groups.append(((pi, d, l), order[g0:g1],
-                       coords[at_c:at_c + size * l * d].reshape(size, l, d),
-                       indices[at_i:at_i + size * l].reshape(size, l)))
-        at_c += size * l * d
-        at_i += size * l
-    return groups
+    # the (p, d) blocks, each a run of (p, d, l) groups
+    blocks = []
+    for b0, b1 in zip(block_edges[:-1], block_edges[1:]):
+        pi, d = keys[b0, :2].tolist()
+        inner = [b0, *(np.flatnonzero(ls[b0 + 1:b1] != ls[b0:b1 - 1]) + b0 + 1).tolist(), b1]
+        stacks = [coords[first_coord[g0]:first_coord[g1]].reshape(g1 - g0, -1, d)
+                  for g0, g1 in zip(inner[:-1], inner[1:])]
+        blocks.append((pi, d, lo + order[b0:b1], ls[b0:b1],
+                       coords[first_coord[b0]:first_coord[b1]].reshape(-1, d),
+                       indices[first_row[b0]:first_row[b1]], stacks))
+    return blocks
 
 
 def check_lemma44(
@@ -279,11 +274,14 @@ def check_lemma44(
     instance additionally cross-checks the sign-cube constraint against the
     extreme-point formula.  Each instance is drawn from its own stream,
     SeedSequence(seed, spawn_key=(1, i)) for instance i, and a block's
-    streams are seeded in one vectorised pass; the instances are then
-    evaluated one (p, d, l) group at a time with lemma_unconditional_batch,
-    in blocks of as many instances as keep pattern_norms at its peak, the
-    draws and the stream seeds under the cap.  Failures are listed in instance
-    order, an instance's inequality failure before its oracle one.
+    streams are seeded in one vectorised pass, in blocks of as many
+    instances as keep pattern_norms at its peak, the draws, their
+    evaluation and the stream seeds under the cap.  A block's instances are
+    evaluated one (p, d) at a time, by the routine lemma_unconditional_batch
+    uses: one normalisation of all their functionals, one left side each
+    from one bincount, and the sign-cube norms one (p, d, l) group at a
+    time.  Failures are listed in instance order, an instance's inequality
+    failure before its oracle one.
     """
     if not 1 <= max_l <= SIGN_CUBE_CAP:
         raise ConfigError(f"max tuple size must be in 1..{SIGN_CUBE_CAP}, got {max_l}")
@@ -295,10 +293,20 @@ def check_lemma44(
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     d_max = space.dim if space else LEMMA44_DIMS[1]
-    # pattern_norms' count: the sign patterns, once, and per instance
+    # per instance, a block keeps its normals (max_l * d_max numbers at
+    # most) from their draw on.  Besides them it holds, one phase after
+    # the other, its stream's seed words while they are made and advanced
+    # (kernels.PCG64_WORDS at the peak, more than kernels.SIBLING_WORDS),
+    # a record of fewer than 4 * max_l + 4 * d_max + 12 numbers (key,
+    # order, raw words and the index decode, then the indices, the gather
+    # and the bincount keys, z and its norm's three temporaries, lhs and
+    # rhs), three copies of its normals (the temporaries of their norms,
+    # then the ell_1 oracle's), and pattern_norms; it counts their sum.
+    # The sign patterns are held once
     patterns = kernels.pattern_elements(0, max_l, d_max)
-    tensors = kernels.pattern_elements(1, max_l, d_max) - patterns
-    check_sign_tensor(patterns + tensors, "lower --l")
+    per_instance = (kernels.pattern_elements(1, max_l, d_max) - patterns + 4 * max_l * d_max
+                    + 4 * max_l + 4 * d_max + 12 + kernels.PCG64_WORDS)
+    check_sign_tensor(patterns + per_instance, "lower --l")
     report = CheckReport(
         check="lemma44",
         instances=instances,
@@ -306,34 +314,28 @@ def check_lemma44(
         config={"max_l": max_l, "space": str(space) if space else None},
     )
     failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
-    # per instance, a block keeps its normals (max_l * d_max numbers at
-    # most) from their draw on.  Besides them it holds, one phase after
-    # the other, its stream's seed words while they are made and advanced
-    # (kernels.PCG64_WORDS at the peak, more than kernels.SIBLING_WORDS),
-    # a record of fewer than 5 * max_l + 8 numbers (key, order, raw words
-    # and the index decode), and pattern_norms; it counts their sum
-    block = (SIGN_TENSOR_CAP - patterns) // (
-        tensors + max_l * d_max + 5 * max_l + 8 + kernels.PCG64_WORDS)
+    block = (SIGN_TENSOR_CAP - patterns) // per_instance
     for lo in range(0, instances, block):
-        for (pi, d, l), members, X, ms in _lemma44_draws(
+        for pi, d, members, ls, rows, ms, stacks in _lemma44_draws(
                 space, seed, lo, min(lo + block, instances), max_l, d_max):
             sp = space or Space.lp(LEMMA44_PS[pi], d)
-            X /= np.maximum(1.0, _lp_norm(X, sp.q))[..., None]
-            lhs, rhs = lemma_unconditional_batch(sp, ms, X)
+            rows /= np.maximum(1.0, _lp_norm(rows, sp.q))[:, None]
+            lhs, rhs = _lemma_sides(sp, rows, ms, ls, stacks)
             report.merge_slack(float((rhs - lhs).min()))
             for t in np.flatnonzero(lhs > rhs + SLACK_TOL):
-                failures.append((lo + members[t], 0, {
-                    "instance": int(lo + members[t]), "space": str(sp),
+                tuple_rows = slice(ls[:t].sum(), ls[:t + 1].sum())
+                failures.append((members[t], 0, {
+                    "instance": int(members[t]), "space": str(sp),
                     "lhs": float(lhs[t]), "rhs": float(rhs[t]),
-                    "ms": ms[t].tolist(), "functionals": X[t].tolist()}))
+                    "ms": ms[tuple_rows].tolist(), "functionals": rows[tuple_rows].tolist()}))
             if sp.p == 1.0:
-                oracle = l1_extreme_point_constraint(X)
+                oracle = np.concatenate([l1_extreme_point_constraint(S) for S in stacks])
                 # both sides add the same l terms |x_i*(e_j)| in orders that
                 # depend on the BLAS; each sum is within (l-1)*2^-53 relative
                 # of the exact one, so they may differ by l*2^-52*oracle, no more
-                for t in np.flatnonzero(np.abs(rhs - oracle) > l * 2.0**-52 * oracle):
-                    failures.append((lo + members[t], 1, {
-                        "instance": int(lo + members[t]), "space": str(sp),
+                for t in np.flatnonzero(np.abs(rhs - oracle) > ls * 2.0**-52 * oracle):
+                    failures.append((members[t], 1, {
+                        "instance": int(members[t]), "space": str(sp),
                         "constraint": float(rhs[t]),
                         "extreme_point_oracle": float(oracle[t]),
                         "kind": "oracle-mismatch"}))

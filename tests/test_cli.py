@@ -181,6 +181,8 @@ ERROR_TABLE = [
     (["lemma44", "--seed", "-1"], 3, "seed"),
     (["lemma44", "--space", "l2:50", "--l", "24"], 3, "lower --l"),
     (["lemma44", "--l", "21"], 3, "lower --l"),
+    # the sign-cube norms of one instance fit, but not the rest of its count
+    (["lemma44", "--space", "l2:10000000", "--l", "1"], 3, "lower --l"),
     (["lift-verify", "--space", "l2:3", "--instances", "-5"], 3, "samples"),
     (["lift-verify", "--space", "l2:3", "--coeff-vectors", "-1"], 3, "--coeff-vectors"),
     (["lift-verify", "--space", "l2:3", "--mseq", "custom:1,2"], 3, "no term 3"),

@@ -95,6 +95,10 @@ def test_constraint_cap_and_errors():
         tuple_constraint(sp, np.ones(2))
     with pytest.raises(ConfigError, match=r"\(k, 2\)"):
         tuple_constraint(sp, np.ones((1, 2, 2)))
+    # a NaN or infinite coordinate is bad input, not a certificate of C = nan
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            tuple_constraint(sp, [[bad, 0.0]])
 
 
 def test_large_tuples_leave_no_memory_behind(rng):

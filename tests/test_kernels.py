@@ -188,6 +188,35 @@ def test_pcg64_take_matches_numpy(rows, count):
                 == np.random.Generator(bits).standard_normal((3, 2)).tobytes())
 
 
+def test_pcg64_normals_and_word_runs_match_numpy(rng):
+    # each stream draws sizes[i] normals, then counts[i] raw outputs, as
+    # numpy's Generator does; its 32-bit words are a kept high half, if
+    # any, then the halves of those outputs in order
+    n = 40
+    words = kernels.sibling_states(5, (1,), 0, n)
+    sizes = rng.integers(0, 12, size=n)
+    counts = rng.integers(1, 4, size=n)
+    out = np.empty(int(sizes.sum()))
+    raw = kernels.pcg64_normals(words, sizes, counts, out)
+    at = 0
+    for i, row in enumerate(words):
+        gen = np.random.Generator(np.random.PCG64(kernels._StateWords(row.copy())))
+        assert out[at:at + sizes[i]].tobytes() == gen.standard_normal(sizes[i]).tobytes()
+        want = gen.bit_generator.random_raw(counts[i]).tolist()
+        assert raw[counts[:i].sum():][:counts[i]].tolist() == want
+        at += sizes[i]
+    kept = rng.integers(0, 2**63, size=n).astype(np.uint64)
+    lengths = 2 * counts - rng.integers(0, 2, size=n)
+    runs = kernels.pcg64_word_runs(None, raw, counts, lengths)
+    kept_runs = kernels.pcg64_word_runs(kept, raw, counts, lengths + 1)
+    starts = np.cumsum(lengths) - lengths
+    for i in range(n):
+        want = kernels.pcg64_words32(raw[counts[:i].sum():][:counts[i]])[:lengths[i]].tolist()
+        assert runs[starts[i]:starts[i] + lengths[i]].tolist() == want
+        got = kept_runs[starts[i] + i:starts[i] + i + lengths[i] + 1].tolist()
+        assert got == [int(kept[i]) >> 32, *want]
+
+
 def test_pcg64_take_peak_memory():
     n = 50_000
     words = kernels.sibling_states(3, (1,), 0, n)

@@ -53,6 +53,13 @@ def test_lemma_instance_requires_unit_ball():
     sp = Space.lp(2, 2)
     with pytest.raises(ValueError):
         lemma_unconditional_batch(sp, [[1]], [[[3.0, 0.0]]])
+    # NaN > 1 + SLACK_TOL is false: a NaN functional must not pass the
+    # unit-ball check and come back as (nan, nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="finite"):
+            lemma_unconditional_batch(sp, [[1, 2]], [[[0.5, 0.0], [bad, 0.0]]])
+    with pytest.raises(BasisIndexError, match="integers"):
+        lemma_unconditional_batch(sp, [[1.0]], [[[0.5, 0.0]]])
 
 
 def test_lemma44_random_suite():
@@ -134,11 +141,12 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
             sp = parse_space(space) if space else None
             # --l 6 takes 4 * 6 * 2^5 elements for the sign patterns, and
             # one instance (4 * d + 2) * 2^5 for pattern_norms, 6 * d for
-            # its normals, a record of 5 * 6 + 8 and the words that seed
-            # its stream
+            # its normals and 3 * 6 * d for their copies, a record of
+            # 4 * 6 + 4 * d + 12 and the words that seed its stream
             assert kernels.PATTERN_ARRAYS == 4
             monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
-                ((4 * d_max + 2) << 5) + 6 * d_max + 5 * 6 + 8 + kernels.PCG64_WORDS))
+                ((4 * d_max + 2) << 5) + 4 * 6 * d_max + 4 * 6 + 4 * d_max + 12
+                + kernels.PCG64_WORDS))
             blocks.clear()
             got = check_lemma44(sp, instances=7, seed=2).to_json()
             assert got == whole[space]
@@ -151,6 +159,72 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
     assert check_lemma44(Space.lp(2, 8), instances=0, max_l=20).instances == 0
     with pytest.raises(ConfigError, match="lower --l"):
         check_lemma44(Space.lp(2, 8), instances=0, max_l=24)
+
+
+# (space, --l, instances) of the bit-identity check: 10,000 instances
+LEMMA44_BITS = [(None, 6, 3000), ("l1:5", 6, 1000), ("l2:3", 6, 1000), ("linf:8", 6, 1000),
+                ("lp:1.0000001:3", 6, 1000), ("lp:1.5:4", 6, 1000), ("l2:1", 6, 1000),
+                (None, 1, 1000)]
+
+
+def test_lemma44_blocks_match_each_group_alone(monkeypatch):
+    # the report keeps only min(rhs - lhs), which is often 0.0: compare
+    # every instance's (lhs, rhs), evaluated in its (p, d) block, bit for
+    # bit with lemma_unconditional_batch on its (p, d, l) group alone and
+    # with the left side built by adding the tuple's terms in order
+    runs = []
+    sides = verify._lemma_sides
+
+    def recording(space, rows, ms, ls, stacks):
+        out = sides(space, rows, ms, ls, stacks)
+        runs.append((space, ms.copy(), [S.copy() for S in stacks], out))
+        return out
+
+    monkeypatch.setattr(verify, "_lemma_sides", recording)
+    for space, max_l, instances in LEMMA44_BITS:
+        check_lemma44(parse_space(space) if space else None, instances=instances,
+                      max_l=max_l, seed=9)
+    monkeypatch.undo()
+    checked = 0
+    for sp, ms, stacks, (lhs, rhs) in runs:
+        at = row = 0
+        for X in stacks:
+            n, l, d = X.shape
+            m = ms[row:row + n * l].reshape(n, l)
+            want_lhs, want_rhs = lemma_unconditional_batch(sp, m, X)
+            assert lhs[at:at + n].tobytes() == want_lhs.tobytes()
+            assert rhs[at:at + n].tobytes() == want_rhs.tobytes()
+            z = np.zeros((n, d))
+            t = np.arange(n)
+            for i in range(l):
+                z[t, m[:, i] - 1] += np.abs(X[t, i, m[:, i] - 1])
+            assert want_lhs.tobytes() == np.array([sp.dual_norm(zt) for zt in z]).tobytes()
+            at += n
+            row += n * l
+        assert at == len(lhs) == len(rhs)
+        checked += at
+    assert checked == sum(instances for *_, instances in LEMMA44_BITS)
+
+
+def test_lemma44_measures_once_per_block(monkeypatch):
+    # one _lp_norm call normalises a (p, d) block's rows, one takes its
+    # left sides: the per-group loop took 3 per (p, d, l) group
+    calls = []
+    lp_norm = verify._lp_norm
+    monkeypatch.setattr(verify, "_lp_norm",
+                        lambda coords, p: calls.append(p) or lp_norm(coords, p))
+    blocks = []
+    draws = verify._lemma44_draws
+
+    def recording(*args):
+        out = draws(*args)
+        blocks.extend((pi, d) for pi, d, *_ in out)
+        return out
+
+    monkeypatch.setattr(verify, "_lemma44_draws", recording)
+    check_lemma44(instances=3000, seed=4)
+    assert len(set(blocks)) == len(verify.LEMMA44_PS) * 7
+    assert len(calls) <= 2 * len(set(blocks))
 
 
 def test_lemma44_redraws_instances_with_rejected_words(monkeypatch):
