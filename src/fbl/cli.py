@@ -140,13 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, space_required=True):
         p.add_argument("--space", required=space_required, default=None,
-                       help="space syntax, e.g. l1:4, l2:6, linf:3, lp:2.5:4, wlp:2:[1,0.5,0.25]")
+                       help="space syntax: l1:4, l2:6, linf:3 or lp:2.5:4")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("norm", help="lower-bound the norm of an expression")
     common(p)
+    p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
     p.add_argument("--expr", required=True)
     p.add_argument("--k", type=int, default=2, help="tuple size")
     p.add_argument("--restarts", type=int, default=100)
@@ -155,6 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift-verify", help="run the lifting verification suite")
     common(p)
+    p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--local-steps", type=int, default=8, dest="local_steps")

@@ -255,7 +255,8 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     r draws a standard-normal tuple from SeedSequence(seed, spawn_key=(r,)),
     the same R tuples for every search; the R streams are seeded in one
     vectorised pass (kernels.sibling_states) that reproduces those seed
-    sequences bit for bit.  Then each restart refines by
+    sequences bit for bit, and kernels.pcg64_normals draws the tuples
+    from them.  Then each restart refines by
     single-coordinate perturbations with a geometrically decaying step.
     All E*R restarts climb in lockstep, so each neighbourhood evaluates
     each term once for all the searches that weight it; a search whose
@@ -293,14 +294,12 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     check_sign_tensor(max(per_search, kernels.pattern_elements(1, k, d)),
                       "lower --k or --restarts")
 
-    # restarts along axis 1: X0[:, r] is the tuple of restart r
-    X0 = np.empty((k, R, d))
-    # restart r draws from SeedSequence(seed, spawn_key=(r,)), the r-th child
-    # of SeedSequence(seed); all R streams are seeded in one vectorised pass
-    for r, rng in enumerate(kernels.sibling_rngs(config.seed, (), 0, R)):
-        X0[:, r] = rng.standard_normal((k, d))
-    # the last generator holds a view of all R streams' seed words
-    rng = None
+    # restart r draws its (k, d) tuple from SeedSequence(seed, spawn_key=(r,)),
+    # the r-th child of SeedSequence(seed); restarts along axis 1 of X0
+    draws = np.empty((R, k, d))
+    kernels.pcg64_normals(kernels.sibling_states(config.seed, (), 0, R),
+                          np.full(R, k * d), np.zeros(R, dtype=np.int64), draws.reshape(-1))
+    X0 = draws.transpose(1, 0, 2)
     # as many searches at once as keep the temporaries under the cap
     chunk = SIGN_TENSOR_CAP // per_search
     return [est for lo in range(0, len(W), chunk)

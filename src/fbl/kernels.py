@@ -27,7 +27,6 @@ __all__ = [
     "SIBLING_WORDS",
     "PCG64_WORDS",
     "sibling_states",
-    "sibling_rngs",
     "pcg64_take",
     "pcg64_words32",
     "pcg64_normals",
@@ -411,13 +410,6 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def sibling_rngs(seed: int, key: tuple, start: int, stop: int):
-    """The generators default_rng(SeedSequence(seed, spawn_key=key + (i,)))
-    for i in range(start, stop), one at a time, seeded from sibling_states."""
-    for words in sibling_states(seed, key, start, stop):
-        yield np.random.Generator(np.random.PCG64(_StateWords(words)))
-
-
 def _limbs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The 128-bit numbers hi << 64 | lo, for uint64 arrays hi and lo, as
     a (4, n) uint64 array of 32-bit limbs, least significant first."""
@@ -563,16 +555,12 @@ def bounded_draws(x, r):
     2019), one 32-bit word per draw: with m = x * r it rejects x, and
     draws the next word, while m mod 2^32 < 2^32 mod r, and otherwise
     returns m >> 32.  A range of one value takes no word; any x decodes to
-    its value 0 and is accepted.  x and r are Python ints, or x is an
-    unsigned integer array and r an unsigned integer array or scalar below
-    2^32 that broadcasts with it; the value and the flag come out as an int
-    and a bool, or as a uint32 view of the uint64 products and a bool
-    array.  Rejection has probability (2^32 mod r) / 2^32 < r / 2^32 per
-    draw.
+    its value 0 and is accepted.  x is an unsigned integer array and r an
+    unsigned integer array or scalar below 2^32 that broadcasts with it;
+    the values come out as a uint32 view of the uint64 products, the flags
+    as a bool array.  Rejection has probability (2^32 mod r) / 2^32 < r /
+    2^32 per draw.
     """
-    if isinstance(x, int):
-        m = x * r
-        return m >> 32, (m & _MASK32) >= (1 << 32) % r
     m = np.multiply(x, r, dtype=np.uint64)
     halves = pcg64_words32(m)
     low, value = halves[..., 0::2], halves[..., 1::2]

@@ -1,18 +1,15 @@
-"""Finite-dimensional Banach spaces with a normalized 1-unconditional basis.
+"""Finite-dimensional ell_p spaces with a normalized 1-unconditional basis.
 
-Supported norm families are ell_p and weighted ell_p.  Coordinates are always
-taken with respect to the *normalized* basis (every basis vector has norm 1).
-In those coordinates a weighted ell_p norm is isometrically a plain ell_p
-norm, so after the weights are divided out at construction both families
-evaluate with the same closed forms; the original weights are retained only
-for display.
+Coordinates are always taken with respect to the *normalized* basis (every
+basis vector has norm 1).  In those coordinates a weighted ell_p norm is
+isometrically the plain ell_p norm, so the ell_p family covers it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,37 +57,20 @@ def _lp_norm(coords: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Space:
-    """A d-dimensional ell_p (or weighted ell_p) space.
-
-    `weights` records the weights supplied by the user; they are divided out
-    of the basis at construction (the basis is normalized), so they do not
-    enter the norm formulas.
-    """
+    """The d-dimensional ell_p space, in normalized-basis coordinates."""
 
     dim: int
     p: float
-    family: str = "lp"
-    weights: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.dim < 1 or self.dim != int(self.dim):
             raise ConfigError(f"dimension must be a positive integer, got {self.dim}")
         if not (1.0 <= self.p <= math.inf):
             raise ConfigError(f"p must lie in [1, inf], got {self.p}")
-        if self.weights:
-            if len(self.weights) != self.dim:
-                raise ConfigError("weight list length must equal the dimension")
-            if not all(0 < w < math.inf for w in self.weights):
-                raise ConfigError("weights must be finite and strictly positive")
 
     @classmethod
     def lp(cls, p: float, dim: int) -> "Space":
         return cls(dim=dim, p=float(p))
-
-    @classmethod
-    def weighted_lp(cls, p: float, weights) -> "Space":
-        weights = tuple(float(w) for w in weights)
-        return cls(dim=len(weights), p=float(p), family="weighted_lp", weights=weights)
 
     @property
     def q(self) -> float:
@@ -137,38 +117,26 @@ class Space:
         elif self.p == 2.0:
             tag = "l2"
         else:
-            tag = f"lp:{self.p:g}"
-        if self.family == "weighted_lp":
-            return f"wlp:{self.p:g}:[{','.join(f'{w:g}' for w in self.weights)}]"
+            # the shortest digits that parse back to p: :g keeps six, so
+            # lp:1.0000001 would read back as l1
+            tag = f"lp:{np.format_float_positional(self.p, trim='-')}"
         return f"{tag}:{self.dim}"
 
 
 _SPACE_RE = re.compile(
     r"^(l1|l2|linf):(\d+)$|^lp:(\d+(?:\.\d*)?|inf):(\d+)$"
-    r"|^wlp:(\d+(?:\.\d*)?|inf):\[([^\]]*)\]$"
 )
 
 
 def parse_space(text: str) -> Space:
-    """Parse the CLI space syntax: l1:4, l2:6, linf:3, lp:2.5:4, wlp:2:[1,0.5,0.25]."""
+    """Parse the CLI space syntax: l1:4, l2:6, linf:3, lp:2.5:4."""
     m = _SPACE_RE.match(text.strip())
     if not m:
         raise SpaceSyntaxError(f"cannot parse space description {text!r}")
     if m.group(1):
         p = {"l1": 1.0, "l2": 2.0, "linf": math.inf}[m.group(1)]
         return Space.lp(p, int(m.group(2)))
-    if m.group(3):
-        p = math.inf if m.group(3) == "inf" else float(m.group(3))
-        if p < 1.0:
-            raise SpaceSyntaxError(f"p must be >= 1, got {p}")
-        return Space.lp(p, int(m.group(4)))
-    p = math.inf if m.group(5) == "inf" else float(m.group(5))
+    p = math.inf if m.group(3) == "inf" else float(m.group(3))
     if p < 1.0:
         raise SpaceSyntaxError(f"p must be >= 1, got {p}")
-    try:
-        weights = [float(w) for w in m.group(6).split(",") if w.strip()]
-    except ValueError as exc:
-        raise SpaceSyntaxError(f"bad weight list in {text!r}") from exc
-    if not weights:
-        raise SpaceSyntaxError("weight list is empty")
-    return Space.weighted_lp(p, weights)
+    return Space.lp(p, int(m.group(4)))

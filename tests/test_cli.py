@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbl import fblnorm
-from fbl.cli import run
+from fbl.cli import _build_parser, run
 from fbl.homfun import ExprSyntaxError, GeneratorIndexError, parse, to_text
 from fbl.spaces import ConfigError, DimensionMismatch, InputError, SpaceSyntaxError
 
@@ -172,13 +173,14 @@ ERROR_TABLE = [
     (["norm", "--space", "l2:3", "--expr", "d(1,0)", "--out", "{missing}"], 2, "3-dimensional"),
     (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--k", "30"], 3, "1..24"),
     (["norm", "--space", "l2:0", "--expr", "d(1)"], 3, "positive integer"),
-    (["norm", "--space", "wlp:2:[1,nan]", "--expr", "d(1,0)"], 3, "finite"),
+    (["norm", "--space", "wlp:2:[1,nan]", "--expr", "d(1,0)"], 2, "cannot parse space"),
     (["norm", "--space", "l2:1100", "--expr", "f(1)"], 3, "no float64 term 1023"),
     (["lemma44", "--instances", "-3"], 3, "instances"),
     (["lemma44", "--instances", str(2**32 + 1)], 3, "at most 2^32"),
     (["lemma44", "--l", "0"], 3, "1..24"),
     (["lemma44", "--l", "30"], 3, "1..24"),
     (["lemma44", "--seed", "-1"], 3, "seed"),
+    (["lemma44", "--instances", "1", "--mseq", "pow2"], 2, "unrecognized arguments"),
     (["lemma44", "--space", "l2:50", "--l", "24"], 3, "lower --l"),
     (["lemma44", "--l", "21"], 3, "lower --l"),
     # the sign-cube norms of one instance fit, but not the rest of its count
@@ -247,6 +249,37 @@ def test_reports_are_pinned(argv, digest, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one tiny valid command per subcommand
+EVERY_COMMAND = [
+    ["norm", "--space", "l2:2", "--expr", "d(1,0)", "--restarts", "1"],
+    ["lift-verify", "--space", "l1:1", "--instances", "2", "--coeff-vectors", "1",
+     "--restarts", "1"],
+    ["lemma44", "--instances", "1"],
+]
+
+
+def test_every_flag_reaches_its_command(capsys):
+    # a flag that its command never reads is accepted and then ignored
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(argv[0] for argv in EVERY_COMMAND)
+    for argv in EVERY_COMMAND:
+        args = parser.parse_args(argv, namespace=Recording())
+        reads.clear()
+        assert args.func(args) == 0
+        capsys.readouterr()
+        dests = {a.dest for a in commands[argv[0]]._actions if a.dest != "help"}
+        assert dests - reads == set(), argv[0]
 
 
 def test_expression_errors_report_their_offset(capsys):

@@ -138,7 +138,8 @@ def test_sibling_states_match_seed_sequence(seed, key, bounds):
         ss = np.random.SeedSequence(seed, spawn_key=key + (i,))
         assert words.tolist() == ss.generate_state(4, np.uint64).tolist()
     # a generator seeded from a row draws what numpy's seeding gives
-    for i, got in zip(range(start, stop), kernels.sibling_rngs(seed, key, start, stop)):
+    for i, words in zip(range(start, stop), states):
+        got = np.random.Generator(np.random.PCG64(kernels._StateWords(words)))
         want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
         assert got.integers(2**40) == want.integers(2**40)
         assert got.standard_normal((3, 2)).tobytes() == want.standard_normal((3, 2)).tobytes()
@@ -291,9 +292,9 @@ def test_bounded_draws_match_generator_integers(seed, key, normals, index_range,
         else:
             w = bits.random_raw()
             x, kept = w & 0xFFFFFFFF, [w >> 32]
-        value, ok = kernels.bounded_draws(x, r)
-        assume(ok)
-        got_key.append(value)
+        value, ok = kernels.bounded_draws(np.array([x], dtype=np.uint64), np.uint64(r))
+        assume(ok[0])
+        got_key.append(int(value[0]))
     assert rng.standard_normal(normals).tobytes() == want_normals.tobytes()
     fresh = kernels.pcg64_words32(bits.random_raw((count + 1) // 2))
     words = np.concatenate([np.array(kept, dtype=np.uint64), fresh])[:count]
@@ -304,6 +305,10 @@ def test_bounded_draws_match_generator_integers(seed, key, normals, index_range,
 
 
 def test_bounded_draws_report_rejected_words():
+    def draw(x, r):
+        value, ok = kernels.bounded_draws(np.array([x], dtype=np.uint64), np.uint64(r))
+        return int(value[0]), bool(ok[0])
+
     # numpy rejects x where x * r mod 2^32 < 2^32 mod r: craft the words
     # whose x * r mod 2^32 is one below and at that threshold
     for r in (3, 5, 7):
@@ -311,15 +316,12 @@ def test_bounded_draws_report_rejected_words():
         inverse = pow(r, -1, 2**32)
         below, at = (threshold - 1) * inverse % 2**32, threshold * inverse % 2**32
         for x, accepted in ((below, False), (at, True), (0, False)):
-            value, ok = kernels.bounded_draws(x, r)
-            assert (value, ok) == (x * r >> 32, accepted)
-            values, oks = kernels.bounded_draws(np.array([x, x], dtype=np.uint64), np.uint64(r))
-            assert values.tolist() == [value] * 2 and oks.tolist() == [accepted] * 2
+            assert draw(x, r) == (x * r >> 32, accepted)
     # even ranges: 2^32 mod 6 = 4, and x = 0 gives 0; powers of two reject nothing
-    assert kernels.bounded_draws(0, 6) == (0, False)
-    assert kernels.bounded_draws(0, 8) == (0, True)
+    assert draw(0, 6) == (0, False)
+    assert draw(0, 8) == (0, True)
     # a one-value range decodes any word to 0
-    assert kernels.bounded_draws(2**32 - 1, 1) == (0, True)
+    assert draw(2**32 - 1, 1) == (0, True)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
