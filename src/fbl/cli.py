@@ -17,11 +17,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fblnorm import SearchConfig, fbl_lower_bound
-from .homfun import LiftParams, parse
-from .lifting import LiftingSystem
+# lazy modules (see fbl/__init__.py): each command touches only the ones
+# it runs, so it executes no other module's code
+from . import fblnorm, homfun, lemma44, lifting, verify
 from .spaces import ConfigError, InputError, parse_space
-from . import verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,9 +30,9 @@ EXIT_CONFIG_ERROR = 3
 __all__ = ["main", "run"]
 
 
-def _parse_mseq(text: str) -> LiftParams:
+def _parse_mseq(text: str) -> homfun.LiftParams:
     if text == "pow2":
-        return LiftParams()
+        return homfun.LiftParams()
     if text == "harmonic":
         raise ConfigError("mseq 'harmonic' rejected: sum of 1/M_n diverges")
     if text.startswith("custom:"):
@@ -42,7 +41,7 @@ def _parse_mseq(text: str) -> LiftParams:
             values = tuple(float(v) for v in body.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad custom M sequence {text!r}") from exc
-        return LiftParams(kind="custom", m_values=values)
+        return homfun.LiftParams(kind="custom", m_values=values)
     raise ConfigError(f"unknown mseq {text!r} (expected pow2 or custom:LIST)")
 
 
@@ -61,11 +60,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def cmd_norm(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
-    expr = parse(args.expr, params)
+    expr = homfun.parse(args.expr, params)
     params.arrays(space.dim)  # the M sequence must cover the space
-    config = SearchConfig(k=args.k, restarts=args.restarts,
-                          local_steps=args.local_steps, seed=args.seed)
-    est = fbl_lower_bound(expr, space, config)
+    config = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
+                                  local_steps=args.local_steps, seed=args.seed)
+    est = fblnorm.fbl_lower_bound(expr, space, config)
     _emit(est.to_dict(), args.out)
     print(f"norm lower bound {est.lower_bound:.9g} "
           f"(objective {est.objective:.9g} / constraint {est.constraint:.9g})",
@@ -78,9 +77,9 @@ def cmd_lift_verify(args) -> int:
     space = parse_space(args.space)
     if args.coeff_vectors < 0:
         raise ConfigError(f"--coeff-vectors must be >= 0, got {args.coeff_vectors}")
-    system = LiftingSystem(space, params)
-    search = SearchConfig(k=args.k, restarts=args.restarts,
-                          local_steps=args.local_steps, seed=args.seed)
+    system = lifting.LiftingSystem(space, params)
+    search = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
+                                  local_steps=args.local_steps, seed=args.seed)
 
     reports = [
         verify.check_biorthogonal(system),
@@ -116,8 +115,8 @@ def _merge(reports, name):
 
 def cmd_lemma44(args) -> int:
     space = parse_space(args.space) if args.space else None
-    report = verify.check_lemma44(space, instances=args.instances,
-                                  max_l=args.l, seed=args.seed)
+    report = lemma44.check_lemma44(space, instances=args.instances,
+                                   max_l=args.l, seed=args.seed)
     _emit(report.to_dict(), args.out)
     print(f"lemma44: {'pass' if report.passed else 'FAIL'} "
           f"({report.instances} instances, worst slack {report.worst_slack})",

@@ -25,7 +25,16 @@ import numpy as np
 
 from . import kernels
 from .homfun import HomExpr, eval_batch
-from .spaces import ConfigError, DimensionMismatch, InputError, Space
+from .spaces import (
+    SIGN_CUBE_CAP,
+    SIGN_TENSOR_CAP,
+    ConfigError,
+    DimensionMismatch,
+    InputError,
+    Space,
+    check_sign_tensor,
+    l1_extreme_point_constraint,
+)
 
 __all__ = [
     "SIGN_CUBE_CAP",
@@ -44,11 +53,6 @@ __all__ = [
     "l1_extreme_point_constraint",
 ]
 
-SIGN_CUBE_CAP = 24
-# most float64 elements a constraint evaluation may hold in sign-cube
-# tensors at once (a search counts all its live temporaries): 512 MB
-SIGN_TENSOR_CAP = 2**26
-
 # float64 arrays of the moved functionals' shape (2kd rows of d per
 # restart) that one search step holds at once, its terms' values included
 # (measured with tracemalloc on the lifting generators)
@@ -63,15 +67,6 @@ DECAY_ROUNDS = 20
 
 class DependenceError(InputError):
     """Function depends on coordinates outside the declared support."""
-
-
-def check_sign_tensor(elements: int, remedy: str) -> None:
-    """Refuse, before allocating, sign-cube tensors over SIGN_TENSOR_CAP."""
-    if elements > SIGN_TENSOR_CAP:
-        raise ConfigError(
-            f"the sign-cube tensors would hold {elements} elements, over the cap "
-            f"of {SIGN_TENSOR_CAP}; {remedy}"
-        )
 
 
 def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
@@ -100,16 +95,6 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     norms = kernels.pattern_norms(X, S, space.q)
     idx = int(np.argmax(norms))
     return float(norms[idx]), S[idx].copy()
-
-
-def l1_extreme_point_constraint(functionals) -> np.ndarray:
-    """Independent oracle for ell_1: C = max_j sum_i |x_i*(e_j)|.
-
-    functionals: one (k, d) tuple or a stack (..., k, d) of them; returns
-    one C per tuple.
-    """
-    X = np.asarray(functionals, dtype=np.float64)
-    return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
 @dataclass(frozen=True)

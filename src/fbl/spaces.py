@@ -3,6 +3,10 @@
 Coordinates are always taken with respect to the *normalized* basis (every
 basis vector has norm 1).  In those coordinates a weighted ell_p norm is
 isometrically the plain ell_p norm, so the ell_p family covers it.
+
+The sign-cube caps and the ell_1 extreme-point oracle live here too, so
+that the norm search and the Lemma 4.4 suite share them without either
+loading the other.
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ __all__ = [
     "SpaceSyntaxError",
     "BasisIndexError",
     "parse_space",
+    "SIGN_CUBE_CAP",
+    "SIGN_TENSOR_CAP",
+    "check_sign_tensor",
+    "l1_extreme_point_constraint",
 ]
+
+SIGN_CUBE_CAP = 24
+# most float64 elements a constraint evaluation may hold in sign-cube
+# tensors at once (a search counts all its live temporaries): 512 MB
+SIGN_TENSOR_CAP = 2**26
 
 
 class InputError(ValueError):
@@ -44,6 +57,25 @@ class SpaceSyntaxError(InputError):
 
 class BasisIndexError(InputError, IndexError):
     """A basis index outside 1..d."""
+
+
+def check_sign_tensor(elements: int, remedy: str) -> None:
+    """Refuse, before allocating, sign-cube tensors over SIGN_TENSOR_CAP."""
+    if elements > SIGN_TENSOR_CAP:
+        raise ConfigError(
+            f"the sign-cube tensors would hold {elements} elements, over the cap "
+            f"of {SIGN_TENSOR_CAP}; {remedy}"
+        )
+
+
+def l1_extreme_point_constraint(functionals) -> np.ndarray:
+    """Independent oracle for ell_1: C = max_j sum_i |x_i*(e_j)|.
+
+    functionals: one (k, d) tuple or a stack (..., k, d) of them; returns
+    one C per tuple.
+    """
+    X = np.asarray(functionals, dtype=np.float64)
+    return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
 def _lp_norm(coords: np.ndarray, p: float) -> np.ndarray:

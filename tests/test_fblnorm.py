@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fbl import fblnorm, kernels
+from fbl import fblnorm, kernels, spaces
 from fbl.fblnorm import (
     ConfigError,
     DependenceError,
@@ -408,7 +408,7 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
     assert sizes == [3, 3, 1]
     assert chunked == whole
     # one search over the cap is still refused before any work
-    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 1187)
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 1187)
     with pytest.raises(ConfigError, match="--restarts"):
         fbl_lower_bounds(system.generators, A, system.space, cfg)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbl import fblnorm, kernels, verify
+from fbl import fblnorm, kernels, lemma44, verify
 from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound, tuple_constraint
 from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale, eval_batch
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
@@ -130,8 +130,8 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
              for space in (None, "l1:5")}
     assert all(json.loads(report)["failures"] for report in whole.values())
     blocks = []
-    draws = verify._lemma44_draws
-    monkeypatch.setattr(verify, "_lemma44_draws",
+    draws = lemma44._lemma44_draws
+    monkeypatch.setattr(lemma44, "_lemma44_draws",
                         lambda space, seed, lo, hi, *rest:
                         blocks.append(hi - lo) or draws(space, seed, lo, hi, *rest))
     # one element short of three instances' count leaves blocks of two
@@ -144,7 +144,7 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
             # its normals and 3 * 6 * d for their copies, a record of
             # 4 * 6 + 4 * d + 12 and the words that seed its stream
             assert kernels.PATTERN_ARRAYS == 4
-            monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
+            monkeypatch.setattr(lemma44, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
                 ((4 * d_max + 2) << 5) + 4 * 6 * d_max + 4 * 6 + 4 * d_max + 12
                 + kernels.PCG64_WORDS))
             blocks.clear()
@@ -173,14 +173,14 @@ def test_lemma44_blocks_match_each_group_alone(monkeypatch):
     # bit with lemma_unconditional_batch on its (p, d, l) group alone and
     # with the left side built by adding the tuple's terms in order
     runs = []
-    sides = verify._lemma_sides
+    sides = lemma44._lemma_sides
 
     def recording(space, rows, ms, ls, stacks):
         out = sides(space, rows, ms, ls, stacks)
         runs.append((space, ms.copy(), [S.copy() for S in stacks], out))
         return out
 
-    monkeypatch.setattr(verify, "_lemma_sides", recording)
+    monkeypatch.setattr(lemma44, "_lemma_sides", recording)
     for space, max_l, instances in LEMMA44_BITS:
         check_lemma44(parse_space(space) if space else None, instances=instances,
                       max_l=max_l, seed=9)
@@ -210,18 +210,18 @@ def test_lemma44_measures_once_per_block(monkeypatch):
     # one _lp_norm call normalises a (p, d) block's rows, one takes its
     # left sides: the per-group loop took 3 per (p, d, l) group
     calls = []
-    lp_norm = verify._lp_norm
-    monkeypatch.setattr(verify, "_lp_norm",
+    lp_norm = lemma44._lp_norm
+    monkeypatch.setattr(lemma44, "_lp_norm",
                         lambda coords, p: calls.append(p) or lp_norm(coords, p))
     blocks = []
-    draws = verify._lemma44_draws
+    draws = lemma44._lemma44_draws
 
     def recording(*args):
         out = draws(*args)
         blocks.extend((pi, d) for pi, d, *_ in out)
         return out
 
-    monkeypatch.setattr(verify, "_lemma44_draws", recording)
+    monkeypatch.setattr(lemma44, "_lemma44_draws", recording)
     check_lemma44(instances=3000, seed=4)
     assert len(set(blocks)) == len(verify.LEMMA44_PS) * 7
     assert len(calls) <= 2 * len(set(blocks))
@@ -239,8 +239,8 @@ def test_lemma44_redraws_instances_with_rejected_words(monkeypatch):
 
     monkeypatch.setattr(kernels, "bounded_draws", rejecting)
     redrawn = []
-    generator_draws = verify._lemma44_generator_draws
-    monkeypatch.setattr(verify, "_lemma44_generator_draws",
+    generator_draws = lemma44._lemma44_generator_draws
+    monkeypatch.setattr(lemma44, "_lemma44_generator_draws",
                         lambda space, seed, i, max_l: redrawn.append(i)
                         or generator_draws(space, seed, i, max_l))
     for space in (None, "l2:3"):
@@ -259,11 +259,11 @@ def test_lemma44_redraws_instances_with_rejected_words(monkeypatch):
 def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
     # the block count covers every array a block holds: the sign patterns,
     # the draws and their records, the stream seeds and pattern_norms
-    monkeypatch.setattr(verify, "SIGN_TENSOR_CAP", 1 << 16)
+    monkeypatch.setattr(lemma44, "SIGN_TENSOR_CAP", 1 << 16)
     sp = parse_space(space) if space else None
     blocks = []
-    draws = verify._lemma44_draws
-    monkeypatch.setattr(verify, "_lemma44_draws",
+    draws = lemma44._lemma44_draws
+    monkeypatch.setattr(lemma44, "_lemma44_draws",
                         lambda space, seed, lo, hi, *rest:
                         blocks.append(hi - lo) or draws(space, seed, lo, hi, *rest))
     kernels.sign_patterns.cache_clear()
@@ -275,7 +275,7 @@ def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
         tracemalloc.stop()
     assert len(blocks) > 1
     # about 12 KB of report and Python objects whatever the block
-    assert peak <= 8 * verify.SIGN_TENSOR_CAP + 16384
+    assert peak <= 8 * lemma44.SIGN_TENSOR_CAP + 16384
 
 
 def test_lemma44_failures_come_in_instance_order(monkeypatch):
@@ -294,7 +294,7 @@ def test_lemma44_failures_come_in_instance_order(monkeypatch):
     assert both
     # the oracle alone: only mismatch entries, in instance order
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "l1_extreme_point_constraint",
+    monkeypatch.setattr(lemma44, "l1_extreme_point_constraint",
                         lambda X: 2.0 * np.abs(X).sum(axis=-2).max(axis=-1))
     report = check_lemma44(parse_space("l1:3"), instances=40, max_l=3, seed=1)
     assert [f["instance"] for f in report.failures] == list(range(40))
