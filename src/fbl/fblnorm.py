@@ -282,8 +282,7 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     # restart r draws its (k, d) tuple from SeedSequence(seed, spawn_key=(r,)),
     # the r-th child of SeedSequence(seed); restarts along axis 1 of X0
     draws = np.empty((R, k, d))
-    kernels.pcg64_normals(kernels.sibling_states(config.seed, (), 0, R),
-                          np.full(R, k * d), np.zeros(R, dtype=np.int64), draws.reshape(-1))
+    kernels.pcg64_normals(kernels.sibling_states(config.seed, (), 0, R), draws)
     X0 = draws.transpose(1, 0, 2)
     # as many searches at once as keep the temporaries under the cap
     chunk = SIGN_TENSOR_CAP // per_search

@@ -6,7 +6,6 @@ All kernels are careful to produce *literal* zeros where the formulas clamp
 
 from __future__ import annotations
 
-import array
 import functools
 import math
 
@@ -25,13 +24,8 @@ __all__ = [
     "PATTERN_ARRAYS",
     "pattern_elements",
     "SIBLING_WORDS",
-    "PCG64_WORDS",
     "sibling_states",
-    "pcg64_take",
-    "pcg64_words32",
     "pcg64_normals",
-    "pcg64_word_runs",
-    "bounded_draws",
 ]
 
 # recorded in benchmark environment blocks; numpy is the only implementation
@@ -69,9 +63,6 @@ _POOL = 4
 # 8-byte words per stream that sibling_states holds at its peak, its 4
 # output words included
 SIBLING_WORDS = 10
-# 8-byte words per stream that pcg64_take holds at its peak for count <= 2,
-# its input and output words included; more than SIBLING_WORDS
-PCG64_WORDS = 24
 
 # sign_patterns caches its matrices up to this tuple size: 2^15 rows, about
 # 8 MB for all of them together; a larger one is built afresh per call
@@ -410,164 +401,8 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _limbs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The 128-bit numbers hi << 64 | lo, for uint64 arrays hi and lo, as
-    a (4, n) uint64 array of 32-bit limbs, least significant first."""
-    return np.stack([lo & _MASK32, lo >> 32, hi & _MASK32, hi >> 32])
-
-
-def _carry(s: np.ndarray) -> np.ndarray:
-    """Limbs s of up to 35 bits each, reduced in place to 32-bit limbs of
-    the same number mod 2^128."""
-    for k in range(3):
-        s[k + 1] += s[k] >> 32
-        s[k] &= _MASK32
-    s[3] &= _MASK32
-    return s
-
-
-# the limbs of PCG64's multiplier
-_PCG64_MULT = [np.uint64(0x2360ED051FC65DA44385DF649FCCF645 >> 32 * j & _MASK32)
-               for j in range(4)]
-
-
-def _pcg64_step(s: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """The next PCG64 states s * M + inc mod 2^128, as limbs.
-
-    Column k sums inc's limb k and the products of the limbs i and k - i
-    of s and M.  The columns below 3 take each product's low half and
-    pass its high half to the next column, so a column sum stays below
-    2^35; column 3 keeps only its low 32 bits, which wrapping uint64 sums
-    give exactly.
-    """
-    out = inc.copy()
-    for k in range(4):
-        for i in range(k + 1):
-            p = s[i] * _PCG64_MULT[k - i]
-            if k < 3:
-                out[k + 1] += p >> 32
-                p &= _MASK32
-            out[k] += p
-    return _carry(out)
-
-
-def _xsl_rr(s: np.ndarray) -> np.ndarray:
-    """PCG64's outputs from the states s (limbs): the xor of the two 64-bit
-    halves of each, rotated right by its top 6 bits."""
-    hi = s[2] | s[3] << 32
-    x = (s[0] | s[1] << 32) ^ hi
-    rot = hi >> 58
-    # (-rot) & 63, so that a rotation by 0 shifts by 0, not by 64
-    return x >> rot | x << (-rot & 63)
-
-
-def pcg64_take(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first count outputs of PCG64 seeded with each row of words (n,
-    4), as random_raw(count) gives them, and seed rows that start right
-    after them.
-
-    numpy's PCG64 (O'Neill, "PCG: a family of simple fast space-efficient
-    statistically good algorithms", 2014) is a 128-bit LCG with multiplier
-    M and the odd increment inc = (w2 << 64 | w3) << 1 | 1.  Seeding from
-    initstate = w0 << 64 | w1 sets the state to (inc + initstate) * M +
-    inc; each output steps s <- s * M + inc and returns the XSL-RR of the
-    new state.  So the generator seeded with initstate' = s - inc, for the
-    state s before the last step taken (inc + initstate for count = 0),
-    and the same w2, w3 continues where those outputs stop.  The
-    arithmetic runs on 32-bit limbs in uint64 lanes, one pass for the
-    whole block.  Returns a (n, count) uint64 array and a C-contiguous (n,
-    4) uint64 copy of words with w0, w1 replaced.
-    """
-    w = words.T
-    inc = _limbs(w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
-    before = _carry(inc + _limbs(w[0], w[1]))
-    out = np.empty((len(words), count), dtype=np.uint64)
-    if count:
-        s = _pcg64_step(before, inc)
-        for j in range(count):
-            before, s = s, _pcg64_step(s, inc)
-            out[:, j] = _xsl_rr(s)
-        s = None
-    # before - inc: add the two's complement of inc
-    inc ^= _MASK32
-    inc[0] += 1
-    before = _carry(before + inc)
-    shifted = np.array(words, dtype=np.uint64, order="C")
-    shifted[:, 0] = before[2] | before[3] << 32
-    shifted[:, 1] = before[0] | before[1] << 32
-    return out, shifted
-
-
-def pcg64_words32(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit words that PCG64 hands out from its 64-bit outputs raw,
-    as a uint32 view of raw.
-
-    PCG64 answers a request for 32 bits with the low half of a fresh 64-bit
-    output and keeps the high half for the next request, so output j gives
-    words 2j and 2j + 1 along the last axis.  A draw that takes whole
-    64-bit outputs, such as standard_normal, leaves a kept half in place.
-    """
-    return raw.astype("<u8", copy=False).view("<u4")
-
-
-def pcg64_normals(words: np.ndarray, sizes, counts, out: np.ndarray) -> np.ndarray:
-    """Draw from PCG64 seeded with each row of words (n, 4) in turn:
-    sizes[i] standard normals into the next sizes[i] entries of out, the
-    values Generator.standard_normal gives, then counts[i] raw 64-bit
-    outputs.  Returns the raw outputs, row after row, as a uint64 array.
-    """
-    raw = array.array("Q")
-    at = 0
-    for row, size, count in zip(words, sizes.tolist(), counts.tolist()):
-        bits = np.random.PCG64(_StateWords(row))
-        np.random.Generator(bits).standard_normal(out=out[at:at + size])
-        for _ in range(count):
-            raw.append(bits.random_raw())
-        at += size
-    return np.frombuffer(raw, dtype=np.uint64)
-
-
-def pcg64_word_runs(kept, raw: np.ndarray, outputs, counts) -> np.ndarray:
-    """The first counts[i] 32-bit words that PCG64 stream i hands out,
-    stream after stream, as a uint32 array.
-
-    A stream's words are the high half of kept[i], the 64-bit output whose
-    low half it handed out last, if kept is given (then every counts[i] >=
-    1), and then both halves of its outputs[i] fresh 64-bit outputs, which
-    follow one another in raw (see pcg64_words32).
-    """
-    k = int(kept is not None)
-    lead = kept if k else np.empty(0, dtype=np.uint64)
-    starts = np.cumsum(counts) - counts
-    src = np.repeat(2 * (len(lead) + np.cumsum(outputs) - outputs) - k - starts, counts)
-    src += np.arange(len(src))
-    if k:
-        src[starts] = 2 * np.arange(len(counts)) + 1
-    return pcg64_words32(np.concatenate([lead, raw]))[src]
-
-
-def bounded_draws(x, r):
-    """The value Generator.integers(0, r) draws from the 32-bit word x, with
-    whether numpy accepts x: (x * r >> 32, x * r mod 2^32 >= 2^32 mod r).
-
-    numpy draws an integer from a range of r < 2^32 values by Lemire's
-    method ("Fast random integer generation in an interval", ACM TOMACS
-    2019), one 32-bit word per draw: with m = x * r it rejects x, and
-    draws the next word, while m mod 2^32 < 2^32 mod r, and otherwise
-    returns m >> 32.  A range of one value takes no word; any x decodes to
-    its value 0 and is accepted.  x is an unsigned integer array and r an
-    unsigned integer array or scalar below 2^32 that broadcasts with it;
-    the values come out as a uint32 view of the uint64 products, the flags
-    as a bool array.  Rejection has probability (2^32 mod r) / 2^32 < r /
-    2^32 per draw.
-    """
-    m = np.multiply(x, r, dtype=np.uint64)
-    halves = pcg64_words32(m)
-    low, value = halves[..., 0::2], halves[..., 1::2]
-    # 2^32 mod r < r, so only a low half below r can be rejected: the
-    # threshold is taken at those few words alone
-    accepted = low >= r
-    near = np.nonzero(~accepted)
-    accepted[near] = low[near] >= np.remainder(1 << 32, np.broadcast_to(r, m.shape)[near],
-                                               dtype=np.uint64)
-    return value, accepted
+def pcg64_normals(words: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[i] with the standard normals that Generator.standard_normal
+    draws from PCG64 seeded with row i of words (n, 4), for each i."""
+    for row, o in zip(words, out):
+        np.random.Generator(np.random.PCG64(_StateWords(row))).standard_normal(out=o)

@@ -130,118 +130,67 @@ def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.nda
         for S in stacks])
 
 
-def _lemma44_generator_draws(space: Space | None, seed: int, i: int, max_l: int):
-    """Instance i's key (index into LEMMA44_PS, d, l), its l * d normals
-    and its l basis indices, drawn with numpy's Generator calls in the
-    order the test oracle makes them."""
-    rng = _rng(seed, 1, i)
-    if space is None:
-        pi = int(rng.integers(len(LEMMA44_PS)))
-        d = int(rng.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1))
-    else:
-        pi, d = 0, space.dim
-    l = int(rng.integers(1, max_l + 1))
-    return (pi, d, l), rng.standard_normal(l * d), rng.integers(1, d + 1, size=l)
+def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d_max: int):
+    """The instances lo..hi-1 of check_lemma44, in (p, d) blocks of (p, d, l) groups.
 
-
-def _lemma44_draws(space: Space | None, seed: int, lo: int, hi: int, max_l: int, d_max: int):
-    """The instances lo..hi-1 of check_lemma44, drawn one stream each, in
-    (p, d) blocks of (p, d, l) groups.
+    streams: the five generators of check_lemma44, one per drawn quantity:
+    each instance's exponent (an index into LEMMA44_PS) and dimension d
+    (both without a space), its tuple size l, its l * d normals (l rows of
+    d) and its l basis indices.  One call per stream draws them for the
+    whole block, instance after instance, and each stream goes on where
+    the last block left it, so an instance's values do not depend on the
+    block size.
 
     Returns one tuple (index into LEMMA44_PS, d, members, ls, rows, ms,
     stacks) per (p, d) block: its instances' numbers, group after group
-    and each group in instance order; their tuple sizes; their
-    raw functionals, the rows (sum(ls), d), instance after instance; each
-    row's basis index; and the (n_g, l, d) stacks of rows, one per group.
-    The blocks' rows are views of one buffer of the normals, their ms of
-    one array of the indices, and the stacks views of the rows.
-
-    Every value is the one _lemma44_generator_draws gives.  The key words
-    come from kernels.pcg64_take, which computes the first outputs of
-    every stream of the block in one pass and the seed that starts each
-    stream right after them.  The bounded draws are decoded from those and
-    from the raw outputs after the normals with kernels.bounded_draws,
-    each for the whole block.  Only the normals are drawn with a
-    Generator (kernels.pcg64_normals), straight into the instance's rows.  An
-    instance with a key word numpy would reject (probability below 2^-29
-    per draw) takes its key and normals from the Generator calls, and one
-    with a rejected index word its indices.
+    and each group in instance order; their tuple sizes; their raw
+    functionals, the rows (sum(ls), d), instance after instance; each
+    row's basis index; and the (n_g, l, d) stacks of rows, one per group,
+    views of the rows.
     """
     n = hi - lo
-    # numpy takes one 32-bit word per bounded draw from more than one
-    # value: the low half of a fresh 64-bit output, or the high half kept
-    # from the last one.  Without --space the key takes both halves of one
-    # output, and l takes the low half of the next when max_l > 1, whose
-    # high half the first index takes; the other index words come after
-    # the normals.
-    kept = int(max_l > 1)
-    # instance i draws from SeedSequence(seed, spawn_key=(1, i))
-    head, states = kernels.pcg64_take(kernels.sibling_states(seed, (1,), lo, hi),
-                                      int(space is None) + kept)
-    keys = np.empty((n, 3), dtype=np.int64)
-    ok = np.ones(n, dtype=bool)
+    exponents, dims, sizes, normals, indices = streams
     if space is None:
-        keys[:, 0], ok = kernels.bounded_draws(head[:, 0] & 0xFFFFFFFF,
-                                               np.uint64(len(LEMMA44_PS)))
-        keys[:, 1], ok_d = kernels.bounded_draws(
-            head[:, 0] >> 32, np.uint64(LEMMA44_DIMS[1] - LEMMA44_DIMS[0] + 1))
-        keys[:, 1] += LEMMA44_DIMS[0]
-        ok &= ok_d
+        pis = exponents.integers(len(LEMMA44_PS), size=n)
+        ds = dims.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1, size=n)
     else:
-        keys[:, :2] = 0, space.dim
-    if kept:
-        keys[:, 2], ok_l = kernels.bounded_draws(head[:, -1] & 0xFFFFFFFF, np.uint64(max_l))
-        keys[:, 2] += 1
-        ok &= ok_l
-    else:
-        keys[:, 2] = 1  # a one-value range takes no word
-    redrawn = {}
-    for t in np.flatnonzero(~ok).tolist():
-        keys[t], redrawn[t], _ = _lemma44_generator_draws(space, seed, lo + t, max_l)
+        pis, ds = np.zeros(n, dtype=np.int64), np.full(n, space.dim)
+    ls = sizes.integers(1, max_l + 1, size=n)
+    # each row's dimension, instance after instance
+    row_ds = np.repeat(ds, ls)
+    coords = normals.standard_normal(int(row_ds.sum()))
+    ms = indices.integers(1, row_ds + 1)
+    # each row's first coordinate, instance after instance
+    row_starts = np.cumsum(row_ds) - row_ds
+    row_ds = None
     # the instances group after group, each group in instance order
-    order = np.argsort((keys[:, 0] * (d_max + 1) + keys[:, 1]) * (max_l + 1) + keys[:, 2],
-                       kind="stable")
-    keys, states, ok = keys[order], states[order], ok[order]
+    order = np.argsort((pis * (d_max + 1) + ds) * (max_l + 1) + ls, kind="stable")
+    first_row = (np.cumsum(ls) - ls)[order]
+    pis, ds, ls = pis[order], ds[order], ls[order]
+    # instance t's rows in that order are edges[t]..edges[t+1]-1, and
+    # src[k] is the number of row k in instance order
+    edges = np.concatenate([[0], np.cumsum(ls)])
+    src = np.repeat(first_row - edges[:-1], ls)
+    src += np.arange(edges[-1])
+    ms, starts = ms[src], row_starts[src]
+    src = row_starts = None
     # a (p, d) block starts where p or d changes
-    new_block = (keys[1:, :2] != keys[:-1, :2]).any(axis=1)
+    new_block = (pis[1:] != pis[:-1]) | (ds[1:] != ds[:-1])
     block_edges = [0, *(np.flatnonzero(new_block) + 1).tolist(), n]
-    ds, ls = keys[:, 1], keys[:, 2]
-    first_coord = np.concatenate([[0], np.cumsum(ds * ls)])
-    coords = np.empty(first_coord[-1])
-    # each instance's normals, the same values as standard_normal((l, d)),
-    # then the outputs that hold its index words
-    fresh = (ls + 1 - kept) // 2
-    words = kernels.pcg64_normals(states, ds * ls, fresh, coords)
-    states = None
-    for rank in np.flatnonzero(~ok).tolist():
-        coords[first_coord[rank]:first_coord[rank + 1]] = redrawn[int(order[rank])]
-    # index word j of an instance is the high half of the output l took
-    # from for j = 0 if max_l > 1, else fresh word j - kept (a one-value
-    # range, d = 1, takes none, but decodes from any word)
-    x = kernels.pcg64_word_runs(head[order, -1] if kept else None, words, fresh, ls)
-    head = words = None
-    values, accepted = kernels.bounded_draws(x, np.repeat(ds.astype(np.uint32), ls))
-    x = None
-    indices = values.astype(np.int32)
-    indices += 1
-    values = None
-    first_row = np.concatenate([[0], np.cumsum(ls)])
-    starts = first_row[:-1]
-    # the instances redrawn for their key or with a rejected index word
-    ok &= np.logical_and.reduceat(accepted, starts)
-    for rank in np.flatnonzero(~ok).tolist():
-        _, _, ms = _lemma44_generator_draws(space, seed, lo + int(order[rank]), max_l)
-        indices[starts[rank]:starts[rank] + len(ms)] = ms
-    # the (p, d) blocks, each a run of (p, d, l) groups
     blocks = []
     for b0, b1 in zip(block_edges[:-1], block_edges[1:]):
-        pi, d = keys[b0, :2].tolist()
+        d = int(ds[b0])
+        # the block's rows: row k of windows views the d coordinates from
+        # coordinate k on (sliding_window_view makes the same view, but its
+        # reference cycles wait for the cyclic collector, and over repeated
+        # runs they raised the process's peak memory)
+        windows = np.ndarray((coords.size - d + 1, d), buffer=coords, strides=(8, 8))
+        rows = windows[starts[edges[b0]:edges[b1]]]
         inner = [b0, *(np.flatnonzero(ls[b0 + 1:b1] != ls[b0:b1 - 1]) + b0 + 1).tolist(), b1]
-        stacks = [coords[first_coord[g0]:first_coord[g1]].reshape(g1 - g0, -1, d)
+        stacks = [rows[edges[g0] - edges[b0]:edges[g1] - edges[b0]].reshape(g1 - g0, -1, d)
                   for g0, g1 in zip(inner[:-1], inner[1:])]
-        blocks.append((pi, d, lo + order[b0:b1], ls[b0:b1],
-                       coords[first_coord[b0]:first_coord[b1]].reshape(-1, d),
-                       indices[first_row[b0]:first_row[b1]], stacks))
+        blocks.append((int(pis[b0]), d, lo + order[b0:b1], ls[b0:b1], rows,
+                       ms[edges[b0]:edges[b1]], stacks))
     return blocks
 
 
@@ -256,11 +205,12 @@ def check_lemma44(
     With `space` given, dimension and exponent are fixed; otherwise each
     instance draws them from LEMMA44_PS x LEMMA44_DIMS.  Every ell_1
     instance additionally cross-checks the sign-cube constraint against the
-    extreme-point formula.  Each instance is drawn from its own stream,
-    SeedSequence(seed, spawn_key=(1, i)) for instance i, and a block's
-    streams are seeded in one vectorised pass, in blocks of as many
-    instances as keep pattern_norms at its peak, the draws, their
-    evaluation and the stream seeds under the cap.  A block's instances are
+    extreme-point formula.  Each drawn quantity has its own stream,
+    SeedSequence(seed, spawn_key=(1, j)) for j = 0..4: exponent,
+    dimension, tuple size, normals and basis indices, which every instance
+    draws from in turn.  The instances are drawn in blocks of as many as
+    keep pattern_norms at its peak, the draws and their evaluation under
+    the cap, each block with one call per stream.  A block's instances are
     evaluated one (p, d) at a time, by the routine lemma_unconditional_batch
     uses: one normalisation of all their functionals, one left side each
     from one bincount, and the sign-cube norms one (p, d, l) group at a
@@ -272,24 +222,23 @@ def check_lemma44(
     if instances < 0:
         raise ConfigError(f"instances must be >= 0, got {instances}")
     if instances > 2**32:
-        # instance i's stream key holds i as one 32-bit word
         raise ConfigError(f"instances must be at most 2^32, got {instances}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     d_max = space.dim if space else LEMMA44_DIMS[1]
-    # per instance, a block keeps its normals (max_l * d_max numbers at
-    # most) from their draw on.  Besides them it holds, one phase after
-    # the other, its stream's seed words while they are made and advanced
-    # (kernels.PCG64_WORDS at the peak, more than kernels.SIBLING_WORDS),
-    # a record of fewer than 4 * max_l + 4 * d_max + 12 numbers (key,
-    # order, raw words and the index decode, then the indices, the gather
-    # and the bincount keys, z and its norm's three temporaries, lhs and
-    # rhs), three copies of its normals (the temporaries of their norms,
-    # then the ell_1 oracle's), and pattern_norms; it counts their sum.
+    # per instance, a block keeps its gathered normals (max_l * d_max
+    # numbers at most) and their basis indices from the draw on.  Besides
+    # them it holds while drawing the normals in instance order and at
+    # most 4 * max_l + 6 numbers (keys, order, row starts and gather
+    # indices); then while evaluating three copies of its normals (the
+    # temporaries of their norms, then the ell_1 oracle's), at most
+    # 3 * max_l + 4 * d_max + 6 numbers (the bincount keys, z and its
+    # norm's three temporaries, lhs and rhs) and pattern_norms.  It counts
+    # the sum of both phases, whose peaks tracemalloc measures below it.
     # The sign patterns are held once
     patterns = kernels.pattern_elements(0, max_l, d_max)
-    per_instance = (kernels.pattern_elements(1, max_l, d_max) - patterns + 4 * max_l * d_max
-                    + 4 * max_l + 4 * d_max + 12 + kernels.PCG64_WORDS)
+    per_instance = (kernels.pattern_elements(1, max_l, d_max) - patterns + 5 * max_l * d_max
+                    + 8 * max_l + 4 * d_max + 12)
     check_sign_tensor(patterns + per_instance, "lower --l")
     report = CheckReport(
         check="lemma44",
@@ -299,9 +248,10 @@ def check_lemma44(
     )
     failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
     block = (SIGN_TENSOR_CAP - patterns) // per_instance
+    streams = [_rng(seed, 1, j) for j in range(5)]
     for lo in range(0, instances, block):
         for pi, d, members, ls, rows, ms, stacks in _lemma44_draws(
-                space, seed, lo, min(lo + block, instances), max_l, d_max):
+                space, streams, lo, min(lo + block, instances), max_l, d_max):
             sp = space or Space.lp(LEMMA44_PS[pi], d)
             rows /= np.maximum(1.0, _lp_norm(rows, sp.q))[:, None]
             lhs, rhs = _lemma_sides(sp, rows, ms, ls, stacks)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fbl import kernels
 from fbl.homfun import LiftParams
@@ -165,163 +165,16 @@ def test_sibling_states_peak_memory():
     assert peak <= 8 * kernels.SIBLING_WORDS * n + 4096
 
 
-_WORD = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1]))
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(rows=st.lists(st.lists(_WORD, min_size=4, max_size=4), min_size=1, max_size=4),
-       count=st.integers(0, 2))
-@example(rows=[[0] * 4], count=0)
-@example(rows=[[0] * 4, [2**64 - 1] * 4], count=2)
-@example(rows=[[2**64 - 1] * 4], count=1)
-def test_pcg64_take_matches_numpy(rows, count):
-    words = np.array(rows, dtype=np.uint64)
-    head, shifted = kernels.pcg64_take(words, count)
-    assert head.shape == (len(rows), count) and head.dtype == np.uint64
-    assert shifted.flags.c_contiguous and np.array_equal(shifted[:, 2:], words[:, 2:])
-    for row, got_head, got_words in zip(words, head, shifted):
-        bits = np.random.PCG64(kernels._StateWords(row.copy()))
-        assert got_head.tolist() == bits.random_raw(count).tolist()
-        # the shifted seed continues where numpy's generator stands
-        got = np.random.Generator(np.random.PCG64(kernels._StateWords(got_words)))
-        assert got.bit_generator.random_raw(3).tolist() == bits.random_raw(3).tolist()
-        assert (got.standard_normal((3, 2)).tobytes()
-                == np.random.Generator(bits).standard_normal((3, 2)).tobytes())
-
-
-def test_pcg64_normals_and_word_runs_match_numpy(rng):
-    # each stream draws sizes[i] normals, then counts[i] raw outputs, as
-    # numpy's Generator does; its 32-bit words are a kept high half, if
-    # any, then the halves of those outputs in order
+def test_pcg64_normals_match_numpy():
+    # the norm search's start tuples: row i of out holds stream i's normals,
+    # as numpy's Generator draws them
     n = 40
     words = kernels.sibling_states(5, (1,), 0, n)
-    sizes = rng.integers(0, 12, size=n)
-    counts = rng.integers(1, 4, size=n)
-    out = np.empty(int(sizes.sum()))
-    raw = kernels.pcg64_normals(words, sizes, counts, out)
-    at = 0
+    out = np.empty((n, 3, 4))
+    kernels.pcg64_normals(words, out)
     for i, row in enumerate(words):
         gen = np.random.Generator(np.random.PCG64(kernels._StateWords(row.copy())))
-        assert out[at:at + sizes[i]].tobytes() == gen.standard_normal(sizes[i]).tobytes()
-        want = gen.bit_generator.random_raw(counts[i]).tolist()
-        assert raw[counts[:i].sum():][:counts[i]].tolist() == want
-        at += sizes[i]
-    kept = rng.integers(0, 2**63, size=n).astype(np.uint64)
-    lengths = 2 * counts - rng.integers(0, 2, size=n)
-    runs = kernels.pcg64_word_runs(None, raw, counts, lengths)
-    kept_runs = kernels.pcg64_word_runs(kept, raw, counts, lengths + 1)
-    starts = np.cumsum(lengths) - lengths
-    for i in range(n):
-        want = kernels.pcg64_words32(raw[counts[:i].sum():][:counts[i]])[:lengths[i]].tolist()
-        assert runs[starts[i]:starts[i] + lengths[i]].tolist() == want
-        got = kept_runs[starts[i] + i:starts[i] + i + lengths[i] + 1].tolist()
-        assert got == [int(kept[i]) >> 32, *want]
-
-
-def test_pcg64_take_peak_memory():
-    n = 50_000
-    words = kernels.sibling_states(3, (1,), 0, n)
-    kernels.pcg64_take(words[:8], 2)  # constants and caches built
-    for count in (0, 1, 2):
-        tracemalloc.start()
-        try:
-            kernels.pcg64_take(words, count)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # with the 4 input words, within PCG64_WORDS 8-byte words per stream
-        assert peak + words.nbytes <= 8 * kernels.PCG64_WORDS * n + 4096
-
-
-def _xsl_rr_reference(state: int) -> int:
-    """PCG64's output from a 128-bit state, with Python ints."""
-    hi, lo = state >> 64, state & (2**64 - 1)
-    x, rot = hi ^ lo, hi >> 58
-    return (x >> rot | x << (64 - rot)) & (2**64 - 1)
-
-
-def test_pcg64_output_rotation_by_zero():
-    # states whose top 6 bits are 0 rotate by 0; a shift by 64 would lose x
-    states = [0, 1, 2**64 - 1, (2**58 - 1) << 64 | 0x0123456789ABCDEF,
-              0x00DEADBEEF << 64 | 2**64 - 1, 2**128 - 1, 1 << 122 | 5, 63 << 122]
-    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
-    lo = np.array([s & (2**64 - 1) for s in states], dtype=np.uint64)
-    got = kernels._xsl_rr(kernels._limbs(hi, lo))
-    assert got.tolist() == [_xsl_rr_reference(s) for s in states]
-    # seed words that put such a state first: numpy's first output agrees
-    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
-    inverse = pow(mult, -1, 2**128)
-    w2, w3 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
-    inc = ((w2 << 64 | w3) << 1 | 1) & mask
-    for first in states[:5]:
-        # seeding steps (inc + initstate) to s0, the first output steps s0 to first
-        s0 = (first - inc) * inverse & mask
-        initstate = ((s0 - inc) * inverse - inc) & mask
-        words = np.array([[initstate >> 64, initstate & (2**64 - 1), w2, w3]], dtype=np.uint64)
-        head, _ = kernels.pcg64_take(words, 1)
-        want = np.random.PCG64(kernels._StateWords(words[0])).random_raw()
-        assert head[0, 0] == want == _xsl_rr_reference(first)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(seed=st.integers(0, 2**64), key=st.lists(st.integers(1, 8), max_size=3),
-       normals=st.integers(0, 9), index_range=st.integers(1, 8),
-       count=st.integers(1, 8))
-@example(seed=0, key=[5, 7, 1], normals=2, index_range=1, count=3)
-@example(seed=1, key=[1], normals=0, index_range=3, count=1)
-def test_bounded_draws_match_generator_integers(seed, key, normals, index_range, count):
-    # lemma44's order: bounded draws (pi, d, l), normals, then count draws
-    # from one range (the indices); numpy's Generator makes the calls
-    want_rng = np.random.default_rng(seed)
-    want_key = [int(want_rng.integers(r)) for r in key]
-    want_normals = want_rng.standard_normal(normals)
-    want_indices = want_rng.integers(index_range, size=count).tolist()
-    # the same values from the raw 64-bit outputs; a one-value range takes
-    # no word, and PCG64 keeps the high half of an output for the next
-    # 32-bit request, across the normals
-    rng = np.random.default_rng(seed)
-    bits = rng.bit_generator
-    kept = []
-    got_key = []
-    for r in key:
-        if r == 1:
-            got_key.append(0)
-            continue
-        if kept:
-            x = kept.pop()
-        else:
-            w = bits.random_raw()
-            x, kept = w & 0xFFFFFFFF, [w >> 32]
-        value, ok = kernels.bounded_draws(np.array([x], dtype=np.uint64), np.uint64(r))
-        assume(ok[0])
-        got_key.append(int(value[0]))
-    assert rng.standard_normal(normals).tobytes() == want_normals.tobytes()
-    fresh = kernels.pcg64_words32(bits.random_raw((count + 1) // 2))
-    words = np.concatenate([np.array(kept, dtype=np.uint64), fresh])[:count]
-    values, ok = kernels.bounded_draws(words, np.uint64(index_range))
-    assume(ok.all())
-    assert got_key == want_key
-    assert values.tolist() == want_indices
-
-
-def test_bounded_draws_report_rejected_words():
-    def draw(x, r):
-        value, ok = kernels.bounded_draws(np.array([x], dtype=np.uint64), np.uint64(r))
-        return int(value[0]), bool(ok[0])
-
-    # numpy rejects x where x * r mod 2^32 < 2^32 mod r: craft the words
-    # whose x * r mod 2^32 is one below and at that threshold
-    for r in (3, 5, 7):
-        threshold = 2**32 % r
-        inverse = pow(r, -1, 2**32)
-        below, at = (threshold - 1) * inverse % 2**32, threshold * inverse % 2**32
-        for x, accepted in ((below, False), (at, True), (0, False)):
-            assert draw(x, r) == (x * r >> 32, accepted)
-    # even ranges: 2^32 mod 6 = 4, and x = 0 gives 0; powers of two reject nothing
-    assert draw(0, 6) == (0, False)
-    assert draw(0, 8) == (0, True)
-    # a one-value range decodes any word to 0
-    assert draw(2**32 - 1, 1) == (0, True)
+        assert out[i].tobytes() == gen.standard_normal((3, 4)).tobytes()
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],

@@ -1,7 +1,9 @@
 """The package namespace: lazy submodules, public names and the tracer's layers."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -14,13 +16,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fbl.__file__)))
 
 
+def _python(*argv, check=True):
+    """Run a fresh interpreter that imports this fbl with argv."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=check)
+
+
 def _fresh(script, *argv):
     """Run script in a fresh interpreter that imports this fbl; its stdout as JSON."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script, *argv], cwd=ROOT,
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(out.stdout)
+    return json.loads(_python("-c", script, *argv).stdout)
 
 
 def test_public_names_resolve_lazily():
@@ -40,6 +46,29 @@ def test_public_names_resolve_lazily():
         assert getattr(fbl, name) is value
     assert parse is fbl.homfun.parse and ConfigError is fbl.spaces.ConfigError
     assert not hasattr(fbl, "no_such_name")
+
+
+# every fbl module but the package and its __main__
+MODULES = sorted(m.name for m in pkgutil.iter_modules(fbl.__path__) if not m.name.startswith("_"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    # a name deleted from a module but left in its __all__ would break
+    # `from fbl.<module> import *`
+    module = importlib.import_module(f"fbl.{name}")
+    assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def test_python_m_fbl_runs_the_command_line():
+    # runpy warns, and runs cli.py a second time, when the module it runs
+    # as __main__ is in sys.modules already; import fbl registers fbl.cli,
+    # but not fbl.__main__
+    out = _python("-W", "error::RuntimeWarning", "-m", "fbl", "lemma44", "--instances", "1",
+                  check=False)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["instances"] == 1
+    assert "Warning" not in out.stderr
 
 
 # the fbl modules whose code each command runs; the others stay lazy

@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 import tracemalloc
@@ -80,14 +79,17 @@ def _per_instance_lemma44(space, instances, max_l, seed):
     report = CheckReport(check="lemma44", instances=instances, seed=seed,
                          config={"max_l": max_l, "space": str(space) if space else None})
     ps, (d_lo, d_hi) = verify.LEMMA44_PS, verify.LEMMA44_DIMS
+    # one stream per drawn quantity: exponent, dimension, tuple size,
+    # normals, basis indices
+    exponents, dims, sizes, normals, indices = (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, j))) for j in range(5))
     for i in range(instances):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, i)))
-        sp = space or Space.lp(ps[rng.integers(len(ps))], int(rng.integers(d_lo, d_hi + 1)))
-        l = int(rng.integers(1, max_l + 1))
-        X = rng.standard_normal((l, sp.dim))
+        sp = space or Space.lp(ps[exponents.integers(len(ps))], int(dims.integers(d_lo, d_hi + 1)))
+        l = int(sizes.integers(1, max_l + 1))
+        X = normals.standard_normal((l, sp.dim))
         for row in X:
             row /= max(1.0, sp.dual_norm(row))
-        ms = rng.integers(1, sp.dim + 1, size=l)
+        ms = indices.integers(1, sp.dim + 1, size=l)
         z = np.zeros(sp.dim)
         for m, row in zip(ms, X):
             z[m - 1] += abs(row[m - 1])
@@ -141,18 +143,18 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
             sp = parse_space(space) if space else None
             # --l 6 takes 4 * 6 * 2^5 elements for the sign patterns, and
             # one instance (4 * d + 2) * 2^5 for pattern_norms, 6 * d for
-            # its normals and 3 * 6 * d for their copies, a record of
-            # 4 * 6 + 4 * d + 12 and the words that seed its stream
+            # its normals and 4 * 6 * d for their instance-order and
+            # evaluation copies, and a record of 8 * 6 + 4 * d + 12
             assert kernels.PATTERN_ARRAYS == 4
             monkeypatch.setattr(lemma44, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
-                ((4 * d_max + 2) << 5) + 4 * 6 * d_max + 4 * 6 + 4 * d_max + 12
-                + kernels.PCG64_WORDS))
+                ((4 * d_max + 2) << 5) + 5 * 6 * d_max + 8 * 6 + 4 * d_max + 12))
             blocks.clear()
             got = check_lemma44(sp, instances=7, seed=2).to_json()
             assert got == whole[space]
             assert blocks == sizes
-            # the oracle seeds each instance with numpy: a block whose
-            # streams started at the wrong index would differ
+            # the oracle draws one instance at a time from numpy's streams:
+            # a block that did not go on where the last one left them would
+            # differ
             assert got == _per_instance_lemma44(sp, 7, 6, 2).to_json()
     # with the real cap, --space l2:8 --l 20 still passes the up-front check
     monkeypatch.undo()
@@ -225,33 +227,6 @@ def test_lemma44_measures_once_per_block(monkeypatch):
     check_lemma44(instances=3000, seed=4)
     assert len(set(blocks)) == len(verify.LEMMA44_PS) * 7
     assert len(calls) <= 2 * len(set(blocks))
-
-
-def test_lemma44_redraws_instances_with_rejected_words(monkeypatch):
-    # a word numpy would reject sends its instance to the Generator calls:
-    # reject a fifth of all words, in the key and in the index words (not
-    # the word 0, which numpy itself rejects for most ranges)
-    bounded = kernels.bounded_draws
-
-    def rejecting(x, r):
-        value, ok = bounded(x, r)
-        return value, ok & (x % 5 != 1)
-
-    monkeypatch.setattr(kernels, "bounded_draws", rejecting)
-    redrawn = []
-    generator_draws = lemma44._lemma44_generator_draws
-    monkeypatch.setattr(lemma44, "_lemma44_generator_draws",
-                        lambda space, seed, i, max_l: redrawn.append(i)
-                        or generator_draws(space, seed, i, max_l))
-    for space in (None, "l2:3"):
-        sp = parse_space(space) if space else None
-        redrawn.clear()
-        got = check_lemma44(sp, instances=60, max_l=6, seed=5).to_json()
-        assert got == _per_instance_lemma44(sp, 60, 6, 5).to_json()
-        # an instance whose key word is rejected is drawn once for its key
-        # and normals and once more for its indices; one with only a
-        # rejected index word once
-        assert set(collections.Counter(redrawn).values()) == {1, 2}
 
 
 @pytest.mark.parametrize("space, max_l", [(None, 6), (None, 1), ("l1:1", 1),
