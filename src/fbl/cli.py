@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import pickle
 import sys
 from dataclasses import replace
 
@@ -26,6 +28,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CONFIG_ERROR = 3
+
+# the samples of check_beta_section and of check_freenorms' unsearched pairs
+CHECK_SAMPLES = 1000
 
 __all__ = ["main", "run"]
 
@@ -80,18 +85,39 @@ def cmd_lift_verify(args) -> int:
     system = lifting.LiftingSystem(space, params)
     search = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
                                   local_steps=args.local_steps, seed=args.seed)
+    d = space.dim
+    pairs = [(n, k) for n in range(1, d + 1) for k in range(d - n + 1)]
+    # the (N, d) draw and the list of its rows that check_normspan copies
+    # into its config: 4d + 8 elements a row (tracemalloc)
+    coefficient_floats = args.coeff_vectors * (5 * d + 8)
 
-    reports = [
-        verify.check_biorthogonal(system),
-        verify.check_disjoint(system, samples=args.instances, seed=args.seed),
-        verify.check_beta_section(system, seed=args.seed),
-    ]
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(9,)))
-    coefficients = rng.standard_normal((args.coeff_vectors, space.dim))
-    # the suite report leaves out the per-check config (the coefficients)
-    reports.append(replace(verify.check_normspan(system, coefficients, search), config={}))
-    pairs = [(n, k) for n in range(1, space.dim + 1) for k in range(space.dim - n + 1)]
-    reports.append(_merge(verify.check_freenorms(system, pairs, search), "freenorm"))
+    def checks():
+        reports = [
+            verify.check_biorthogonal(system),
+            verify.check_disjoint(system, samples=args.instances, seed=args.seed),
+            verify.check_beta_section(system, samples=CHECK_SAMPLES, seed=args.seed),
+        ]
+        verify._check_samples(args.coeff_vectors, d, coefficient_floats,
+                              "lower --coeff-vectors")
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(9,)))
+        coefficients = rng.standard_normal((args.coeff_vectors, d))
+        # the suite report leaves out the per-check config (the coefficients)
+        return reports + [replace(verify.check_normspan(system, coefficients, search),
+                                  config={})]
+
+    def freenorms():
+        return [_merge(verify.check_freenorms(system, pairs, search, CHECK_SAMPLES),
+                       "freenorm")]
+
+    # the counted peaks, in float64 elements, of the checks on each side:
+    # a check's sample draw or its search batch (the pairs with n + k < d)
+    checks_peak = max(args.instances * (d + 1), CHECK_SAMPLES * d,
+                      coefficient_floats + fblnorm.search_elements(space, search,
+                                                                   args.coeff_vectors))
+    searched = sum(n + k < d for n, k in pairs)
+    freenorms_peak = max(CHECK_SAMPLES * d, fblnorm.search_elements(space, search, searched))
+    reports, freenorm = _beside(freenorms, checks, freenorms_peak + checks_peak)
+    reports += freenorm
 
     payload = {"space": str(space), "checks": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports), "seed": args.seed}
@@ -100,6 +126,71 @@ def cmd_lift_verify(args) -> int:
         print(f"{r.check}: {'pass' if r.passed else 'FAIL'} "
               f"({r.instances} instances, worst slack {r.worst_slack})", file=sys.stderr)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
+
+
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a forked child."""
+
+
+def _beside(background, foreground, elements):
+    """(foreground(), background()), the latter in a forked child meanwhile.
+
+    The child runs only where os.fork and os.sched_getaffinity exist, at
+    least 2 CPUs are usable and both sides' counted peaks together
+    (elements) fit under SIGN_TENSOR_CAP; otherwise, or if no process can
+    be forked, both run here, one after the other.  Either way the results
+    and the errors are the same: the foreground's exception comes first
+    (the child is then killed), and the child's is raised here with its
+    type, message and attributes.  The child sends its result pickled on
+    a pipe and leaves only through os._exit, so it runs no exit handlers
+    and flushes no inherited buffers.  More work joins the child by
+    joining background.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and elements <= fblnorm.SIGN_TENSOR_CAP):
+        return foreground(), background()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        return foreground(), background()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, background(), None)
+            except BaseException as exc:
+                import traceback
+                result = (False, exc, traceback.format_exc())
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = foreground()
+            # to the end before the wait: a result that fills the pipe
+            # buffer holds the child until it is read
+            data = pipe.read()
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if status or not data:
+        raise ChildProcessError(f"the forked check exited without a result "
+                                f"(wait status {status})")
+    ok, value, trace = pickle.loads(data)
+    if not ok:
+        raise value from _ChildTraceback(trace)
+    return mine, value
 
 
 def _merge(reports, name):

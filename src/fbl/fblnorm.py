@@ -48,6 +48,7 @@ __all__ = [
     "tuple_constraint",
     "fbl_lower_bound",
     "fbl_lower_bounds",
+    "search_elements",
     "dim1_norm",
     "upper_bound_finite_coords",
     "l1_extreme_point_constraint",
@@ -228,6 +229,31 @@ def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step, dense=None):
     return _ratios(obj, kernels.move_constraints(Z, step, space.q))
 
 
+def _search_temporaries(space: Space, config: SearchConfig) -> int:
+    """Float64 elements one search of fbl_lower_bounds holds in a neighbourhood.
+
+    Each neighbourhood scores 2kd moves of every restart at once: the
+    temporaries of move_constraints plus at most ROW_ARRAYS * 2kd * d for
+    the moved functionals and each term's values on them.
+    """
+    k, d = config.k, space.dim
+    return config.restarts * 2 * d * (kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k)
+                                      + ROW_ARRAYS * k * d)
+
+
+def search_elements(space: Space, config: SearchConfig, searches: int = 1) -> int:
+    """Float64 elements a batch of fbl_lower_bounds searches counts at its peak.
+
+    The searches' temporaries, as many searches at once as
+    fbl_lower_bounds runs under SIGN_TENSOR_CAP, or the certificate of
+    one witness (tuple_constraint, after the search), whichever is more.
+    One search over the cap is what fbl_lower_bounds refuses.
+    """
+    per_search = _search_temporaries(space, config)
+    at_once = min(searches, max(1, SIGN_TENSOR_CAP // per_search))
+    return max(at_once * per_search, kernels.pattern_elements(1, config.k, space.dim))
+
+
 def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEstimate:
     """Best lower bound for the norm of expr: one search of fbl_lower_bounds."""
     return fbl_lower_bounds([expr], [[1.0]], space, config)[0]
@@ -269,15 +295,8 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
             f"weights must have shape (E, {len(terms)}), got {W.shape}"
         )
     k, d, R = config.k, space.dim, config.restarts
-    # each neighbourhood scores 2kd moves of every restart at once: the
-    # peak of one search, in float64 elements, is the temporaries of
-    # move_constraints plus at most ROW_ARRAYS * 2kd * d for the moved
-    # functionals and each term's values on them
-    per_search = R * 2 * d * (kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k)
-                              + ROW_ARRAYS * k * d)
-    # after the search, tuple_constraint certifies each witness
-    check_sign_tensor(max(per_search, kernels.pattern_elements(1, k, d)),
-                      "lower --k or --restarts")
+    per_search = _search_temporaries(space, config)
+    check_sign_tensor(search_elements(space, config), "lower --k or --restarts")
 
     # restart r draws its (k, d) tuple from SeedSequence(seed, spawn_key=(r,)),
     # the r-th child of SeedSequence(seed); restarts along axis 1 of X0

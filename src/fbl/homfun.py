@@ -276,8 +276,12 @@ MAX_DEPTH = 100
 
 class ExprSyntaxError(InputError):
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (offset {position})")
+        # args are the constructor's arguments, from which pickle rebuilds it
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self):
+        return f"{self.args[0]} (offset {self.position})"
 
 
 _TOKEN_RE = re.compile(

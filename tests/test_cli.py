@@ -3,6 +3,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pickle
+import signal
 import time
 import warnings
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbl import fblnorm
+from fbl import fblnorm, spaces, verify
 from fbl.cli import _build_parser, run
 from fbl.homfun import ExprSyntaxError, GeneratorIndexError, parse, to_text
 from fbl.spaces import ConfigError, DimensionMismatch, InputError, SpaceSyntaxError
@@ -187,6 +190,9 @@ ERROR_TABLE = [
     (["lemma44", "--space", "l2:10000000", "--l", "1"], 3, "lower --l"),
     (["lift-verify", "--space", "l2:3", "--instances", "-5"], 3, "samples"),
     (["lift-verify", "--space", "l2:3", "--coeff-vectors", "-1"], 3, "--coeff-vectors"),
+    # refused before the (10^9, 6) coefficient draw
+    (["lift-verify", "--space", "l2:6", "--coeff-vectors", "1000000000"], 3,
+     "lower --coeff-vectors"),
     (["lift-verify", "--space", "l2:3", "--mseq", "custom:1,2"], 3, "no term 3"),
     (["lift-verify", "--space", "l2:3", "--mseq", "harmonic"], 3, "diverges"),
     # the search's live temporaries, not one tensor, are over the cap
@@ -417,3 +423,155 @@ def test_fuzzed_expressions_round_trip(text):
     except InputError:
         return
     assert parse(to_text(expr)) == expr
+
+
+# ---------------------------------------------------------------------------
+# lift-verify runs its free-norm searches in a forked child when it can;
+# the path must not change a report, an exit code or a JSON error
+
+
+def _cpus(monkeypatch, n):
+    # the CPUs lift-verify sees as usable: one forces the serial path
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # a parent that waits on a child for good fails the test instead
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("space", ["l1:6", "l2:6", "linf:6", "lp:3:5"])
+def test_lift_verify_forked_and_serial_reports_match(space, monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
+    for seed in ("0", "1", "2"):
+        argv = ["lift-verify", "--space", space, "--seed", seed]
+        _cpus(monkeypatch, 2)
+        forked = _digest(capsys, argv)
+        assert len(forks) == 1
+        _cpus(monkeypatch, 1)
+        assert _digest(capsys, argv) == forked
+        assert len(forks) == 1 and forked[0] == 0
+        forks.clear()
+    _no_child_left()
+
+
+def test_lift_verify_forks_only_when_both_searches_fit_the_cap(monkeypatch, capsys):
+    argv = ["lift-verify", "--space", "l2:6", "--seed", "4"]
+    _cpus(monkeypatch, 2)
+    expected = _digest(capsys, argv)
+
+    # the default span and free-norm batches, as the command counts them
+    space, search = spaces.parse_space("l2:6"), fblnorm.SearchConfig(k=3, restarts=8)
+    span = fblnorm.search_elements(space, search, 20) + 20 * (5 * 6 + 8)
+    free = fblnorm.search_elements(space, search, 15)
+
+    def cap_at(cap):
+        for module in (spaces, fblnorm, verify):
+            monkeypatch.setattr(module, "SIGN_TENSOR_CAP", cap)
+
+    # each batch still runs as one search chunk, so the report is unchanged
+    forks = _count_forks(monkeypatch)
+    cap_at(span + free)
+    assert _digest(capsys, argv) == expected and len(forks) == 1
+    # each search fits alone, but not both at once
+    cap_at(max(span, free))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked over the cap"))
+    assert _digest(capsys, argv) == expected
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [ConfigError("no free-norm report"),
+                                   ExprSyntaxError("bad truncation", 3)],
+                         ids=["config", "syntax"])
+def test_lift_verify_child_errors_match_the_serial_run(error, monkeypatch, capsys):
+    def fail(*args):
+        raise error
+
+    # the patch reaches the child through the fork
+    monkeypatch.setattr(verify, "check_freenorms", fail)
+    argv = ["lift-verify", "--space", "l2:3", "--instances", "100", "--coeff-vectors", "2"]
+    results = []
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        with _deadline(30):
+            code, out, err = run_cli(capsys, *argv)
+        results.append((code, out))
+        assert "Traceback" not in err
+    assert results[0] == results[1]
+    assert results[0][0] == (3 if isinstance(error, ConfigError) else 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["no-result", "part-result"])
+def test_lift_verify_child_exit_without_result_is_an_error(partial, monkeypatch, capsys):
+    if partial:
+        def dump_half(result, pipe):
+            # the child dies half-way through sending its reports
+            pipe.write(pickle.dumps(result)[:20])
+            pipe.flush()
+            os._exit(9)
+
+        monkeypatch.setattr(pickle, "dump", dump_half)
+    else:
+        monkeypatch.setattr(verify, "check_freenorms", lambda *args: os._exit(9))
+    _cpus(monkeypatch, 2)
+    with _deadline(30), pytest.raises(ChildProcessError, match=r"wait status 2304"):
+        run(["lift-verify", "--space", "l2:3", "--instances", "100", "--coeff-vectors", "2"])
+    capsys.readouterr()
+    _no_child_left()
+
+
+def test_lift_verify_parent_error_kills_the_child(monkeypatch, capsys):
+    # a child that would run for a minute is killed, not waited for
+    monkeypatch.setattr(verify, "check_freenorms", lambda *args: time.sleep(60))
+
+    def fail(*args, **kwargs):
+        raise ConfigError("no section report")
+
+    monkeypatch.setattr(verify, "check_beta_section", fail)
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    start = time.perf_counter()
+    with _deadline(30):
+        code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:3", "--instances", "100")
+    assert time.perf_counter() - start < 10.0
+    assert (code, len(forks)) == (3, 1)
+    assert json.loads(out)["error"]["message"] == "no section report"
+    _no_child_left()
+
+    # a sample count over the cap is refused in the parent, before any fork
+    code, _, _ = run_cli(capsys, "lift-verify", "--space", "l2:3", "--instances", "1000000000")
+    assert (code, len(forks)) == (3, 1)
+    _no_child_left()

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -58,6 +59,23 @@ def test_module_exports_resolve(name):
     # `from fbl.<module> import *`
     module = importlib.import_module(f"fbl.{name}")
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def test_errors_survive_pickle():
+    # lift-verify's forked child sends its exception to the parent pickled
+    errors = {fbl.spaces.InputError, fbl.spaces.ConfigError}
+    for name in MODULES:
+        for value in vars(importlib.import_module(f"fbl.{name}")).values():
+            if (isinstance(value, type) and issubclass(value, tuple(errors))
+                    and value.__module__.startswith("fbl.")):
+                errors.add(value)
+    assert len(errors) >= 8
+    for cls in errors:
+        exc = cls("bad", 3) if cls is fbl.homfun.ExprSyntaxError else cls("bad")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == str(exc)
+        assert vars(back) == vars(exc)
+    assert pickle.loads(pickle.dumps(fbl.ExprSyntaxError("bad", 3))).position == 3
 
 
 def test_python_m_fbl_runs_the_command_line():
