@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from . import kernels
-from .homfun import HomExpr, eval_batch
+from .homfun import HomExpr, eval_batch, eval_terms
 from .spaces import (
     SIGN_CUBE_CAP,
     SIGN_TENSOR_CAP,
@@ -151,26 +151,30 @@ def _fvalues(terms, W, space, X, dense=None):
     W: (m, B) weights, one column per tuple of the batch.  The terms are
     added in order, each scaled elementwise, exactly as an Add of Scale
     nodes evaluates them.  dense: one flag per term, False where its
-    weight row may hold zeros (None: all True).  Such a term is evaluated
-    only on the columns where its weight is nonzero; a zero weight would
-    add only +-0, which the absolute value removes.  A non-finite value is
-    an input error.  The caller ignores numpy's overflow and invalid
-    warnings (the check below reports them).  Returns (L, B).
+    weight row may hold zeros (None: all True).  The dense terms are
+    evaluated together, in one eval_terms call on all the rows.  Every
+    other term is evaluated alone, only on the columns where its weight
+    is nonzero; a zero weight would add only +-0, which the absolute
+    value removes.  A non-finite value is an input error.  The caller
+    ignores numpy's overflow and invalid warnings (the check below
+    reports them).  Returns (L, B).
     """
     L, B, d = X.shape
     flat = X.reshape(-1, d)
     dense = dense or (True,) * len(terms)
+    full_vals = iter(eval_terms([t for t, full in zip(terms, dense) if full], space, flat)
+                     if any(dense) else ())
     # a sum of dense terms starts at the first one, not at +0.0 + it: the two
     # differ only at -0.0, which the absolute value removes
     vals = None if all(dense) and terms else np.zeros((L, B))
     for term, w, full in zip(terms, W, dense):
         if full:
-            v = w * eval_batch(term, space, flat).reshape(L, B)
+            v = w * next(full_vals).reshape(L, B)
             vals = v if vals is None else vals + v
             continue
-        cols = np.flatnonzero(w)
+        cols = w.nonzero()[0]
         if cols.size:
-            t = eval_batch(term, space, X[:, cols].reshape(-1, d))
+            t = eval_terms([term], space, X[:, cols].reshape(-1, d))[0]
             vals[:, cols] = vals[:, cols] + w[cols] * t.reshape(L, cols.size)
     if not np.isfinite(vals).all():
         raise InputError("expression evaluated to a non-finite value")
@@ -219,8 +223,10 @@ def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step, dense=None):
     # rows[j, s, p]: the functional of slot p with coordinate j moved
     rows = np.empty((d, 2, len(si), d))
     rows[...] = X[si, sb]
-    diagonal = np.arange(d)
-    rows[diagonal, :, :, diagonal] += _MOVE_SIGNS[:, None] * step[sb]
+    # the moved coordinates rows[j, s, p, j], one strided view
+    moved = np.ndarray((d, 2, len(si)), buffer=rows,
+                       strides=(rows.strides[0] + rows.strides[3],) + rows.strides[1:3])
+    moved += _MOVE_SIGNS[:, None] * step[sb]
     vals = _fvalues(terms, W[:, sb], space, rows.reshape(2 * d, -1, d), dense)
     new[si, :, :, sb] = vals.reshape(d, 2, -1).transpose(2, 0, 1)
     # the other k-1 f-values of each tuple, added in index order along the
@@ -356,11 +362,12 @@ def _lockstep(terms, W, space, config, X0):
 
         # apply each accepted move: coordinate j of functional i, column j
         # of the signed sums; x + delta has the bits of the scored moved row
-        n = np.flatnonzero(improved)
+        n = improved.nonzero()[0]
         i, j, s = np.unravel_index(best_idx[n], (k, d, 2))
         delta = _MOVE_SIGNS[s] * step[n]
         X[i, n, j] += delta
-        Z[:, j, n] += delta * S[:, i]
+        # Z is C-contiguous (signed_sums, np.compress), so this is a view
+        Z.reshape(len(S), -1, copy=False)[:, j * Z.shape[2] + n] += delta * S[:, i]
         fvals[i, n] = new[i, j, s, n]
         np.maximum(cur, best_val, out=cur)
         moves_left -= improved
@@ -384,7 +391,8 @@ def _lockstep(terms, W, space, config, X0):
             live = ~done
             ids, cur, step, rounds_left, moves_left = (
                 ids[live], cur[live], step[live], rounds_left[live], moves_left[live])
-            X, fvals, Wb, Z = X[:, live], fvals[:, live], Wb[:, live], Z[:, :, live]
+            X, fvals, Wb = X[:, live], fvals[:, live], Wb[:, live]
+            Z = np.compress(live, Z, axis=2)
             new, stale = new[..., live], stale[:, live]
     X, cur = X_out, cur_out
 

@@ -4,7 +4,10 @@ An expression is built from evaluation generators d(x) (x a coordinate
 vector), scalar multiples, sums, lattice operations (join `v`, meet `^`,
 absolute value, positive part), and the closed-form built-ins f(n) and
 h(n,k): the disjoint generator family and its truncations, parameterized by
-the cutoff sequences (M_n), (N_n) and a ramp family g_m.
+the cutoff sequences (M_n), (N_n) and a ramp family g_m.  eval_terms
+evaluates several expressions on one batch of functionals with one
+kernels.hom_batch call per LiftParams for all their f(n)/h(n,k) leaves;
+eval_batch is its one-term case.
 
 Grammar (ASCII):
 
@@ -47,6 +50,7 @@ __all__ = [
     "to_text",
     "eval_expr",
     "eval_batch",
+    "eval_terms",
 ]
 
 
@@ -202,12 +206,7 @@ class BuiltinH(HomExpr):
 
 def eval_batch(expr: HomExpr, space: Space, X: np.ndarray) -> np.ndarray:
     """Evaluate expr at each row of X (shape (N, d)); returns shape (N,)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != space.dim:
-        raise DimensionMismatch(
-            f"functional batch must have shape (N, {space.dim}), got {X.shape}"
-        )
-    return _eval(expr, space, X)
+    return eval_terms([expr], space, X)[0]
 
 
 def eval_expr(expr: HomExpr, space: Space, xstar) -> float:
@@ -217,42 +216,95 @@ def eval_expr(expr: HomExpr, space: Space, xstar) -> float:
         raise DimensionMismatch(
             f"expected {space.dim} coordinates, got shape {xstar.shape}"
         )
-    return float(_eval(expr, space, xstar[None, :])[0])
+    return float(eval_terms([expr], space, xstar[None, :])[0][0])
 
 
-def _eval(expr, space, X):
-    if isinstance(expr, Delta):
-        if len(expr.coords) != space.dim:
+def eval_terms(terms, space: Space, X: np.ndarray) -> list[np.ndarray]:
+    """Evaluate each expression of terms at each row of X (shape (N, d)).
+
+    Returns one (N,) array per term, bit for bit its eval_batch.  The
+    f(n)/h(n,k) leaves of all the terms are evaluated together: one
+    kernels.hom_batch call per LiftParams on the whole batch, each
+    distinct leaf (n, mhi) once.  A term that is a bare leaf gets a row of
+    that call's result, which keeps the call's work buffer alive.  Every
+    node is checked before any is evaluated, in evaluation order, so a bad
+    tree raises what evaluating it term by term would raise first.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    d = space.dim
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatch(
+            f"functional batch must have shape (N, {d}), got {X.shape}"
+        )
+    leaves = {}
+    for term in terms:
+        _collect(term, d, leaves)
+    values = {}
+    for params, spans in leaves.items():
+        spans = list(spans)
+        rows = kernels.hom_batch(X, spans, *params.arrays(d))
+        values[params] = dict(zip(spans, rows))
+    return [_eval(term, X, values) for term in terms]
+
+
+def _span(leaf, dim):
+    """(n, mhi) of an f(n)/h(n,k) node: the leaf kernels.hom_batch evaluates."""
+    if isinstance(leaf, BuiltinF):
+        return leaf.n, dim
+    return leaf.n, min(leaf.n + leaf.k, dim)
+
+
+def _collect(expr, dim, leaves):
+    """Check expr against a dim-dimensional space, in evaluation order, and
+    add its leaves to leaves[params], a dict used as an ordered set."""
+    if isinstance(expr, (BuiltinF, BuiltinH)):
+        _check_index(expr.n, dim)
+        if isinstance(expr, BuiltinH) and expr.k < 0:
+            raise GeneratorIndexError(f"truncation level must be >= 0, got {expr.k}")
+        spans = leaves.get(expr.params)
+        if spans is None:
+            expr.params.arrays(dim)  # a sequence too short for dim raises here
+            spans = leaves[expr.params] = {}
+        spans[_span(expr, dim)] = None
+    elif isinstance(expr, Delta):
+        if len(expr.coords) != dim:
             raise DimensionMismatch(
                 f"generator has {len(expr.coords)} coordinates in a "
-                f"{space.dim}-dimensional space"
+                f"{dim}-dimensional space"
             )
+    elif isinstance(expr, (Scale, Abs, Pos)):
+        _collect(expr.child, dim, leaves)
+    elif isinstance(expr, (Join, Meet)):
+        _collect(expr.left, dim, leaves)
+        _collect(expr.right, dim, leaves)
+    elif isinstance(expr, Add):
+        for child in expr.children:
+            _collect(child, dim, leaves)
+    else:
+        raise TypeError(f"not a HomExpr node: {expr!r}")
+
+
+def _eval(expr, X, values):
+    # values[params][(n, mhi)]: the leaves' values; _collect checked every node
+    if isinstance(expr, (BuiltinF, BuiltinH)):
+        return values[expr.params][_span(expr, X.shape[1])]
+    if isinstance(expr, Delta):
         return X @ expr.array
     if isinstance(expr, Scale):
-        return expr.c * _eval(expr.child, space, X)
+        return expr.c * _eval(expr.child, X, values)
     if isinstance(expr, Add):
         out = np.zeros(X.shape[0])
         for child in expr.children:
-            out = out + _eval(child, space, X)
+            out = out + _eval(child, X, values)
         return out
     if isinstance(expr, Abs):
-        return np.abs(_eval(expr.child, space, X))
+        return np.abs(_eval(expr.child, X, values))
     if isinstance(expr, Pos):
-        return np.maximum(_eval(expr.child, space, X), 0.0)
+        return np.maximum(_eval(expr.child, X, values), 0.0)
     if isinstance(expr, Join):
-        return np.maximum(_eval(expr.left, space, X), _eval(expr.right, space, X))
+        return np.maximum(_eval(expr.left, X, values), _eval(expr.right, X, values))
     if isinstance(expr, Meet):
-        return np.minimum(_eval(expr.left, space, X), _eval(expr.right, space, X))
-    if isinstance(expr, BuiltinF):
-        _check_index(expr.n, space.dim)
-        Mv, Nv = expr.params.arrays(space.dim)
-        return kernels.hom_batch(X, expr.n, space.dim, Mv, Nv)
-    if isinstance(expr, BuiltinH):
-        _check_index(expr.n, space.dim)
-        if expr.k < 0:
-            raise GeneratorIndexError(f"truncation level must be >= 0, got {expr.k}")
-        Mv, Nv = expr.params.arrays(space.dim)
-        return kernels.hom_batch(X, expr.n, min(expr.n + expr.k, space.dim), Mv, Nv)
+        return np.minimum(_eval(expr.left, X, values), _eval(expr.right, X, values))
     raise TypeError(f"not a HomExpr node: {expr!r}")
 
 

@@ -2,6 +2,8 @@
 
 All kernels are careful to produce *literal* zeros where the formulas clamp
 (positive parts, ramp cutoffs), so exact-zero assertions downstream are sound.
+hom_batch evaluates every generator leaf f(n)/h(n,k) of one batch of
+functionals in one call, so that the leaves share their common work.
 """
 
 from __future__ import annotations
@@ -138,34 +140,74 @@ def _dual_norms(Z: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
     return _root(_power(a, q).sum(axis=axis), q)
 
 
-def hom_batch(X, n, mhi, Mv, Nv) -> np.ndarray:
-    """Batch-evaluate the disjoint generator (or its truncation) at rows of X.
+def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
+    """Batch-evaluate disjoint generators (or their truncations) at rows of X.
 
-    X: (N, d) functional coordinates; n: 1-based generator index; mhi: product
-    runs over basis indices m with n < m <= mhi; Mv, Nv: cutoff sequences.
+    X: (N, d) functional coordinates; leaves: pairs (n, mhi), each the
+    generator of 1-based index n with its ramp product over the basis
+    indices m, n < m <= mhi; Mv, Nv: cutoff sequences.  Returns
+    (len(leaves), N), row i the values of leaves[i]; a one-leaf call is the
+    single-generator case.  The leaves share one coordinates-first copy of
+    |X| and one pass of prefix maxima.  The ramps of each generator index
+    n are built once, for the largest mhi among its leaves, and each leaf
+    takes the product of their first mhi - n rows.  No ufunc is masked: a
+    lane with a_n = 0 divides by 1 and is zeroed at the end.  So each
+    leaf's values have the same bits whatever the other leaves are.  The
+    result is a view of the call's one work buffer, which it keeps alive.
     """
-    # coordinates first, (mhi, N) and contiguous: every reduction over the
-    # at most mhi coordinates is an elementwise operation on whole rows
-    a = np.abs(np.asarray(X, dtype=np.float64).T[:mhi], order="C")
-    an = a[n - 1]
-    # max(an - N_n * prev, 0), built in the array of the prefix maxima prev
-    base = a[: n - 1].max(axis=0, initial=0.0)
-    base *= Nv[n - 1]
-    np.subtract(an, base, out=base)
-    np.maximum(base, 0.0, out=base)
-    if mhi > n:
-        # the ramps g_m(a_m / a_n) in place of the coordinates a_m, m > n; the
-        # lanes with a_n = 0 keep their coordinates, clamped into [0, 1] so
-        # that their product stays finite, and are zeroed below
-        t = a[n:]
-        nonzero = an > 0.0
-        np.divide(t, an, out=t, where=nonzero)
-        np.subtract(Nv[n:mhi, None], t, out=t, where=nonzero)
-        np.divide(t, Nv[n:mhi, None] - Mv[n:mhi, None], out=t, where=nonzero)
-        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
-        base *= t.prod(axis=0)
-    base[an == 0.0] = 0.0
-    return base
+    # leaves[i] = (n, mhi) by generator index: n -> [(i, mhi), ...]
+    groups = {}
+    for i, (n, mhi) in enumerate(leaves):
+        groups.setdefault(n, []).append((i, mhi))
+    order = sorted(groups)
+    tops = {n: max(mhi for _, mhi in groups[n]) for n in order}
+    top = max(tops.values())
+    # one buffer, so that repeated calls reuse one heap block: the values,
+    # the coordinates a (top, N), and the ramps of every generator index
+    # but the last in turn
+    X = np.asarray(X, dtype=np.float64)
+    L = len(leaves)
+    spare = max([tops[n] - n for n in order[:-1]], default=0)
+    buf = np.empty((L + top + spare, len(X)))
+    out, a, ramps = buf[:L], buf[L:L + top], buf[L + top:]
+    # coordinates first and contiguous: every reduction over the
+    # coordinates is an elementwise operation on whole rows
+    np.abs(X.T[:top], out=a)
+    width = Nv - Mv
+    # prev = max(a_1, ..., a_{n-1}, 0), one row at a time as n grows
+    prev = np.zeros(len(X))
+    seen = 0
+    for n in order:
+        for m in range(seen, n - 1):
+            np.maximum(prev, a[m], out=prev)
+        seen = n - 1
+        # the last index works in place of prev, a_n and the coordinates
+        # past it, which no other index needs any more
+        last = n == order[-1]
+        an = a[n - 1]
+        zero = an == 0.0
+        # max(a_n - N_n * prev, 0)
+        base = np.multiply(prev, Nv[n - 1], out=prev if last else None)
+        np.subtract(an, base, out=base)
+        np.maximum(base, 0.0, out=base)
+        hi = tops[n]
+        if hi > n:
+            # the ramps g_m(a_m / a_n), one row for each n < m <= hi
+            t = a[n:hi] if last else ramps[:hi - n]
+            np.divide(a[n:hi], np.add(an, zero, out=an if last else None), out=t)
+            np.subtract(Nv[n:hi, None], t, out=t)
+            np.divide(t, width[n:hi, None], out=t)
+            np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        for i, mhi in groups[n]:
+            row = out[i]
+            if mhi > n:
+                # base times the product of the first mhi - n ramp rows
+                np.multiply.reduce(t[:mhi - n], axis=0, out=row)
+                np.multiply(base, row, out=row)
+            else:
+                row[...] = base
+            row[zero] = 0.0
+    return out
 
 
 def pattern_elements(n: int, k: int, d: int) -> int:

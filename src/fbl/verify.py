@@ -73,7 +73,11 @@ def check_disjoint(system: LiftingSystem, samples: int = 10_000, seed: int = 0) 
     _check_samples(samples, d, samples * (d + 1), "lower --instances")
     rng = _rng(seed, 2)
     X = rng.standard_normal((samples, d))
-    F = np.stack([eval_batch(g, system.space, X) for g in system.generators])
+    # one generator at a time: each one's values keep its evaluation's
+    # work buffer alive until they are copied out
+    F = np.empty((d, samples))
+    for n, g in enumerate(system.generators):
+        F[n] = eval_batch(g, system.space, X)
     report = CheckReport(check="disjoint", instances=samples, seed=seed,
                          config={"space": str(system.space)})
     worst = 0.0

@@ -20,7 +20,7 @@ from fbl.fblnorm import (
     tuple_constraint,
     upper_bound_finite_coords,
 )
-from fbl.homfun import Abs, Add, Delta, Join, Pos, Scale, eval_batch, parse
+from fbl.homfun import Abs, Add, Delta, Join, Pos, Scale, eval_batch, eval_terms, parse
 from fbl.lifting import LiftingSystem, T_apply
 from fbl.spaces import DimensionMismatch, InputError, Space, parse_space
 
@@ -442,11 +442,12 @@ def test_zero_weight_terms_are_not_evaluated(monkeypatch):
     cfg = SearchConfig(k=2, restarts=3, seed=2)
     rows = {}
 
-    def counting(term, space, X):
-        rows[term] = rows.get(term, 0) + len(X)
-        return eval_batch(term, space, X)
+    def counting(terms, space, X):
+        for term in terms:
+            rows[term] = rows.get(term, 0) + len(X)
+        return eval_terms(terms, space, X)
 
-    monkeypatch.setattr(fblnorm, "eval_batch", counting)
+    monkeypatch.setattr(fblnorm, "eval_terms", counting)
     separate = [fbl_lower_bound(t, sp, cfg).to_json() for t in terms]
     alone, rows = rows, {}
     # weights eye(E): each term is evaluated on its own search's rows only

@@ -14,16 +14,19 @@ from fbl.spaces import Space
 P = LiftParams()
 
 
-def _hom_reference(x, n, mhi):
-    """Generator n at one functional: positive part times the ramp product."""
+def _hom_reference(x, n, mhi, params=P):
+    """Generator n at one functional: positive part times the ramp product.
+
+    A NaN coordinate makes the value NaN, unless the value is 0 because
+    x_n is."""
     a = np.abs(x)
     an = a[n - 1]
     if an == 0.0:
         return 0.0
-    prev = max(a[: n - 1], default=0.0)
-    value = max(an - P.N(n) * prev, 0.0)
+    prev = np.max(a[: n - 1], initial=0.0)
+    value = max(an - params.N(n) * prev, 0.0)
     for m in range(n + 1, mhi + 1):
-        value *= P.g(m, a[m - 1] / an)
+        value *= params.g(m, a[m - 1] / an)
     return value
 
 
@@ -36,7 +39,7 @@ def test_hom_batch_matches_scalar_reference(rng):
     X[rng.random((500, d)) < 0.1] = 0.0  # exercise the zero branch
     for n in range(1, d + 1):
         for mhi in range(n, d + 1):
-            out = kernels.hom_batch(X, n, mhi, Mv, Nv)
+            out = kernels.hom_batch(X, [(n, mhi)], Mv, Nv)[0]
             ref = np.array([_hom_reference(x, n, mhi) for x in X])
             np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0.0)
             # clamped values are literal zeros, not rounding residue
@@ -60,9 +63,9 @@ def test_hom_batch_bits_do_not_depend_on_layout(rng):
     }
     for n in range(1, d + 1):
         for mhi in range(n, d + 1):
-            want = kernels.hom_batch(np.ascontiguousarray(X), n, mhi, Mv, Nv).tobytes()
+            want = kernels.hom_batch(np.ascontiguousarray(X), [(n, mhi)], Mv, Nv).tobytes()
             for name, Y in layouts.items():
-                assert kernels.hom_batch(Y, n, mhi, Mv, Nv).tobytes() == want, name
+                assert kernels.hom_batch(Y, [(n, mhi)], Mv, Nv).tobytes() == want, name
 
 
 def test_hom_batch_is_zero_where_its_coordinate_is(rng):
@@ -73,8 +76,33 @@ def test_hom_batch_is_zero_where_its_coordinate_is(rng):
     X[::2, 2] = 0.0
     X[::4, 0] = np.nan
     X[1::4, 4] = np.nan
-    out = kernels.hom_batch(X, 3, d, Mv, Nv)
+    out = kernels.hom_batch(X, [(3, d)], Mv, Nv)[0]
     assert out[::2].tobytes() == np.zeros(20).tobytes()
+
+
+@pytest.mark.parametrize("params", [P, LiftParams("custom", (1.0, 1.1, 1.2, 3.0, 3.5, 9.0, 20.0))])
+def test_hom_batch_leaves_match_their_one_leaf_calls(params, rng):
+    # a multi-leaf call gives each leaf the bits of its one-leaf call, in
+    # any order, with repeats, and with the leaf mhi = n (no ramps)
+    d = 7
+    Mv, Nv = params.arrays(d)
+    X = rng.standard_normal((400, d)) * 10.0 ** rng.uniform(-3, 3, (400, d))
+    X[rng.random((400, d)) < 0.1] = 0.0
+    X[rng.random((400, d)) < 0.03] = np.nan
+    pairs = [(n, mhi) for n in range(1, d + 1) for mhi in range(n, d + 1)]
+    for size in (1, 2, 5, 9, len(pairs)):
+        leaves = [pairs[i] for i in rng.integers(0, len(pairs), size)]
+        leaves += [leaves[0], (leaves[-1][0], leaves[-1][0])]
+        out = kernels.hom_batch(X, leaves, Mv, Nv)
+        assert out.shape == (len(leaves), len(X))
+        for row, (n, mhi) in zip(out, leaves):
+            assert row.tobytes() == kernels.hom_batch(X, [(n, mhi)], Mv, Nv)[0].tobytes()
+            ref = np.array([_hom_reference(x, n, mhi, params) for x in X])
+            np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0.0)
+            # the lanes with x_n = 0 are literal zeros, NaN or not elsewhere
+            zero = X[:, n - 1] == 0.0
+            assert row[zero].tobytes() == np.zeros(zero.sum()).tobytes()
+    assert np.isnan(out).any()
 
 
 def test_sign_patterns_lexicographic():

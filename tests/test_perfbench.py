@@ -19,3 +19,20 @@ def test_perfbench_traced_lemma44_round():
     details, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
     assert result["correct"] and result["failed"] == 0
     assert details["count_mismatches"] == 0
+
+
+def test_perfbench_traced_lift_verify_round():
+    # lemma44 never calls kernels.hom_batch, so its traced round cannot
+    # catch a work counter that no longer reads hom_batch's arguments; one
+    # short traced lift_verify round does
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lift_verify", "--seed", "1",
+         "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    details, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
+    assert result["correct"] and result["failed"] == 0
+    assert details["count_mismatches"] == 0
+    metrics = result["metrics"]
+    assert metrics["kernels.hom_batch.calls"]["value"] > 0
+    assert metrics["kernels.hom_batch.rows"]["value"] > 0

@@ -7,7 +7,7 @@ import pytest
 
 from fbl import fblnorm, kernels, lemma44, verify
 from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound, tuple_constraint
-from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale, eval_batch
+from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale, eval_terms
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
 from fbl.spaces import (
     BasisIndexError,
@@ -395,18 +395,20 @@ def test_normspan_evaluates_only_the_changed_moved_rows(monkeypatch):
     # every move afresh
     rows = []
 
-    def counting(term, space, X):
-        rows.append(len(X))
-        return eval_batch(term, space, X)
+    def counting(terms, space, X):
+        rows.append(len(terms) * len(X))
+        return eval_terms(terms, space, X)
 
-    monkeypatch.setattr(fblnorm, "eval_batch", counting)
+    monkeypatch.setattr(fblnorm, "eval_terms", counting)
     system = LiftingSystem(Space.lp(2.0, 6))
     rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(9,)))
     report = verify.check_normspan(system, rng.standard_normal((20, 6)),
                                    SearchConfig(k=3, restarts=8, seed=0))
     assert report.passed
     assert sum(rows) == 2_307_240 < 5_532_840 // 2
-    assert len(rows) == 1086  # the same calls as before
+    # one call per row batch for all six generators: the start, 160
+    # neighbourhoods and one objective per search's witness
+    assert len(rows) == 181
 
 
 def test_normspan_coefficient_shape_is_an_input_error():
