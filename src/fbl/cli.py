@@ -17,12 +17,10 @@ import pickle
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 # lazy modules (see fbl/__init__.py): each command touches only the ones
 # it runs, so it executes no other module's code
 from . import fblnorm, homfun, lemma44, lifting, verify
-from .spaces import ConfigError, InputError, parse_space
+from .spaces import ConfigError, InputError, _rng, parse_space
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,8 +97,7 @@ def cmd_lift_verify(args) -> int:
         ]
         verify._check_samples(args.coeff_vectors, d, coefficient_floats,
                               "lower --coeff-vectors")
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(9,)))
-        coefficients = rng.standard_normal((args.coeff_vectors, d))
+        coefficients = _rng(args.seed, 9).standard_normal((args.coeff_vectors, d))
         # the suite report leaves out the per-check config (the coefficients)
         return reports + [replace(verify.check_normspan(system, coefficients, search),
                                   config={})]

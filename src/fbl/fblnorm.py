@@ -32,6 +32,7 @@ from .spaces import (
     DimensionMismatch,
     InputError,
     Space,
+    _rng,
     check_sign_tensor,
     l1_extreme_point_constraint,
 )
@@ -268,12 +269,11 @@ def fbl_lower_bound(expr: HomExpr, space: Space, config: SearchConfig) -> NormEs
 def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list[NormEstimate]:
     """Lower bounds for the norms of the combinations sum_j weights[e, j] * terms[j].
 
-    One seeded multistart hill climb per row e of weights (E, m).  Restart
-    r draws a standard-normal tuple from SeedSequence(seed, spawn_key=(r,)),
-    the same R tuples for every search; the R streams are seeded in one
-    vectorised pass (kernels.sibling_states) that reproduces those seed
-    sequences bit for bit, and kernels.pcg64_normals draws the tuples
-    from them.  Then each restart refines by
+    One seeded multistart hill climb per row e of weights (E, m).  The R
+    start tuples are one standard-normal draw (R, k, d) from the stream
+    spaces._rng(seed, 0), the same R tuples for every search; restart r
+    takes row r.  numpy fills the draw in stream order, so restart r's
+    tuple does not depend on R.  Then each restart refines by
     single-coordinate perturbations with a geometrically decaying step.
     All E*R restarts climb in lockstep, so each neighbourhood evaluates
     each term once for all the searches that weight it; a search whose
@@ -304,11 +304,8 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     per_search = _search_temporaries(space, config)
     check_sign_tensor(search_elements(space, config), "lower --k or --restarts")
 
-    # restart r draws its (k, d) tuple from SeedSequence(seed, spawn_key=(r,)),
-    # the r-th child of SeedSequence(seed); restarts along axis 1 of X0
-    draws = np.empty((R, k, d))
-    kernels.pcg64_normals(kernels.sibling_states(config.seed, (), 0, R), draws)
-    X0 = draws.transpose(1, 0, 2)
+    # restart r's (k, d) tuple is row r of one draw; restarts along axis 1
+    X0 = _rng(config.seed, 0).standard_normal((R, k, d)).transpose(1, 0, 2)
     # as many searches at once as keep the temporaries under the cap
     chunk = SIGN_TENSOR_CAP // per_search
     return [est for lo in range(0, len(W), chunk)
@@ -498,7 +495,7 @@ def _probe_dependence(expr, space, support, samples, seed):
     off = [j for j in range(space.dim) if (j + 1) not in support]
     if not off:
         return
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+    rng = _rng(seed, 101)
     X = rng.standard_normal((samples, space.dim))
     X[:, off] = 0.0
     base = eval_batch(expr, space, X)

@@ -25,9 +25,6 @@ __all__ = [
     "MOVE_ARRAYS",
     "PATTERN_ARRAYS",
     "pattern_elements",
-    "SIBLING_WORDS",
-    "sibling_states",
-    "pcg64_normals",
 ]
 
 # recorded in benchmark environment blocks; numpy is the only implementation
@@ -55,16 +52,6 @@ PATTERN_ARRAYS = 4
 # the two signs of a move, one row each
 _SIGNS = np.array([[1.0], [-1.0]])
 _SIGNS.flags.writeable = False
-
-# the hash constants of numpy's SeedSequence (numpy.random.bit_generator)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-# 8-byte words per stream that sibling_states holds at its peak, its 4
-# output words included
-SIBLING_WORDS = 10
 
 # sign_patterns caches its matrices up to this tuple size: 2^15 rows, about
 # 8 MB for all of them together; a larger one is built afresh per call
@@ -342,109 +329,3 @@ def _max_over_patterns(A: np.ndarray) -> np.ndarray:
         A = np.maximum(A[0], A[1])
     M[0, 1] = A[0]
     return np.maximum(M[:, 1], M[:, 0, :, ::-1])
-
-
-def _words32(x: int) -> list[int]:
-    """x >= 0 as SeedSequence reads it: 32-bit words, least significant first."""
-    out = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        out.append(x & _MASK32)
-    return out
-
-
-def _hash_chain(h: int, mult: int, n: int):
-    """The xor and multiplier constants of n successive hashes from hash
-    constant h, as two (n,) uint32 rows, and the hash constant after them."""
-    xor, mul = [], []
-    for _ in range(n):
-        xor.append(h)
-        h = h * mult & _MASK32
-        mul.append(h)
-    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32), h
-
-
-# generate_state hashes output word w from pool word w mod 4 with the w-th
-# constants of a chain that restarts at _INIT_B on every call
-_OUT_XOR, _OUT_MUL, _ = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL)
-_OUT_XOR.flags.writeable = _OUT_MUL.flags.writeable = False
-
-
-def sibling_states(seed: int, key: tuple, start: int, stop: int) -> np.ndarray:
-    """PCG64 seed words of the sibling streams SeedSequence(seed, spawn_key=key + (i,)).
-
-    Row i - start is SeedSequence(seed, spawn_key=key + (i,))
-    .generate_state(4, np.uint64) for i in range(start, stop), bit for
-    bit, in a C-contiguous (stop - start, 4) uint64 array.  SeedSequence
-    hashes the seed's 32-bit words, padded with zeros to the pool size of
-    4, then the key's words and the index word into a pool of four 32-bit
-    words, and hashes the pool into 8 output words.  All but the index word
-    are the same for every stream, so they are hashed once, with Python
-    ints.  Only the index word, which must be below 2^32, is hashed per
-    stream, in uint32 lanes, whose arithmetic wraps modulo 2^32 as
-    SeedSequence's does: the pool as an (n, 4) array and the output words
-    as an (n, 8) array.
-    """
-    if start < 0 or stop > 1 << 32:
-        raise ValueError(f"stream indices must lie in 0..2^32-1, got {start}..{stop - 1}")
-    entropy = _words32(seed)
-    entropy += [0] * (_POOL - len(entropy))
-    for word in key:
-        entropy += _words32(word)
-
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # the index word, lane dst: pool[dst] = mix(pool[dst], hashmix(index))
-    xor, mul, _ = _hash_chain(h, _MULT_A, _POOL)
-    P = np.arange(start, stop, dtype=np.uint32)[:, None] ^ xor
-    P *= mul
-    P ^= P >> 16
-    P *= np.uint32(_MIX_MULT_R)
-    np.subtract(np.array([_MIX_MULT_L * v & _MASK32 for v in pool], dtype=np.uint32), P, out=P)
-    P ^= P >> 16
-    # generate_state(8 words), paired little-endian into uint64 as numpy does
-    out = np.concatenate([P, P], axis=1)
-    out ^= _OUT_XOR
-    out *= _OUT_MUL
-    out ^= out >> 16
-    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands PCG64 one row of sibling_states."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for 4 uint64 words and reads the buffer raw
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("a row of sibling_states seeds PCG64 only")
-        return self.words
-
-
-def pcg64_normals(words: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[i] with the standard normals that Generator.standard_normal
-    draws from PCG64 seeded with row i of words (n, 4), for each i."""
-    for row, o in zip(words, out):
-        np.random.Generator(np.random.PCG64(_StateWords(row))).standard_normal(out=o)

@@ -28,6 +28,7 @@ from .spaces import (
     InputError,
     Space,
     _lp_norm,
+    _rng,
     check_sign_tensor,
     l1_extreme_point_constraint,
 )
@@ -71,10 +72,6 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,9 @@ Coordinates are always taken with respect to the *normalized* basis (every
 basis vector has norm 1).  In those coordinates a weighted ell_p norm is
 isometrically the plain ell_p norm, so the ell_p family covers it.
 
-The sign-cube caps and the ell_1 extreme-point oracle live here too, so
-that the norm search and the Lemma 4.4 suite share them without either
-loading the other.
+The sign-cube caps, the ell_1 extreme-point oracle and the seeded streams
+(_rng) live here too, so that the norm search and the Lemma 4.4 suite
+share them without either loading the other.
 """
 
 from __future__ import annotations
@@ -66,6 +66,20 @@ def check_sign_tensor(elements: int, remedy: str) -> None:
             f"the sign-cube tensors would hold {elements} elements, over the cap "
             f"of {SIGN_TENSOR_CAP}; {remedy}"
         )
+
+
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The numpy stream of --seed for one drawn quantity, by its key.
+
+    Every draw of the package goes through here, one key per quantity:
+    (0,) the start tuples of a search (fblnorm.fbl_lower_bounds);
+    (1, j) for j = 0..4 the five quantities of a lemma44 instance;
+    (2,) check_disjoint's samples; (3,) check_beta_section's samples;
+    (4, n, k) the samples of check_freenorms' unsearched pair (n, k);
+    (9,) lift-verify's --coeff-vectors; (101,) the probe of
+    upper_bound_finite_coords.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def l1_extreme_point_constraint(functionals) -> np.ndarray:

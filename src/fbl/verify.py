@@ -19,12 +19,11 @@ from .lemma44 import (
     LEMMA44_PS,
     SLACK_TOL,
     CheckReport,
-    _rng,
     check_lemma44,
     lemma_unconditional_batch,
 )
 from .lifting import LiftingSystem
-from .spaces import SIGN_TENSOR_CAP, ConfigError, DimensionMismatch, InputError
+from .spaces import SIGN_TENSOR_CAP, ConfigError, DimensionMismatch, InputError, _rng
 
 __all__ = [
     "SLACK_TOL",

@@ -100,6 +100,29 @@ def test_lift_verify_zero_coeff_vectors_runs_no_search(monkeypatch, capsys):
                     "seed": None, "worst_slack": None}
 
 
+def test_search_start_tuples_share_no_stream_with_the_checks(monkeypatch, capsys):
+    # the start tuples of a 12-restart search are drawn from a stream that
+    # no other draw of lift-verify uses: none of their values is among the
+    # sample draws of check_disjoint, check_beta_section or --coeff-vectors
+    starts, lockstep = [], fblnorm._lockstep
+
+    def spy(terms, W, space, config, X0):
+        starts.append(X0.copy())
+        return lockstep(terms, W, space, config, X0)
+
+    monkeypatch.setattr(fblnorm, "_lockstep", spy)
+    code, _, _ = run_cli(capsys, "lift-verify", "--space", "l2:4", "--k", "4",
+                         "--restarts", "12", "--instances", "200", "--coeff-vectors", "40",
+                         "--seed", "1")
+    assert code == 0 and starts
+    assert all(X0.shape == (4, 12, 4) for X0 in starts)
+    for key, n in [((2,), 200), ((3,), 1000), ((9,), 40)]:
+        draw = np.random.default_rng(np.random.SeedSequence(1, spawn_key=key))
+        draw = draw.standard_normal((n, 4))
+        for X0 in starts:
+            assert np.intersect1d(X0, draw).size == 0, key
+
+
 def test_lift_verify_rejects_divergent_mseq(capsys):
     code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:6", "--mseq", "harmonic")
     assert code == 3
@@ -217,26 +240,34 @@ def test_error_contract(argv, code, fragment, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# sha256 of the stdout of fixed-seed commands, taken before the search kept
-# f-values between neighbourhoods: that change must leave every report as
-# it was.  The digests hold for this numpy and BLAS build; a float64
-# library whose rounding differs changes them.
+# sha256 of the stdout of fixed-seed commands.  The searches' start tuples
+# are one draw from the stream of key (0,), whose first row is restart 0's
+# tuple: the two --restarts 1 rows were taken while each restart had a
+# stream of its own, and hold as they were; the rows with more restarts
+# were taken after the one draw.  The lemma44 rows were taken before its
+# bounded draws were decoded from raw PCG64 words; --l 1 and the
+# one-dimensional space have one-value ranges, for which numpy takes no
+# word.  The digests hold for this numpy and BLAS build; a float64 library
+# whose rounding differs changes them.
 PINNED_REPORTS = [
     (["norm", "--space", "l2:4", "--expr", "d(0.1,0.9,0.2,0.3)", "--k", "4",
       "--restarts", "20", "--seed", "5"],
-     "85336297552c58fce18933e2201e568a6b107afb5f345001a5af7aa108f413ce"),
+     "87c039ff3003efb374a8b88decefa4023b4104598cba933524eedc3f532b6fd2"),
     (["norm", "--space", "l2:4", "--expr", "f(1) v 0.5*h(2,1) - f(3)", "--k", "3",
       "--restarts", "10", "--seed", "2"],
-     "ed7c354a784691e19dd0d54899216fa9531ee77348d1cca7218b84b72c540e36"),
+     "2e9fb11efed1a0cca8c4f8883a2f4afb4dca1728e4a387e7ee3cef52eda78ece"),
     (["lift-verify", "--space", "l2:4", "--k", "4", "--instances", "500",
       "--coeff-vectors", "5", "--seed", "1"],
-     "3525b6ac66a352cf9ef9e90b2aa2f8d6b897a94361125879c29224f1be0c272c"),
+     "af884cba95760ad4321cb622ca99775d600832d0ba04abb9834f535e9ac96d3f"),
     (["lift-verify", "--space", "lp:3:4", "--k", "4", "--mseq", "custom:2,5,11,23,47",
       "--instances", "500", "--coeff-vectors", "5", "--seed", "3"],
-     "0b18a466224749c718c202ff9d5b56bd829cc419ed18854f20103fcc69cc946b"),
-    # lemma44, taken before its bounded draws were decoded from raw PCG64
-    # words; --l 1 and the one-dimensional space have one-value ranges,
-    # for which numpy takes no word
+     "190cdfe1db6dc4b1d3f4d32f839ac941bdb2162912b64f58dafb07030a4b8655"),
+    (["norm", "--space", "l2:4", "--expr", "d(0.1,0.9,0.2,0.3)", "--k", "4",
+      "--restarts", "1", "--seed", "5"],
+     "7bef2995b1320ec6a60e7a77503a4979dcf46a69b497b3136bb9c1915f21f21a"),
+    (["lift-verify", "--space", "l2:4", "--k", "4", "--restarts", "1", "--instances", "500",
+      "--coeff-vectors", "5", "--seed", "1"],
+     "c5e5586107b80a1950a3e6ce1c5c98ebb5465f842bb8fce48ce312db57679517"),
     (["lemma44", "--instances", "3000", "--seed", "4"],
      "347326bbb21f365148e0b7b30db43b05c697698aa86067bca2d47f560057eefa"),
     (["lemma44", "--space", "l1:5", "--l", "4", "--instances", "2000", "--seed", "6"],
@@ -250,6 +281,7 @@ PINNED_REPORTS = [
 
 @pytest.mark.parametrize("argv,digest", PINNED_REPORTS,
                          ids=["norm-delta", "norm-f-h", "lift-verify-l2", "lift-verify-lp3",
+                              "norm-delta-1-restart", "lift-verify-l2-1-restart",
                               "lemma44-random", "lemma44-l1", "lemma44-l-1", "lemma44-dim-1"])
 def test_reports_are_pinned(argv, digest, capsys):
     code, out, _ = run_cli(capsys, *argv)

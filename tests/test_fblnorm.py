@@ -166,11 +166,10 @@ def test_search_monotone_in_restarts():
 
 
 def _start_tuples(seed, R, k, d):
-    """The start tuples of fbl_lower_bounds: restart r draws from child r."""
-    X0 = np.empty((k, R, d))
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(R)):
-        X0[:, r] = np.random.Generator(np.random.PCG64(child)).standard_normal((k, d))
-    return X0
+    """The start tuples of fbl_lower_bounds: row r of one (R, k, d) draw
+    from the stream of key (0,), restarts along axis 1."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return rng.standard_normal((R, k, d)).transpose(1, 0, 2)
 
 
 @pytest.mark.parametrize("space, text", [
@@ -179,8 +178,9 @@ def _start_tuples(seed, R, k, d):
     ("l1:2", "|d(1,0)| v |d(0,1)|"),
 ], ids=["l1", "l2", "linf", "l3", "p=1+1e-7", "l1-join"])
 def test_restarts_climb_independently(space, text, monkeypatch):
-    # an R-restart search reports, bit for bit, the witness of one of its
-    # restarts searched alone, and scores as many moves as they do together;
+    # an R-restart search starts from the first R rows of a 17-restart
+    # draw, and reports, bit for bit, the witness of one of its restarts
+    # searched alone, and scores as many moves as they do together;
     # restarts retire on different iterations, so the live batch shrinks.
     # Four decay rounds instead of twenty keep the 17 lone searches short.
     monkeypatch.setattr(fblnorm, "DECAY_ROUNDS", 4)
@@ -194,6 +194,7 @@ def test_restarts_climb_independently(space, text, monkeypatch):
             # every neighbourhood ends a round: four, of 2kd moves each
             assert {a["evaluations"] for a in alone} == {1 + 2 * k * sp.dim * 4}
         for R in (3, 17):
+            assert np.array_equal(_start_tuples(1, R, k, sp.dim), X0[:, :R])
             cfg = replace(one, restarts=R)
             got = fblnorm._lockstep([expr], ones, sp, cfg, X0[:, :R])[0]
             assert got.to_json() == fbl_lower_bound(expr, sp, cfg).to_json()

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from fbl import kernels
 from fbl.homfun import LiftParams
@@ -134,75 +133,6 @@ def test_dual_norms_survive_power_sum_overflow():
                                rtol=1e-6)
     np.testing.assert_allclose([sp.dual_norm(x) for x in X], np.abs(X).max(axis=1),
                                rtol=1e-6)
-
-
-LAST_INDEX = 2**32 - 1
-
-
-@st.composite
-def _sibling_ranges(draw):
-    """start and stop of a run of at most 4 streams; starts at both ends
-    of the index range, so some runs end at the last index."""
-    start = draw(st.one_of(st.integers(0, 8), st.integers(0, LAST_INDEX),
-                           st.integers(LAST_INDEX - 4, LAST_INDEX)))
-    return start, min(start + draw(st.integers(0, 4)), LAST_INDEX + 1)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(seed=st.integers(0, 2**80),
-       key=st.one_of(st.sampled_from([(), (1,), (4, 2, 3)]),
-                     st.integers(2**32, 2**70).map(lambda w: (3, w))),
-       bounds=_sibling_ranges())
-@example(seed=0, key=(), bounds=(0, 0))
-@example(seed=2**80, key=(1,), bounds=(0, 1))
-@example(seed=7, key=(4, 2, 3), bounds=(LAST_INDEX, LAST_INDEX + 1))
-@example(seed=2**32, key=(2**32,), bounds=(LAST_INDEX - 1, LAST_INDEX + 1))
-def test_sibling_states_match_seed_sequence(seed, key, bounds):
-    start, stop = bounds
-    states = kernels.sibling_states(seed, key, start, stop)
-    assert states.shape == (stop - start, 4) and states.dtype == np.uint64
-    assert states.flags.c_contiguous
-    for i, words in zip(range(start, stop), states):
-        ss = np.random.SeedSequence(seed, spawn_key=key + (i,))
-        assert words.tolist() == ss.generate_state(4, np.uint64).tolist()
-    # a generator seeded from a row draws what numpy's seeding gives
-    for i, words in zip(range(start, stop), states):
-        got = np.random.Generator(np.random.PCG64(kernels._StateWords(words)))
-        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
-        assert got.integers(2**40) == want.integers(2**40)
-        assert got.standard_normal((3, 2)).tobytes() == want.standard_normal((3, 2)).tobytes()
-
-
-def test_sibling_states_refuse_index_words_over_32_bits():
-    with pytest.raises(ValueError, match="0..2"):
-        kernels.sibling_states(0, (), LAST_INDEX, LAST_INDEX + 2)
-    with pytest.raises(ValueError):
-        kernels.sibling_states(0, (), -1, 3)
-
-
-def test_sibling_states_peak_memory():
-    n = 50_000
-    kernels.sibling_states(3, (1,), 0, 8)  # constants and caches built
-    tracemalloc.start()
-    try:
-        kernels.sibling_states(3, (1,), 0, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # within SIBLING_WORDS 8-byte words per stream, up to a few fixed arrays
-    assert peak <= 8 * kernels.SIBLING_WORDS * n + 4096
-
-
-def test_pcg64_normals_match_numpy():
-    # the norm search's start tuples: row i of out holds stream i's normals,
-    # as numpy's Generator draws them
-    n = 40
-    words = kernels.sibling_states(5, (1,), 0, n)
-    out = np.empty((n, 3, 4))
-    kernels.pcg64_normals(words, out)
-    for i, row in enumerate(words):
-        gen = np.random.Generator(np.random.PCG64(kernels._StateWords(row.copy())))
-        assert out[i].tobytes() == gen.standard_normal((3, 4)).tobytes()
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],

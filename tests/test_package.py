@@ -1,5 +1,6 @@
 """The package namespace: lazy submodules, public names and the tracer's layers."""
 
+import ast
 import importlib
 import json
 import os
@@ -59,6 +60,39 @@ def test_module_exports_resolve(name):
     # `from fbl.<module> import *`
     module = importlib.import_module(f"fbl.{name}")
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _stream_calls():
+    """(module, enclosing function, callee) of every SeedSequence(...) and
+    default_rng(...) call in the fbl sources."""
+    calls = []
+    for name in MODULES:
+        path = os.path.join(os.path.dirname(fbl.__file__), f"{name}.py")
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{where}.{child.name}" if where else child.name)
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    callee = func.attr if isinstance(func, ast.Attribute) else getattr(
+                        func, "id", None)
+                    if callee in ("SeedSequence", "default_rng"):
+                        calls.append((name, where, callee))
+                visit(child, where)
+
+        visit(tree, "")
+    return calls
+
+
+def test_streams_are_made_only_by_spaces_rng():
+    # every draw goes through spaces._rng, whose docstring lists the keys
+    # in use, so that no two drawn quantities share a stream
+    assert sorted(_stream_calls()) == [("spaces", "_rng", "SeedSequence"),
+                                       ("spaces", "_rng", "default_rng")]
 
 
 def test_errors_survive_pickle():
