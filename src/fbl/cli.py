@@ -85,36 +85,41 @@ def cmd_lift_verify(args) -> int:
                                   local_steps=args.local_steps, seed=args.seed)
     d = space.dim
     pairs = [(n, k) for n in range(1, d + 1) for k in range(d - n + 1)]
+    # check_disjoint's (N, d) draw and its d generator arrays of N floats
+    instance_floats = args.instances * (d + 1)
     # the (N, d) draw and the list of its rows that check_normspan copies
     # into its config: 4d + 8 elements a row (tracemalloc)
     coefficient_floats = args.coeff_vectors * (5 * d + 8)
+    # refused here, in the order the checks would refuse them, so that no
+    # check runs before a refusal on either path of _beside; an M sequence
+    # too short for the space fails every check's first evaluation
+    params.arrays(d)
+    verify._check_samples(args.instances, d, instance_floats, "lower --instances")
+    verify._check_samples(args.coeff_vectors, d, coefficient_floats, "lower --coeff-vectors")
 
-    def checks():
-        reports = [
+    def span():
+        coefficients = _rng(args.seed, 9).standard_normal((args.coeff_vectors, d))
+        # the suite report leaves out the per-check config (the coefficients)
+        return replace(verify.check_normspan(system, coefficients, search), config={})
+
+    def others():
+        return [
             verify.check_biorthogonal(system),
             verify.check_disjoint(system, samples=args.instances, seed=args.seed),
             verify.check_beta_section(system, samples=CHECK_SAMPLES, seed=args.seed),
+            _merge(verify.check_freenorms(system, pairs, search, CHECK_SAMPLES), "freenorm"),
         ]
-        verify._check_samples(args.coeff_vectors, d, coefficient_floats,
-                              "lower --coeff-vectors")
-        coefficients = _rng(args.seed, 9).standard_normal((args.coeff_vectors, d))
-        # the suite report leaves out the per-check config (the coefficients)
-        return reports + [replace(verify.check_normspan(system, coefficients, search),
-                                  config={})]
-
-    def freenorms():
-        return [_merge(verify.check_freenorms(system, pairs, search, CHECK_SAMPLES),
-                       "freenorm")]
 
     # the counted peaks, in float64 elements, of the checks on each side:
     # a check's sample draw or its search batch (the pairs with n + k < d)
-    checks_peak = max(args.instances * (d + 1), CHECK_SAMPLES * d,
-                      coefficient_floats + fblnorm.search_elements(space, search,
-                                                                   args.coeff_vectors))
+    span_peak = coefficient_floats + fblnorm.search_elements(space, search,
+                                                             args.coeff_vectors)
     searched = sum(n + k < d for n, k in pairs)
-    freenorms_peak = max(CHECK_SAMPLES * d, fblnorm.search_elements(space, search, searched))
-    reports, freenorm = _beside(freenorms, checks, freenorms_peak + checks_peak)
-    reports += freenorm
+    others_peak = max(instance_floats, CHECK_SAMPLES * d,
+                      fblnorm.search_elements(space, search, searched))
+    # the span batch is the longest check, so it alone runs here
+    normspan, reports = _beside(others, span, span_peak + others_peak)
+    reports.insert(3, normspan)
 
     payload = {"space": str(space), "checks": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports), "seed": args.seed}

@@ -394,18 +394,21 @@ def _lockstep(terms, W, space, config, X0):
     X, cur = X_out, cur_out
 
     evals = R + 2 * k * d * visits.reshape(E, R).sum(axis=1)
+    # each search's first best restart; argmax takes the first maximum
+    best = np.arange(E) * R + cur.reshape(E, R).argmax(axis=1)
+    # the objectives afresh from the terms, not from the kept f-values: one
+    # column per witness, each summed alone as a lone column would be
+    objs = _fvalues(terms, W.T, space, X[:, best], dense)
     out = []
     for e in range(E):
-        best = e * R + int(np.argmax(cur[e * R:(e + 1) * R]))
-        witness = X[:, best]
+        witness = X[:, best[e]]
         C, eps = tuple_constraint(space, witness)
         if C == 0.0:
             raise ConfigError(
                 f"search on {space} with k={k}, seed={config.seed} converged to "
                 "an all-zero tuple"
             )
-        # the objective afresh from the terms, not from the kept f-values
-        obj = float(_fvalues(terms, W[e][:, None], space, witness[:, None], dense).sum())
+        obj = float(objs[:, e].sum())
         out.append(NormEstimate(
             lower_bound=obj / C,
             objective=obj,

@@ -544,15 +544,18 @@ def test_lift_verify_forks_only_when_both_searches_fit_the_cap(monkeypatch, caps
     _no_child_left()
 
 
-@pytest.mark.parametrize("error", [ConfigError("no free-norm report"),
-                                   ExprSyntaxError("bad truncation", 3)],
-                         ids=["config", "syntax"])
-def test_lift_verify_child_errors_match_the_serial_run(error, monkeypatch, capsys):
-    def fail(*args):
+@pytest.mark.parametrize("check,error", [
+    ("check_freenorms", ConfigError("no free-norm report")),
+    ("check_freenorms", ExprSyntaxError("bad truncation", 3)),
+    ("check_disjoint", ConfigError("no disjointness report")),
+    ("check_disjoint", ExprSyntaxError("bad generator", 2)),
+], ids=["config", "syntax", "disjoint-config", "disjoint-syntax"])
+def test_lift_verify_child_errors_match_the_serial_run(check, error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
         raise error
 
     # the patch reaches the child through the fork
-    monkeypatch.setattr(verify, "check_freenorms", fail)
+    monkeypatch.setattr(verify, check, fail)
     argv = ["lift-verify", "--space", "l2:3", "--instances", "100", "--coeff-vectors", "2"]
     results = []
     for cpus in (2, 1):
@@ -563,6 +566,36 @@ def test_lift_verify_child_errors_match_the_serial_run(error, monkeypatch, capsy
         assert "Traceback" not in err
     assert results[0] == results[1]
     assert results[0][0] == (3 if isinstance(error, ConfigError) else 2)
+    _no_child_left()
+
+
+def test_lift_verify_runs_only_the_span_check_in_its_own_process(monkeypatch, capsys):
+    # with 2 CPUs the parent runs the span-norm searches alone; every other
+    # check, the free-norm batch too, runs in the forked child
+    parent, span_pids = os.getpid(), []
+    for name in ("check_biorthogonal", "check_disjoint", "check_beta_section",
+                 "check_freenorms"):
+        def in_child(*args, _real=getattr(verify, name), _name=name, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError(f"{_name} ran in the parent")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, in_child)
+    real_span = verify.check_normspan
+
+    def span(*args, **kwargs):
+        span_pids.append(os.getpid())
+        return real_span(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_normspan", span)
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    with _deadline(30):
+        code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:3", "--instances", "100",
+                               "--coeff-vectors", "2")
+    assert (code, len(forks), span_pids) == (0, 1, [parent])
+    assert [c["check"] for c in json.loads(out)["checks"]] == [
+        "biorthogonal", "disjoint", "beta_section", "normspan", "freenorm"]
     _no_child_left()
 
 
@@ -590,9 +623,9 @@ def test_lift_verify_parent_error_kills_the_child(monkeypatch, capsys):
     monkeypatch.setattr(verify, "check_freenorms", lambda *args: time.sleep(60))
 
     def fail(*args, **kwargs):
-        raise ConfigError("no section report")
+        raise ConfigError("no span report")
 
-    monkeypatch.setattr(verify, "check_beta_section", fail)
+    monkeypatch.setattr(verify, "check_normspan", fail)
     _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     start = time.perf_counter()
@@ -600,10 +633,28 @@ def test_lift_verify_parent_error_kills_the_child(monkeypatch, capsys):
         code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:3", "--instances", "100")
     assert time.perf_counter() - start < 10.0
     assert (code, len(forks)) == (3, 1)
-    assert json.loads(out)["error"]["message"] == "no section report"
+    assert json.loads(out)["error"]["message"] == "no span report"
     _no_child_left()
 
-    # a sample count over the cap is refused in the parent, before any fork
-    code, _, _ = run_cli(capsys, "lift-verify", "--space", "l2:3", "--instances", "1000000000")
-    assert (code, len(forks)) == (3, 1)
+    # a sample count over the cap is refused before any fork and any search,
+    # on either path, and before an over-the-cap --coeff-vectors
+    monkeypatch.undo()
+    forks = _count_forks(monkeypatch)
+
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    for module in (fblnorm, verify):
+        monkeypatch.setattr(module, "fbl_lower_bounds", no_search)
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        for extra in ([], ["--coeff-vectors", "1000000000"]):
+            code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:3",
+                                   "--instances", "1000000000", *extra)
+            assert (code, len(forks)) == (3, 0)
+            assert "lower --instances" in json.loads(out)["error"]["message"]
+        code, out, _ = run_cli(capsys, "lift-verify", "--space", "l2:3",
+                               "--coeff-vectors", "1000000000")
+        assert (code, len(forks)) == (3, 0)
+        assert "lower --coeff-vectors" in json.loads(out)["error"]["message"]
     _no_child_left()

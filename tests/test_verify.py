@@ -407,8 +407,8 @@ def test_normspan_evaluates_only_the_changed_moved_rows(monkeypatch):
     assert report.passed
     assert sum(rows) == 2_307_240 < 5_532_840 // 2
     # one call per row batch for all six generators: the start, 160
-    # neighbourhoods and one objective per search's witness
-    assert len(rows) == 181
+    # neighbourhoods and one objective for all 20 searches' witnesses
+    assert len(rows) == 162
 
 
 def test_normspan_coefficient_shape_is_an_input_error():
