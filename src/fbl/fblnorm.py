@@ -23,28 +23,22 @@ from itertools import product
 
 import numpy as np
 
-from . import kernels
+from . import kernels, spaces
 from .homfun import HomExpr, eval_batch, eval_terms
 from .spaces import (
     SIGN_CUBE_CAP,
-    SIGN_TENSOR_CAP,
     ConfigError,
     DimensionMismatch,
     InputError,
     Space,
     _rng,
     check_sign_tensor,
-    l1_extreme_point_constraint,
 )
 
 __all__ = [
-    "SIGN_CUBE_CAP",
-    "SIGN_TENSOR_CAP",
-    "check_sign_tensor",
     "SearchConfig",
     "NormEstimate",
     "UpperBound",
-    "ConfigError",
     "DependenceError",
     "tuple_constraint",
     "fbl_lower_bound",
@@ -52,13 +46,16 @@ __all__ = [
     "search_elements",
     "dim1_norm",
     "upper_bound_finite_coords",
-    "l1_extreme_point_constraint",
 ]
 
 # float64 arrays of the moved functionals' shape (2kd rows of d per
 # restart) that one search step holds at once, its terms' values included
 # (measured with tracemalloc on the lifting generators)
 ROW_ARRAYS = 5
+
+# upper_bound_finite_coords' dependence probe: samples of _rng(PROBE_SEED, 101)
+PROBE_SAMPLES = 64
+PROBE_SEED = 0
 
 # hill-climbing schedule; 20 decay rounds so the final step (~4e-4) resolves
 # ratios at lattice kinks to well under 1e-3
@@ -257,7 +254,7 @@ def search_elements(space: Space, config: SearchConfig, searches: int = 1) -> in
     One search over the cap is what fbl_lower_bounds refuses.
     """
     per_search = _search_temporaries(space, config)
-    at_once = min(searches, max(1, SIGN_TENSOR_CAP // per_search))
+    at_once = min(searches, max(1, spaces.SIGN_TENSOR_CAP // per_search))
     return max(at_once * per_search, kernels.pattern_elements(1, config.k, space.dim))
 
 
@@ -307,7 +304,7 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     # restart r's (k, d) tuple is row r of one draw; restarts along axis 1
     X0 = _rng(config.seed, 0).standard_normal((R, k, d)).transpose(1, 0, 2)
     # as many searches at once as keep the temporaries under the cap
-    chunk = SIGN_TENSOR_CAP // per_search
+    chunk = spaces.SIGN_TENSOR_CAP // per_search
     return [est for lo in range(0, len(W), chunk)
             for est in _lockstep(terms, W[lo:lo + chunk], space, config, X0)]
 
@@ -454,14 +451,8 @@ class UpperBound:
         }
 
 
-def upper_bound_finite_coords(
-    expr: HomExpr,
-    space: Space,
-    support,
-    grid: int = 33,
-    probe_samples: int = 64,
-    probe_seed: int = 0,
-) -> UpperBound:
+def upper_bound_finite_coords(expr: HomExpr, space: Space, support,
+                              grid: int = 33) -> UpperBound:
     """Upper bound for f over ell_1^d when f depends only on `support`.
 
     The bound is sup over the faces of the sup-norm unit cube (restricted to
@@ -475,35 +466,33 @@ def upper_bound_finite_coords(
     if not support or support[0] < 1 or support[-1] > space.dim:
         raise ConfigError(f"support must be a nonempty subset of 1..{space.dim}")
 
-    _probe_dependence(expr, space, support, probe_samples, probe_seed)
+    _probe_dependence(expr, space, support)
 
     s = len(support)
     cols = [a - 1 for a in support]
     ticks = np.linspace(-1.0, 1.0, grid)
-    points = []
-    for face_pos, face_sign in product(range(s), (1.0, -1.0)):
-        free = [c for i, c in enumerate(cols) if i != face_pos]
-        for combo in product(ticks, repeat=s - 1):
-            x = np.zeros(space.dim)
-            x[cols[face_pos]] = face_sign
-            for c, v in zip(free, combo):
-                x[c] = v
-            points.append(x)
-    vals = np.abs(eval_batch(expr, space, np.array(points)))
+    # the values of the s - 1 free coordinates, one grid point a row
+    combos = np.array(list(product(ticks, repeat=s - 1))).reshape(grid ** (s - 1), s - 1)
+    # one block of those points per face, the faces in (position, sign) order
+    points = np.zeros((2 * s, len(combos), space.dim))
+    for face, (pos, sign) in zip(points, product(range(s), (1.0, -1.0))):
+        face[:, cols[pos]] = sign
+        face[:, [c for i, c in enumerate(cols) if i != pos]] = combos
+    vals = np.abs(eval_batch(expr, space, points.reshape(-1, space.dim)))
     face_sup = float(vals.max())
     return UpperBound(value=face_sup * s, face_sup=face_sup, support=support, grid=grid)
 
 
-def _probe_dependence(expr, space, support, samples, seed):
+def _probe_dependence(expr, space, support):
     off = [j for j in range(space.dim) if (j + 1) not in support]
     if not off:
         return
-    rng = _rng(seed, 101)
-    X = rng.standard_normal((samples, space.dim))
+    rng = _rng(PROBE_SEED, 101)
+    X = rng.standard_normal((PROBE_SAMPLES, space.dim))
     X[:, off] = 0.0
     base = eval_batch(expr, space, X)
     Y = X.copy()
-    Y[:, off] = rng.standard_normal((samples, len(off)))
+    Y[:, off] = rng.standard_normal((PROBE_SAMPLES, len(off)))
     perturbed = eval_batch(expr, space, Y)
     bad = np.nonzero(perturbed != base)[0]
     if bad.size:

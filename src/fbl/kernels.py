@@ -116,7 +116,9 @@ def _nonzero(m: np.ndarray) -> np.ndarray:
 
 
 def _dual_norms(Z: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
-    """ell_q norms of Z along `axis`, with one temporary the size of Z."""
+    """ell_q norms of Z along `axis`.  Its temporaries the size of Z (see
+    PATTERN_ARRAYS): |Z| at q = 1 and q = inf, |Z| and its power at other q
+    up to LARGE_EXPONENT, and above it |Z|, its scaled copy and their power."""
     a = np.abs(Z)
     if q == math.inf:
         return a.max(axis=axis)

@@ -18,10 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, spaces
 from .spaces import (
     SIGN_CUBE_CAP,
-    SIGN_TENSOR_CAP,
     BasisIndexError,
     ConfigError,
     DimensionMismatch,
@@ -244,7 +243,7 @@ def check_lemma44(
         config={"max_l": max_l, "space": str(space) if space else None},
     )
     failures = []  # (instance, 0 for the inequality or 1 for the oracle, entry)
-    block = (SIGN_TENSOR_CAP - patterns) // per_instance
+    block = (spaces.SIGN_TENSOR_CAP - patterns) // per_instance
     streams = [_rng(seed, 1, j) for j in range(5)]
     for lo in range(0, instances, block):
         for pi, d, members, ls, rows, ms, stacks in _lemma44_draws(

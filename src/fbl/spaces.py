@@ -76,7 +76,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     (1, j) for j = 0..4 the five quantities of a lemma44 instance;
     (2,) check_disjoint's samples; (3,) check_beta_section's samples;
     (4, n, k) the samples of check_freenorms' unsearched pair (n, k);
-    (9,) lift-verify's --coeff-vectors; (101,) the probe of
+    (9,) the coefficient vectors of verify.lift_verify; (101,) the probe of
     upper_bound_finite_coords.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

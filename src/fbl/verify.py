@@ -3,35 +3,32 @@
 Each check runs a batch of instances against an independent oracle or an
 exact identity and returns a CheckReport.  Inequality checks use an absolute
 slack tolerance of 1e-9; identity checks (biorthogonality, disjointness) are
-exact because the generator formulas clamp to literal zeros.  The
+exact because the generator formulas clamp to literal zeros.  lift_verify
+runs the five lifting checks as one suite, the lift-verify command's.  The
 sign-averaging suite (check_lemma44) lives in fbl.lemma44 and is
 re-exported here.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+from dataclasses import replace
+
 import numpy as np
 
-from .fblnorm import SearchConfig, fbl_lower_bounds
+from . import spaces
+from .fblnorm import SearchConfig, fbl_lower_bounds, search_elements
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch
-from .lemma44 import (
-    LEMMA44_DIMS,
-    LEMMA44_PS,
-    SLACK_TOL,
-    CheckReport,
-    check_lemma44,
-    lemma_unconditional_batch,
-)
+from .lemma44 import SLACK_TOL, CheckReport, check_lemma44
 from .lifting import LiftingSystem
-from .spaces import SIGN_TENSOR_CAP, ConfigError, DimensionMismatch, InputError, _rng
+from .spaces import ConfigError, DimensionMismatch, InputError, _rng
 
 __all__ = [
     "SLACK_TOL",
     "CheckReport",
-    "LEMMA44_PS",
-    "LEMMA44_DIMS",
-    "lemma_unconditional_batch",
     "check_lemma44",
+    "lift_verify",
     "check_normspan",
     "check_freenorm",
     "check_freenorms",
@@ -40,16 +37,24 @@ __all__ = [
     "check_beta_section",
 ]
 
+# the samples of check_beta_section and of check_freenorms' unsearched pairs
+CHECK_SAMPLES = 1000
+
 
 def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
     """Refuse, before drawing, a negative sample count or a draw over the cap."""
     if samples < 0:
         raise ConfigError(f"samples must be >= 0, got {samples}")
-    if floats > SIGN_TENSOR_CAP:
+    if floats > spaces.SIGN_TENSOR_CAP:
         raise ConfigError(
             f"{samples} samples in dimension {d} would need {floats} floats, "
-            f"over the cap of {SIGN_TENSOR_CAP}; {remedy}"
+            f"over the cap of {spaces.SIGN_TENSOR_CAP}; {remedy}"
         )
+
+
+def _disjoint_floats(samples: int, d: int) -> int:
+    """check_disjoint's floats: its (samples, d) draw and d arrays of values."""
+    return samples * (d + 1)
 
 
 def check_biorthogonal(system: LiftingSystem) -> CheckReport:
@@ -68,8 +73,7 @@ def check_biorthogonal(system: LiftingSystem) -> CheckReport:
 def check_disjoint(system: LiftingSystem, samples: int = 10_000, seed: int = 0) -> CheckReport:
     """Pairwise pointwise min of the generators is exactly zero at every sample."""
     d = system.space.dim
-    # the draw is (samples, d), the generator values d arrays of samples
-    _check_samples(samples, d, samples * (d + 1), "lower --instances")
+    _check_samples(samples, d, _disjoint_floats(samples, d), "lower --instances")
     rng = _rng(seed, 2)
     X = rng.standard_normal((samples, d))
     # one generator at a time: each one's values keep its evaluation's
@@ -210,3 +214,127 @@ def check_freenorms(system: LiftingSystem, pairs, search: SearchConfig,
                      "witness": est.witness.tolist()}
                 )
     return reports
+
+
+def lift_verify(system: LiftingSystem, search: SearchConfig, instances: int,
+                coeff_vectors: int) -> list[CheckReport]:
+    """The biorthogonal, disjoint, beta_section, normspan and freenorm reports.
+
+    check_disjoint draws `instances` samples, check_normspan searches
+    coeff_vectors vectors from the stream _rng(search.seed, 9), and the
+    freenorm report merges the pairs (n, k) with n + k <= d.  Every check
+    draws from search.seed.  The span-norm batch, the longest check, runs
+    here and the others beside it (see _beside).
+    """
+    space = system.space
+    d = space.dim
+    pairs = [(n, k) for n in range(1, d + 1) for k in range(d - n + 1)]
+    instance_floats = _disjoint_floats(instances, d)
+    # the (N, d) draw and the list of its rows that check_normspan copies
+    # into its config: 4d + 8 elements a row (tracemalloc)
+    coefficient_floats = coeff_vectors * (5 * d + 8)
+    # refused here, in the order the checks would refuse them, so that no
+    # check runs before a refusal on either path of _beside; an M sequence
+    # too short for the space fails every check's first evaluation
+    system.params.arrays(d)
+    _check_samples(instances, d, instance_floats, "lower --instances")
+    _check_samples(coeff_vectors, d, coefficient_floats, "lower --coeff-vectors")
+
+    def span():
+        coefficients = _rng(search.seed, 9).standard_normal((coeff_vectors, d))
+        # the suite report leaves out the per-check config (the coefficients)
+        return replace(check_normspan(system, coefficients, search), config={})
+
+    def others():
+        return [
+            check_biorthogonal(system),
+            check_disjoint(system, samples=instances, seed=search.seed),
+            check_beta_section(system, samples=CHECK_SAMPLES, seed=search.seed),
+            _merge(check_freenorms(system, pairs, search, CHECK_SAMPLES), "freenorm"),
+        ]
+
+    # the counted peaks, in float64 elements, of the checks on each side:
+    # a check's sample draw or its search batch (the pairs with n + k < d)
+    span_peak = coefficient_floats + search_elements(space, search, coeff_vectors)
+    searched = sum(n + k < d for n, k in pairs)
+    others_peak = max(instance_floats, CHECK_SAMPLES * d,
+                      search_elements(space, search, searched))
+    normspan, reports = _beside(others, span, span_peak + others_peak)
+    reports.insert(3, normspan)
+    return reports
+
+
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a forked child."""
+
+
+def _beside(background, foreground, elements):
+    """(foreground(), background()), the latter in a forked child meanwhile.
+
+    The child runs only where os.fork and os.sched_getaffinity exist, at
+    least 2 CPUs are usable and both sides' counted peaks together
+    (elements) fit under SIGN_TENSOR_CAP; otherwise, or if no process can
+    be forked, both run here, one after the other.  Either way the results
+    and the errors are the same: the foreground's exception comes first
+    (the child is then killed), and the child's is raised here with its
+    type, message and attributes.  The child sends its result pickled on
+    a pipe and leaves only through os._exit, so it runs no exit handlers
+    and flushes no inherited buffers.  More work joins the child by
+    joining background.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and elements <= spaces.SIGN_TENSOR_CAP):
+        return foreground(), background()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        return foreground(), background()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, background(), None)
+            except BaseException as exc:
+                import traceback
+                result = (False, exc, traceback.format_exc())
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = foreground()
+            # to the end before the wait: a result that fills the pipe
+            # buffer holds the child until it is read
+            data = pipe.read()
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if status or not data:
+        raise ChildProcessError(f"the forked check exited without a result "
+                                f"(wait status {status})")
+    ok, value, trace = pickle.loads(data)
+    if not ok:
+        raise value from _ChildTraceback(trace)
+    return mine, value
+
+
+def _merge(reports, name):
+    merged = CheckReport(check=name, instances=0)
+    for r in reports:
+        merged.instances += r.instances
+        merged.failures.extend(r.failures)
+        if r.worst_slack is not None:
+            merged.merge_slack(r.worst_slack)
+        merged.seed = r.seed
+    return merged

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbl import fblnorm, spaces, verify
-from fbl.cli import _build_parser, run
+from fbl.cli import _build_parser, _parse_mseq, run
 from fbl.homfun import ExprSyntaxError, GeneratorIndexError, parse, to_text
+from fbl.lifting import LiftingSystem
 from fbl.spaces import ConfigError, DimensionMismatch, InputError, SpaceSyntaxError
 
 
@@ -519,6 +520,25 @@ def test_lift_verify_forked_and_serial_reports_match(space, monkeypatch, capsys)
     _no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "serial"])
+def test_lift_verify_is_one_library_call(cpus, monkeypatch, capsys):
+    # the command's checks are verify.lift_verify's reports on the inputs
+    # that its flags build, here the lift-verify-l2 pinned report's
+    argv, _ = PINNED_REPORTS[2]
+    _cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    args = _build_parser().parse_args(argv)
+    system = LiftingSystem(spaces.parse_space(args.space), _parse_mseq(args.mseq))
+    search = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
+                                  local_steps=args.local_steps, seed=args.seed)
+    reports = verify.lift_verify(system, search, args.instances, args.coeff_vectors)
+    assert [r.to_dict() for r in reports] == json.loads(out)["checks"]
+    assert len(forks) == (2 if cpus == 2 else 0)
+    _no_child_left()
+
+
 def test_lift_verify_forks_only_when_both_searches_fit_the_cap(monkeypatch, capsys):
     argv = ["lift-verify", "--space", "l2:6", "--seed", "4"]
     _cpus(monkeypatch, 2)
@@ -529,16 +549,12 @@ def test_lift_verify_forks_only_when_both_searches_fit_the_cap(monkeypatch, caps
     span = fblnorm.search_elements(space, search, 20) + 20 * (5 * 6 + 8)
     free = fblnorm.search_elements(space, search, 15)
 
-    def cap_at(cap):
-        for module in (spaces, fblnorm, verify):
-            monkeypatch.setattr(module, "SIGN_TENSOR_CAP", cap)
-
     # each batch still runs as one search chunk, so the report is unchanged
     forks = _count_forks(monkeypatch)
-    cap_at(span + free)
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", span + free)
     assert _digest(capsys, argv) == expected and len(forks) == 1
     # each search fits alone, but not both at once
-    cap_at(max(span, free))
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", max(span, free))
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked over the cap"))
     assert _digest(capsys, argv) == expected
     _no_child_left()

@@ -8,7 +8,6 @@ import pytest
 
 from fbl import fblnorm, kernels, spaces
 from fbl.fblnorm import (
-    ConfigError,
     DependenceError,
     SearchConfig,
     _fvalues,
@@ -16,13 +15,19 @@ from fbl.fblnorm import (
     dim1_norm,
     fbl_lower_bound,
     fbl_lower_bounds,
-    l1_extreme_point_constraint,
     tuple_constraint,
     upper_bound_finite_coords,
 )
 from fbl.homfun import Abs, Add, Delta, Join, Pos, Scale, eval_batch, eval_terms, parse
 from fbl.lifting import LiftingSystem, T_apply
-from fbl.spaces import DimensionMismatch, InputError, Space, parse_space
+from fbl.spaces import (
+    ConfigError,
+    DimensionMismatch,
+    InputError,
+    Space,
+    l1_extreme_point_constraint,
+    parse_space,
+)
 
 from conftest import random_expr
 
@@ -400,7 +405,7 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
     # one search holds R * 2d * (MOVE_ARRAYS * (2^(k-1) + k) + ROW_ARRAYS * kd)
     # = 3 * 6 * (9 * 4 + 5 * 6) = 1188 elements: three per chunk
     assert kernels.MOVE_ARRAYS == 9 and fblnorm.ROW_ARRAYS == 5
-    monkeypatch.setattr(fblnorm, "SIGN_TENSOR_CAP", 3 * 1188)
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 3 * 1188)
     sizes = []
     lockstep = fblnorm._lockstep
     monkeypatch.setattr(fblnorm, "_lockstep",

@@ -62,6 +62,42 @@ def test_module_exports_resolve(name):
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
 
 
+def test_only_spaces_binds_the_tensor_cap():
+    # every other module reads spaces.SIGN_TENSOR_CAP when it runs, so one
+    # patch of spaces moves the cap everywhere
+    binders = [name for name in MODULES
+               if "SIGN_TENSOR_CAP" in vars(importlib.import_module(f"fbl.{name}"))]
+    assert binders == ["spaces"]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # each command builds its inputs from flags and calls the library: a
+    # private name that cli imports from, or reads off, an fbl module is
+    # library logic restated in cli
+    path = os.path.join(os.path.dirname(fbl.__file__), "cli.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "fbl"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                if not node.module or node.module == "fbl":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names if alias.name.split(".")[0] == "fbl")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                private.append(f"{ast.unparse(node.value)}.{node.attr}")
+    assert modules and private == []
+
+
 def _stream_calls():
     """(module, enclosing function, callee) of every SeedSequence(...) and
     default_rng(...) call in the fbl sources."""

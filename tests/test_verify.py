@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbl import fblnorm, kernels, lemma44, verify
-from fbl.fblnorm import SIGN_TENSOR_CAP, SearchConfig, fbl_lower_bound, tuple_constraint
+from fbl import fblnorm, kernels, lemma44, spaces, verify
+from fbl.fblnorm import SearchConfig, fbl_lower_bound, tuple_constraint
 from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale, eval_terms
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
+from fbl.lemma44 import lemma_unconditional_batch
 from fbl.spaces import (
+    SIGN_TENSOR_CAP,
     BasisIndexError,
     ConfigError,
     DimensionMismatch,
@@ -26,7 +28,6 @@ from fbl.verify import (
     check_freenorms,
     check_lemma44,
     check_normspan,
-    lemma_unconditional_batch,
 )
 
 SEARCH = SearchConfig(k=3, restarts=8, seed=0)
@@ -78,7 +79,7 @@ def _per_instance_lemma44(space, instances, max_l, seed):
     and tuple_constraint."""
     report = CheckReport(check="lemma44", instances=instances, seed=seed,
                          config={"max_l": max_l, "space": str(space) if space else None})
-    ps, (d_lo, d_hi) = verify.LEMMA44_PS, verify.LEMMA44_DIMS
+    ps, (d_lo, d_hi) = lemma44.LEMMA44_PS, lemma44.LEMMA44_DIMS
     # one stream per drawn quantity: exponent, dimension, tuple size,
     # normals, basis indices
     exponents, dims, sizes, normals, indices = (
@@ -146,7 +147,7 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
             # its normals and 4 * 6 * d for their instance-order and
             # evaluation copies, and a record of 8 * 6 + 4 * d + 12
             assert kernels.PATTERN_ARRAYS == 4
-            monkeypatch.setattr(lemma44, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
+            monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", (4 * 6 << 5) - short + per_block * (
                 ((4 * d_max + 2) << 5) + 5 * 6 * d_max + 8 * 6 + 4 * d_max + 12))
             blocks.clear()
             got = check_lemma44(sp, instances=7, seed=2).to_json()
@@ -225,7 +226,7 @@ def test_lemma44_measures_once_per_block(monkeypatch):
 
     monkeypatch.setattr(lemma44, "_lemma44_draws", recording)
     check_lemma44(instances=3000, seed=4)
-    assert len(set(blocks)) == len(verify.LEMMA44_PS) * 7
+    assert len(set(blocks)) == len(lemma44.LEMMA44_PS) * 7
     assert len(calls) <= 2 * len(set(blocks))
 
 
@@ -234,7 +235,7 @@ def test_lemma44_measures_once_per_block(monkeypatch):
 def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
     # the block count covers every array a block holds: the sign patterns,
     # the draws and their records, the stream seeds and pattern_norms
-    monkeypatch.setattr(lemma44, "SIGN_TENSOR_CAP", 1 << 16)
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 1 << 16)
     sp = parse_space(space) if space else None
     blocks = []
     draws = lemma44._lemma44_draws
@@ -250,7 +251,7 @@ def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
         tracemalloc.stop()
     assert len(blocks) > 1
     # about 12 KB of report and Python objects whatever the block
-    assert peak <= 8 * lemma44.SIGN_TENSOR_CAP + 16384
+    assert peak <= 8 * spaces.SIGN_TENSOR_CAP + 16384
 
 
 def test_lemma44_failures_come_in_instance_order(monkeypatch):
