@@ -43,10 +43,12 @@ MOVE_ARRAYS = 9
 # pattern_norms of n k-tuples in d dimensions holds at most PATTERN_ARRAYS
 # float64 per sign pattern and coordinate at once: the signed sums (n,
 # 2^(k-1), d) and the norms' temporaries, plus two per pattern of each
-# tuple for the norms themselves.  sign_patterns(k) holds as many per
+# tuple for the norms themselves; lemma44's block pass holds these counts
+# for all its stacks at once, added up.  sign_patterns(k) holds as many per
 # pattern and tuple entry while it builds the (2^(k-1), k) matrix, which
 # stays cached only up to k = CACHED_PATTERNS.  Measured with tracemalloc;
-# the scaled branch (q > LARGE_EXPONENT) is the largest.
+# the scaled branch (q > LARGE_EXPONENT) is the largest.  Both take the
+# norms in place in the signed sums, so they hold less than the count.
 PATTERN_ARRAYS = 4
 
 # the two signs of a move, one row each
@@ -83,13 +85,14 @@ _cached_sign_patterns = functools.lru_cache(maxsize=None)(_sign_patterns)
 sign_patterns.cache_clear = _cached_sign_patterns.cache_clear
 
 
-def _power(a: np.ndarray, q: float) -> np.ndarray:
-    """a^q for a >= 0 and finite q, exact at q = 1."""
+def _power(a: np.ndarray, q: float, out=None) -> np.ndarray:
+    """a^q for a >= 0 and finite q, exact at q = 1; into out if given,
+    except at q = 1."""
     if q == 1.0:
         return a
     if q == 2.0:
-        return a * a
-    return np.power(a, q)
+        return np.multiply(a, a, out=out)
+    return np.power(a, q, out=out)
 
 
 def _abs_power(x: np.ndarray, q: float, out=None) -> np.ndarray:
@@ -115,18 +118,21 @@ def _nonzero(m: np.ndarray) -> np.ndarray:
     return np.where(m == 0.0, 1.0, m)
 
 
-def _dual_norms(Z: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
+def _dual_norms(Z: np.ndarray, q: float, axis: int = -1, out=None) -> np.ndarray:
     """ell_q norms of Z along `axis`.  Its temporaries the size of Z (see
     PATTERN_ARRAYS): |Z| at q = 1 and q = inf, |Z| and its power at other q
-    up to LARGE_EXPONENT, and above it |Z|, its scaled copy and their power."""
-    a = np.abs(Z)
+    up to LARGE_EXPONENT, and above it |Z|, its scaled copy and their power.
+    Given out (Z's shape; out=Z overwrites Z), each is written into it
+    instead, with the same bits."""
+    a = np.abs(Z, out=out)
     if q == math.inf:
         return a.max(axis=axis)
     if q > LARGE_EXPONENT:
         # |z|^q would over- or underflow: scale each row by its largest entry
         m = _nonzero(a.max(axis=axis, keepdims=True))
-        return _root(_power(a / m, q).sum(axis=axis), q) * m.squeeze(axis)
-    return _root(_power(a, q).sum(axis=axis), q)
+        a = _power(np.divide(a, m, out=out), q, out=out)
+        return _root(a.sum(axis=axis), q) * m.squeeze(axis)
+    return _root(_power(a, q, out=out).sum(axis=axis), q)
 
 
 def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
@@ -201,14 +207,17 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
 
 def pattern_elements(n: int, k: int, d: int) -> int:
     """Float64 elements that pattern_norms of n k-tuples in d dimensions
-    holds at its peak, sign_patterns(k) included (see PATTERN_ARRAYS)."""
+    holds at its peak, sign_patterns(k) included (see PATTERN_ARRAYS); the
+    block pass of lemma44 holds the sum over its stacks."""
     return (PATTERN_ARRAYS * (k + n * d) + 2 * n) << (k - 1)
 
 
 def pattern_norms(X, S, q) -> np.ndarray:
-    """Dual norms of the signed sums S @ X, one per sign pattern (row of S)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    return _dual_norms(S @ X, q)
+    """Dual norms of the signed sums S @ X, one per sign pattern (row of S),
+    taken in place in the signed sums: lemma44's block pass over one
+    stack, with every pattern's norm kept."""
+    Z = S @ np.ascontiguousarray(X, dtype=np.float64)
+    return _dual_norms(Z, q, out=Z)
 
 
 def constraint_batch(XB, S, q) -> np.ndarray:

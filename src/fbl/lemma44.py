@@ -111,8 +111,10 @@ def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.nda
 
     ms: (sum(ls),) each row's basis index; ls: each instance's tuple size;
     stacks: the (n_g, l, d) stacks of rows, one per run of instances with
-    the same l, in order.  Every norm runs row by row, so each instance's
-    values have the bits it has alone.
+    the same l, in order.  The left sides take one bincount and one norm
+    call, the right sides one _tuple_constraints pass over all the
+    stacks.  Every norm runs row by row, so each instance's values have
+    the bits it has alone.
     """
     n, d = len(ls), space.dim
     # entry (t, m) of z adds |x_i*(e_m)| over instance t's functionals i
@@ -120,10 +122,32 @@ def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.nda
     # is a sum in the order of the tuple
     z = np.bincount(np.repeat(np.arange(-1, n * d - 1, d), ls) + ms,
                     np.abs(np.take(rows, np.arange(-1, rows.size - 1, d) + ms)), n * d)
-    lhs = _lp_norm(z.reshape(n, d), space.q)
-    return lhs, np.concatenate([
-        kernels.pattern_norms(S, kernels.sign_patterns(S.shape[1]), space.q).max(axis=-1)
-        for S in stacks])
+    return _lp_norm(z.reshape(n, d), space.q), _tuple_constraints(stacks, space.q)
+
+
+def _tuple_constraints(stacks, q) -> np.ndarray:
+    """The tuple constraint, the max over sign patterns of the dual norm of
+    the signed sums, of every tuple of the (n, k, d) stacks, tuple after
+    tuple: the pass of kernels.pattern_norms over all the stacks at once.
+    Their signed sums go into one buffer, whose rows take one dual-norm
+    call in place, and one reduceat takes each tuple's maximum.  It lives
+    here, not in kernels, because every lemma44 run compiles kernels.py,
+    the largest module it loads, and a larger kernels.py raised the run's
+    peak memory."""
+    counts = np.array([1 << (X.shape[1] - 1) for X in stacks]).repeat([len(X) for X in stacks])
+    Z = np.empty((counts.sum(), stacks[0].shape[2]))
+    at = 0
+    for X in stacks:
+        n, k, d = X.shape
+        np.matmul(kernels.sign_patterns(k), np.ascontiguousarray(X, dtype=np.float64),
+                  out=Z[at:at + (n << (k - 1))].reshape(n, 1 << (k - 1), d))
+        at += n << (k - 1)
+    norms = kernels._dual_norms(Z, q, out=Z)
+    if not len(norms):  # reduceat refuses empty offsets
+        return norms
+    starts = counts.cumsum()
+    starts -= counts
+    return np.maximum.reduceat(norms, starts)
 
 
 def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d_max: int):
@@ -137,12 +161,13 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d
     the last block left it, so an instance's values do not depend on the
     block size.
 
-    Returns one tuple (index into LEMMA44_PS, d, members, ls, rows, ms,
+    Yields one tuple (index into LEMMA44_PS, d, members, ls, rows, ms,
     stacks) per (p, d) block: its instances' numbers, group after group
     and each group in instance order; their tuple sizes; their raw
     functionals, the rows (sum(ls), d), instance after instance; each
     row's basis index; and the (n_g, l, d) stacks of rows, one per group,
-    views of the rows.
+    views of the rows.  A block's rows are gathered when it is reached,
+    so only the block in hand holds a copy of its normals.
     """
     n = hi - lo
     exponents, dims, sizes, normals, indices = streams
@@ -160,34 +185,42 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d
     row_starts = np.cumsum(row_ds) - row_ds
     row_ds = None
     # the instances group after group, each group in instance order
-    order = np.argsort((pis * (d_max + 1) + ds) * (max_l + 1) + ls, kind="stable")
+    keys = (pis * (d_max + 1) + ds) * (max_l + 1) + ls
+    pis = ds = None
+    order = np.argsort(keys, kind="stable")
     first_row = (np.cumsum(ls) - ls)[order]
-    pis, ds, ls = pis[order], ds[order], ls[order]
+    keys, ls = keys[order], ls[order]
     # instance t's rows in that order are edges[t]..edges[t+1]-1, and
     # src[k] is the number of row k in instance order
     edges = np.concatenate([[0], np.cumsum(ls)])
     src = np.repeat(first_row - edges[:-1], ls)
     src += np.arange(edges[-1])
-    ms, starts = ms[src], row_starts[src]
+    # one gather at a time, so the old ms is freed before starts is built
+    ms = ms[src]
+    starts = row_starts[src]
     src = row_starts = None
-    # a (p, d) block starts where p or d changes
-    new_block = (pis[1:] != pis[:-1]) | (ds[1:] != ds[:-1])
-    block_edges = [0, *(np.flatnonzero(new_block) + 1).tolist(), n]
-    blocks = []
-    for b0, b1 in zip(block_edges[:-1], block_edges[1:]):
-        d = int(ds[b0])
-        # the block's rows: row k of windows views the d coordinates from
-        # coordinate k on (sliding_window_view makes the same view, but its
-        # reference cycles wait for the cyclic collector, and over repeated
-        # runs they raised the process's peak memory)
-        windows = np.ndarray((coords.size - d + 1, d), buffer=coords, strides=(8, 8))
-        rows = windows[starts[edges[b0]:edges[b1]]]
-        inner = [b0, *(np.flatnonzero(ls[b0 + 1:b1] != ls[b0:b1 - 1]) + b0 + 1).tolist(), b1]
-        stacks = [rows[edges[g0] - edges[b0]:edges[g1] - edges[b0]].reshape(g1 - g0, -1, d)
-                  for g0, g1 in zip(inner[:-1], inner[1:])]
-        blocks.append((int(pis[b0]), d, lo + order[b0:b1], ls[b0:b1], rows,
-                       ms[edges[b0]:edges[b1]], stacks))
-    return blocks
+    # a (p, d, l) group starts where the key changes; each (p, d) block's
+    # group edges, as (instance, row) pairs, block after block
+    cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), n]
+    bounds = list(zip(cuts, edges[cuts].tolist()))
+    groups = {}
+    for g0, g1, key in zip(bounds, bounds[1:], keys[cuts[:-1]].tolist()):
+        groups.setdefault(key // (max_l + 1), [g0]).append(g1)
+    keys = edges = None
+    # row k of windows[d] views the d coordinates from coordinate k on
+    # (sliding_window_view makes the same view, but its reference cycles
+    # wait for the cyclic collector, and over repeated runs they raised
+    # the process's peak memory)
+    windows = {}
+    for key, inner in groups.items():
+        pi, d = divmod(key, d_max + 1)
+        if d not in windows:
+            windows[d] = np.ndarray((coords.size - d + 1, d), buffer=coords, strides=(8, 8))
+        (b0, r0), (b1, r1) = inner[0], inner[-1]
+        rows = windows[d][starts[r0:r1]]
+        stacks = [rows[s0 - r0:s1 - r0].reshape(g1 - g0, -1, d)
+                  for (g0, s0), (g1, s1) in zip(inner, inner[1:])]
+        yield pi, d, lo + order[b0:b1], ls[b0:b1], rows, ms[r0:r1], stacks
 
 
 def check_lemma44(
@@ -205,13 +238,13 @@ def check_lemma44(
     SeedSequence(seed, spawn_key=(1, j)) for j = 0..4: exponent,
     dimension, tuple size, normals and basis indices, which every instance
     draws from in turn.  The instances are drawn in blocks of as many as
-    keep pattern_norms at its peak, the draws and their evaluation under
+    keep the draws and their evaluation, sign-cube norms included, under
     the cap, each block with one call per stream.  A block's instances are
     evaluated one (p, d) at a time, by the routine lemma_unconditional_batch
     uses: one normalisation of all their functionals, one left side each
-    from one bincount, and the sign-cube norms one (p, d, l) group at a
-    time.  Failures are listed in instance order, an instance's inequality
-    failure before its oracle one.
+    from one bincount, and one sign-cube pass of _tuple_constraints over
+    all their (p, d, l) groups.  Failures are listed in instance
+    order, an instance's inequality failure before its oracle one.
     """
     if not 1 <= max_l <= SIGN_CUBE_CAP:
         raise ConfigError(f"max tuple size must be in 1..{SIGN_CUBE_CAP}, got {max_l}")
@@ -222,14 +255,16 @@ def check_lemma44(
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     d_max = space.dim if space else LEMMA44_DIMS[1]
-    # per instance, a block keeps its gathered normals (max_l * d_max
-    # numbers at most) and their basis indices from the draw on.  Besides
-    # them it holds while drawing the normals in instance order and at
-    # most 4 * max_l + 6 numbers (keys, order, row starts and gather
-    # indices); then while evaluating three copies of its normals (the
-    # temporaries of their norms, then the ell_1 oracle's), at most
-    # 3 * max_l + 4 * d_max + 6 numbers (the bincount keys, z and its
-    # norm's three temporaries, lhs and rhs) and pattern_norms.  It counts
+    # per instance, a block keeps its normals in instance order (max_l *
+    # d_max numbers at most) and their basis indices from the draw on.
+    # Besides them it holds while drawing at most 4 * max_l + 6 numbers
+    # (keys, order, row starts and gather indices); then while evaluating
+    # the gathered normals of the (p, d) block in hand and three copies of
+    # them (the temporaries of their norms, then the ell_1 oracle's), at
+    # most 3 * max_l + 4 * d_max + 6 numbers (the bincount keys, z and its
+    # norm's three temporaries, lhs and rhs) and its share of the block's
+    # sign-cube pass, which holds what pattern_norms holds for all the
+    # block's instances at once, each counted here at max_l.  It counts
     # the sum of both phases, whose peaks tracemalloc measures below it.
     # The sign patterns are held once
     patterns = kernels.pattern_elements(0, max_l, d_max)

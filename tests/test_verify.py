@@ -62,6 +62,14 @@ def test_lemma_instance_requires_unit_ball():
         lemma_unconditional_batch(sp, [[1.0]], [[[0.5, 0.0]]])
 
 
+def test_lemma_batch_of_no_instances():
+    # np.maximum.reduceat refuses empty offsets: no instances, no sides
+    for p in (1.0, 2.0, 1.0000001, math.inf):
+        lhs, rhs = lemma_unconditional_batch(Space.lp(p, 3), np.empty((0, 4), dtype=int),
+                                             np.empty((0, 4, 3)))
+        assert lhs.shape == rhs.shape == (0,) and rhs.dtype == np.float64
+
+
 def test_lemma44_random_suite():
     report = check_lemma44(instances=2000, max_l=6, seed=0)
     assert report.passed
@@ -123,11 +131,19 @@ def test_lemma44_batched_equals_per_instance_loop(space):
             assert got == _per_instance_lemma44(sp, 60, max_l, seed).to_json()
 
 
+def _halve_constraints(monkeypatch):
+    # check_lemma44 takes its right sides from the block pass, the
+    # per-instance oracle from pattern_norms through tuple_constraint:
+    # halving both halves each instance's right side to the same bits
+    for module, name in ((lemma44, "_tuple_constraints"), (kernels, "pattern_norms")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, kernel=kernel: 0.5 * kernel(*args))
+
+
 def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
-    # halved pattern norms fail most instances, so each report lists their
+    # halved constraints fail most instances, so each report lists their
     # draws: a block that drew from the wrong streams changes it
-    pattern_norms = kernels.pattern_norms
-    monkeypatch.setattr(kernels, "pattern_norms", lambda X, S, q: 0.5 * pattern_norms(X, S, q))
+    _halve_constraints(monkeypatch)
     whole = {space: check_lemma44(parse_space(space) if space else None,
                                   instances=7, seed=2).to_json()
              for space in (None, "l1:5")}
@@ -143,7 +159,7 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
         for space, d_max in ((None, 8), ("l1:5", 5)):
             sp = parse_space(space) if space else None
             # --l 6 takes 4 * 6 * 2^5 elements for the sign patterns, and
-            # one instance (4 * d + 2) * 2^5 for pattern_norms, 6 * d for
+            # one instance (4 * d + 2) * 2^5 for the block pass, 6 * d for
             # its normals and 4 * 6 * d for their instance-order and
             # evaluation copies, and a record of 8 * 6 + 4 * d + 12
             assert kernels.PATTERN_ARRAYS == 4
@@ -220,21 +236,37 @@ def test_lemma44_measures_once_per_block(monkeypatch):
     draws = lemma44._lemma44_draws
 
     def recording(*args):
-        out = draws(*args)
+        # the draws yield their blocks: keep them for check_lemma44 too
+        out = list(draws(*args))
         blocks.extend((pi, d) for pi, d, *_ in out)
         return out
 
     monkeypatch.setattr(lemma44, "_lemma44_draws", recording)
     check_lemma44(instances=3000, seed=4)
     assert len(set(blocks)) == len(lemma44.LEMMA44_PS) * 7
-    assert len(calls) <= 2 * len(set(blocks))
+    assert 0 < len(calls) <= 2 * len(set(blocks))
+
+
+def test_lemma44_one_constraint_pass_per_block(monkeypatch):
+    # the default report is one draw block of 35 (p, d) blocks; each takes
+    # its right sides from one _tuple_constraints call, where one
+    # pattern_norms call per (p, d, l) group took 210
+    calls = []
+    for module, name in ((lemma44, "_tuple_constraints"), (kernels, "pattern_norms")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, kernel=kernel:
+                            calls.append(name) or kernel(*args))
+    report = check_lemma44(instances=10_000, seed=0)
+    assert report.passed
+    assert calls == ["_tuple_constraints"] * len(lemma44.LEMMA44_PS) * 7
 
 
 @pytest.mark.parametrize("space, max_l", [(None, 6), (None, 1), ("l1:1", 1),
                                           ("lp:1.0000001:3", 3), ("l2:12", 2)])
 def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
     # the block count covers every array a block holds: the sign patterns,
-    # the draws and their records, the stream seeds and pattern_norms
+    # the draws and their records, the stream seeds and the block pass
     monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 1 << 16)
     sp = parse_space(space) if space else None
     blocks = []
@@ -255,10 +287,9 @@ def test_lemma44_peak_memory_within_the_cap(space, max_l, monkeypatch):
 
 
 def test_lemma44_failures_come_in_instance_order(monkeypatch):
-    # halved pattern norms break the inequality and, on ell_1, the oracle
-    # agreement; both code paths see the same halved kernel
-    pattern_norms = kernels.pattern_norms
-    monkeypatch.setattr(kernels, "pattern_norms", lambda X, S, q: 0.5 * pattern_norms(X, S, q))
+    # halved constraints break the inequality and, on ell_1, the oracle
+    # agreement; both code paths see the same halved right sides
+    _halve_constraints(monkeypatch)
     report = check_lemma44(instances=120, max_l=6, seed=3)
     assert report.to_json() == _per_instance_lemma44(None, 120, 6, 3).to_json()
     keys = [(f["instance"], "kind" in f) for f in report.failures]
@@ -275,6 +306,48 @@ def test_lemma44_failures_come_in_instance_order(monkeypatch):
     report = check_lemma44(parse_space("l1:3"), instances=40, max_l=3, seed=1)
     assert [f["instance"] for f in report.failures] == list(range(40))
     assert all(f["kind"] == "oracle-mismatch" for f in report.failures)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf, 1.0000001],
+                         ids=["p=1", "p=1.5", "p=2", "p=3", "p=inf", "p=1+1e-7"])
+def test_tuple_constraints_match_each_group_alone(p, rng):
+    # one pass over a (p, d) block gives every tuple the bits of its own
+    # group's pattern norms, and of the product and norms taken directly;
+    # p = 1 + 1e-7 takes _dual_norms' scaled branch
+    q = Space.lp(p, 1).q
+    assert (kernels.LARGE_EXPONENT < q < np.inf) == (p == 1.0000001)
+    for d in range(1, 9):
+        # tuple sizes 1-9 mixed in one block, with one-tuple and empty groups
+        ks = rng.permutation(np.arange(1, 10))
+        stacks = [rng.standard_normal((n, k, d)) for k, n in zip(ks, (1, 4, 0, 7, 1, 3, 0, 2, 5))]
+        got = lemma44._tuple_constraints(stacks, q)
+        for want in (
+                [kernels.pattern_norms(X, kernels.sign_patterns(k), q).max(axis=-1)
+                 for X, k in zip(stacks, ks)],
+                [kernels._dual_norms(kernels.sign_patterns(k) @ X, q).max(axis=-1)
+                 for X, k in zip(stacks, ks)]):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+        # no tuples at all: reduceat takes no empty offsets
+        empty = lemma44._tuple_constraints([X for X in stacks if not len(X)], q)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
+                         ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
+def test_tuple_constraints_peak_memory(q, rng):
+    # the count of lemma44's cap check: one pass over a block holds no more
+    # than pattern_norms holds for each of its stacks, added up
+    for d in (1, 3, 8):
+        stacks = [rng.standard_normal((n, k, d)) for k, n in ((1, 40), (5, 1), (11, 40), (2, 7))]
+        kernels.sign_patterns.cache_clear()
+        tracemalloc.start()
+        try:
+            lemma44._tuple_constraints(stacks, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sum(kernels.pattern_elements(n, k, d) for n, k, _ in
+                               (X.shape for X in stacks)) + 4096
 
 
 def test_lemma_instance_is_a_stack_of_one(rng):
