@@ -90,10 +90,13 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     check_sign_tensor(kernels.pattern_elements(1, k, d), "use fewer functionals")
     if not np.isfinite(X).all():
         raise InputError("functionals must be finite")
-    S = kernels.sign_patterns(k)
-    norms = kernels.pattern_norms(X, S, space.q)
+    norms = kernels.pattern_norms([X[None]], space.q)
     idx = int(np.argmax(norms))
-    return float(norms[idx]), S[idx].copy()
+    # row idx of sign_patterns(k), built alone: past k = CACHED_PATTERNS
+    # the matrix is rebuilt per call, and pattern_norms has built it once
+    eps = np.ones(k)
+    eps[1:] = 2.0 * (idx >> np.arange(k - 2, -1, -1) & 1) - 1.0
+    return float(norms[idx]), eps
 
 
 @dataclass(frozen=True)
@@ -325,11 +328,15 @@ def _lockstep(terms, W, space, config, X0):
     # decided once: a term with a zero weight is evaluated only where it counts
     dense = tuple(bool(v) for v in (W != 0.0).all(axis=0))
     fvals = _fvalues(terms, Wb, space, X, dense)
-    # cumsum adds the k f-values in order at every batch width; a sum over
-    # a lone column would switch to pairwise blocks from k = 9 on
-    cur = _ratios(fvals.cumsum(axis=0)[-1],
-                  kernels.constraint_batch(X.transpose(1, 0, 2), S, space.q))
     Z = kernels.signed_sums(X, S)
+    # cumsum adds the k f-values in order at every batch width; a sum over
+    # a lone column would switch to pairwise blocks from k = 9 on.  The
+    # start constraints come from the signed sums the moves are scored
+    # from, each pattern's coordinates one contiguous row: numpy sums such
+    # a row alike at every batch width, but along axis 1 of Z it would add
+    # a lone restart's coordinates pairwise from d = 8 on, a batch's in order
+    cur = _ratios(fvals.cumsum(axis=0)[-1], kernels._dual_norms(
+        np.ascontiguousarray(Z.transpose(0, 2, 1)), space.q).max(axis=0))
 
     # the loop state holds the live restarts only, ids their columns; a
     # retiring restart leaves its tuple and ratio in X_out and cur_out

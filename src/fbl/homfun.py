@@ -130,9 +130,6 @@ def _param_arrays(params: LiftParams, d: int):
 class HomExpr:
     """Base class for expression nodes.  Immutable; evaluation is pure."""
 
-    def __call__(self, space: Space, xstar) -> float:
-        return eval_expr(self, space, xstar)
-
     def __str__(self):
         return to_text(self)
 

@@ -4,6 +4,8 @@ All kernels are careful to produce *literal* zeros where the formulas clamp
 (positive parts, ramp cutoffs), so exact-zero assertions downstream are sound.
 hom_batch evaluates every generator leaf f(n)/h(n,k) of one batch of
 functionals in one call, so that the leaves share their common work.
+pattern_norms is the one exact sign-cube pass: tuple_constraint's
+certificate and lemma44's right sides both take their norms from it.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ MOVE_ARRAYS = 9
 # pattern_norms of n k-tuples in d dimensions holds at most PATTERN_ARRAYS
 # float64 per sign pattern and coordinate at once: the signed sums (n,
 # 2^(k-1), d) and the norms' temporaries, plus two per pattern of each
-# tuple for the norms themselves; lemma44's block pass holds these counts
-# for all its stacks at once, added up.  sign_patterns(k) holds as many per
-# pattern and tuple entry while it builds the (2^(k-1), k) matrix, which
-# stays cached only up to k = CACHED_PATTERNS.  Measured with tracemalloc;
-# the scaled branch (q > LARGE_EXPONENT) is the largest.  Both take the
-# norms in place in the signed sums, so they hold less than the count.
+# tuple for the norms themselves; a call over several stacks holds these
+# counts for all of them at once, added up.  sign_patterns(k) holds as
+# many per pattern and tuple entry while it builds the (2^(k-1), k)
+# matrix, which stays cached only up to k = CACHED_PATTERNS.  Measured
+# with tracemalloc; the scaled branch (q > LARGE_EXPONENT) is the largest.
+# The norms are taken in place in the signed sums, so the pass holds less
+# than the count.
 PATTERN_ARRAYS = 4
 
 # the two signs of a move, one row each
@@ -207,16 +210,25 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
 
 def pattern_elements(n: int, k: int, d: int) -> int:
     """Float64 elements that pattern_norms of n k-tuples in d dimensions
-    holds at its peak, sign_patterns(k) included (see PATTERN_ARRAYS); the
-    block pass of lemma44 holds the sum over its stacks."""
+    holds at its peak, sign_patterns(k) included (see PATTERN_ARRAYS); a
+    call over several stacks holds the sum over its stacks."""
     return (PATTERN_ARRAYS * (k + n * d) + 2 * n) << (k - 1)
 
 
-def pattern_norms(X, S, q) -> np.ndarray:
-    """Dual norms of the signed sums S @ X, one per sign pattern (row of S),
-    taken in place in the signed sums: lemma44's block pass over one
-    stack, with every pattern's norm kept."""
-    Z = S @ np.ascontiguousarray(X, dtype=np.float64)
+def pattern_norms(stacks, q) -> np.ndarray:
+    """Dual norms of the signed sums of every tuple of the (n, k, d) stacks,
+    one per sign pattern, tuple after tuple and each tuple's patterns in
+    sign_patterns(k) order.  The signed sums go into one buffer, one
+    matmul per stack, whose rows take one dual-norm call in place; every
+    row's norm has the bits it has alone."""
+    counts = [len(X) << (X.shape[1] - 1) for X in stacks]
+    Z = np.empty((sum(counts), stacks[0].shape[2]))
+    at = 0
+    for X, count in zip(stacks, counts):
+        n, k, d = X.shape
+        np.matmul(sign_patterns(k), np.ascontiguousarray(X, dtype=np.float64),
+                  out=Z[at:at + count].reshape(n, 1 << (k - 1), d))
+        at += count
     return _dual_norms(Z, q, out=Z)
 
 

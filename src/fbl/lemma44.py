@@ -112,9 +112,10 @@ def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.nda
     ms: (sum(ls),) each row's basis index; ls: each instance's tuple size;
     stacks: the (n_g, l, d) stacks of rows, one per run of instances with
     the same l, in order.  The left sides take one bincount and one norm
-    call, the right sides one _tuple_constraints pass over all the
-    stacks.  Every norm runs row by row, so each instance's values have
-    the bits it has alone.
+    call, the right sides one kernels.pattern_norms pass over all the
+    stacks and one reduceat, each tuple's maximum over its sign patterns.
+    Every norm runs row by row, so each instance's values have the bits
+    it has alone.
     """
     n, d = len(ls), space.dim
     # entry (t, m) of z adds |x_i*(e_m)| over instance t's functionals i
@@ -122,32 +123,12 @@ def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.nda
     # is a sum in the order of the tuple
     z = np.bincount(np.repeat(np.arange(-1, n * d - 1, d), ls) + ms,
                     np.abs(np.take(rows, np.arange(-1, rows.size - 1, d) + ms)), n * d)
-    return _lp_norm(z.reshape(n, d), space.q), _tuple_constraints(stacks, space.q)
-
-
-def _tuple_constraints(stacks, q) -> np.ndarray:
-    """The tuple constraint, the max over sign patterns of the dual norm of
-    the signed sums, of every tuple of the (n, k, d) stacks, tuple after
-    tuple: the pass of kernels.pattern_norms over all the stacks at once.
-    Their signed sums go into one buffer, whose rows take one dual-norm
-    call in place, and one reduceat takes each tuple's maximum.  It lives
-    here, not in kernels, because every lemma44 run compiles kernels.py,
-    the largest module it loads, and a larger kernels.py raised the run's
-    peak memory."""
-    counts = np.array([1 << (X.shape[1] - 1) for X in stacks]).repeat([len(X) for X in stacks])
-    Z = np.empty((counts.sum(), stacks[0].shape[2]))
-    at = 0
-    for X in stacks:
-        n, k, d = X.shape
-        np.matmul(kernels.sign_patterns(k), np.ascontiguousarray(X, dtype=np.float64),
-                  out=Z[at:at + (n << (k - 1))].reshape(n, 1 << (k - 1), d))
-        at += n << (k - 1)
-    norms = kernels._dual_norms(Z, q, out=Z)
-    if not len(norms):  # reduceat refuses empty offsets
-        return norms
-    starts = counts.cumsum()
-    starts -= counts
-    return np.maximum.reduceat(norms, starts)
+    lhs, norms = _lp_norm(z.reshape(n, d), space.q), kernels.pattern_norms(stacks, space.q)
+    if not n:  # reduceat refuses empty offsets
+        return lhs, norms
+    # each tuple's maximum over its 2^(l-1) sign patterns, from its first
+    counts = 1 << (ls - 1)
+    return lhs, np.maximum.reduceat(norms, np.cumsum(counts) - counts)
 
 
 def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d_max: int):
@@ -242,8 +223,8 @@ def check_lemma44(
     the cap, each block with one call per stream.  A block's instances are
     evaluated one (p, d) at a time, by the routine lemma_unconditional_batch
     uses: one normalisation of all their functionals, one left side each
-    from one bincount, and one sign-cube pass of _tuple_constraints over
-    all their (p, d, l) groups.  Failures are listed in instance
+    from one bincount, and one sign-cube pass of kernels.pattern_norms
+    over all their (p, d, l) groups.  Failures are listed in instance
     order, an instance's inequality failure before its oracle one.
     """
     if not 1 <= max_l <= SIGN_CUBE_CAP:

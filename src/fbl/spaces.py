@@ -143,18 +143,6 @@ class Space:
         """Dual norm of a functional given by its biorthogonal coordinates."""
         return float(_lp_norm(self._check(xstar), self.q))
 
-    def apply(self, xstar, x) -> float:
-        """Evaluate the functional at the vector: sum of coordinate products."""
-        return float(np.dot(self._check(xstar), self._check(x)))
-
-    def basis_vector(self, n: int) -> np.ndarray:
-        """The n-th normalized basis vector (1-based index)."""
-        if not 1 <= n <= self.dim:
-            raise BasisIndexError(f"basis index {n} out of range 1..{self.dim}")
-        e = np.zeros(self.dim)
-        e[n - 1] = 1.0
-        return e
-
     def __str__(self):
         if self.p == math.inf:
             tag = "linf"

@@ -88,6 +88,30 @@ def test_constraint_certificate_tiebreak():
     assert list(eps) == [1.0, -1.0]
 
 
+def test_constraint_builds_the_patterns_once(monkeypatch, rng):
+    # past CACHED_PATTERNS sign_patterns builds its matrix afresh on every
+    # call: the sign-cube pass builds it, once, and the certificate row is
+    # built alone, not from a second matrix
+    k = kernels.CACHED_PATTERNS + 1
+    calls = []
+    patterns, pattern_norms = kernels.sign_patterns, kernels.pattern_norms
+    monkeypatch.setattr(kernels, "sign_patterns",
+                        lambda k: calls.append(("sign_patterns", k)) or patterns(k))
+    monkeypatch.setattr(kernels, "pattern_norms", lambda stacks, q: calls.append(
+        ("pattern_norms", [X.shape for X in stacks])) or pattern_norms(stacks, q))
+    for p in (1.0, 2.0, 3.0, math.inf):
+        sp = Space.lp(p, 2)
+        X = rng.standard_normal((k, 2))
+        calls.clear()
+        C, eps = tuple_constraint(sp, X)
+        assert calls == [("pattern_norms", [(1, k, 2)]), ("sign_patterns", k)]
+        S = patterns(k)
+        norms = kernels._dual_norms(S @ X, sp.q)
+        idx = int(np.argmax(norms))
+        assert (C, eps.tolist()) == (float(norms[idx]), S[idx].tolist())
+        assert eps.flags.writeable
+
+
 def test_constraint_cap_and_errors():
     sp = Space.lp(2, 2)
     with pytest.raises(ConfigError):
@@ -212,10 +236,10 @@ def test_restarts_climb_independently(space, text, monkeypatch):
 
 def test_start_ratios_do_not_depend_on_the_batch(monkeypatch):
     # the k f-values of each start tuple are added in order at any batch
-    # width; a numpy sum over one column switches to pairwise blocks at k >= 9
-    k, R = 12, 8
-    sp, expr, ones = parse_space("l2:3"), parse("d(0.1,0.9,-0.4)"), np.ones((1, 1))
-    X0 = _start_tuples(0, R, k, 3)
+    # width; a numpy sum over one column switches to pairwise blocks at k >= 9.
+    # So would a sum over a lone restart's coordinates at d >= 8, where the
+    # terms are generators: a delta's BLAS product is not batch-independent
+    R = 8
     starts, ratios = [], fblnorm._ratios
 
     def stop(*args):
@@ -223,13 +247,31 @@ def test_start_ratios_do_not_depend_on_the_batch(monkeypatch):
 
     monkeypatch.setattr(fblnorm, "_ratios", lambda obj, C: starts.append(ratios(obj, C)))
     monkeypatch.setattr(fblnorm, "_neighbourhood", stop)
-    cfg = SearchConfig(k=k, restarts=1)
-    for r in range(R):
+    for space, k, text in (("l2:3", 12, "d(0.1,0.9,-0.4)"), ("l2:9", 3, "f(1) v 0.5*f(9)"),
+                           ("lp:3:8", 1, "f(2) - h(1,1)"), ("linf:8", 2, "f(1) v 0.5*f(8)")):
+        sp, expr, ones = parse_space(space), parse(text), np.ones((1, 1))
+        X0 = _start_tuples(0, R, k, sp.dim)
+        cfg = SearchConfig(k=k, restarts=1)
+        starts.clear()
+        for r in range(R):
+            with pytest.raises(StopIteration):
+                fblnorm._lockstep([expr], ones, sp, cfg, X0[:, r:r + 1])
         with pytest.raises(StopIteration):
-            fblnorm._lockstep([expr], ones, sp, cfg, X0[:, r:r + 1])
-    with pytest.raises(StopIteration):
-        fblnorm._lockstep([expr], ones, sp, replace(cfg, restarts=R), X0)
-    assert np.array_equal(np.concatenate(starts[:R]), starts[R])
+            fblnorm._lockstep([expr], ones, sp, replace(cfg, restarts=R), X0)
+        assert np.array_equal(np.concatenate(starts[:R]), starts[R]), space
+
+
+def test_search_batch_takes_its_signed_sums_once(monkeypatch):
+    # the start constraints come from the signed sums the moves are scored
+    # from: one signed_sums call per batch of searches, no second product
+    calls = []
+    for name in ("signed_sums", "constraint_batch"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args, name=name, kernel=kernel:
+                            calls.append(name) or kernel(*args))
+    terms = [parse("d(1,0,-1)"), parse("f(1) v 0.5*f(3) - h(1,1)")]
+    fbl_lower_bounds(terms, np.eye(2), Space.lp(3.0, 3), SearchConfig(k=3, restarts=4))
+    assert calls == ["signed_sums"]
 
 
 @pytest.mark.parametrize("space", ["l1:4", "l2:4", "linf:4", "lp:3:4"])

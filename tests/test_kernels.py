@@ -128,29 +128,53 @@ def test_dual_norms_survive_power_sum_overflow():
     X = np.array([[3.0, -2.0, 0.5], [1e-3, 0.0, 0.0]])
     S = kernels.sign_patterns(2)
     ref = np.abs(S @ X).max(axis=1)
-    np.testing.assert_allclose(kernels.pattern_norms(X, S, sp.q), ref, rtol=1e-6)
+    np.testing.assert_allclose(kernels.pattern_norms([X[None]], sp.q), ref, rtol=1e-6)
     np.testing.assert_allclose(kernels.constraint_batch(X[None], S, sp.q), [ref.max()],
                                rtol=1e-6)
     np.testing.assert_allclose([sp.dual_norm(x) for x in X], np.abs(X).max(axis=1),
                                rtol=1e-6)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf, 1.0000001],
+                         ids=["p=1", "p=1.5", "p=2", "p=3", "p=inf", "p=1+1e-7"])
+def test_pattern_norms_match_each_stack_alone(p, rng):
+    # one pass over many stacks gives every sign pattern of every tuple the
+    # bits of the product and norms taken on its stack alone; p = 1 + 1e-7
+    # takes _dual_norms' scaled branch
+    q = Space.lp(p, 1).q
+    assert (kernels.LARGE_EXPONENT < q < np.inf) == (p == 1.0000001)
+    for d in range(1, 9):
+        # tuple sizes 1-9 mixed in one call, with one-tuple and empty stacks
+        ks = rng.permutation(np.arange(1, 10))
+        stacks = [rng.standard_normal((n, k, d)) for k, n in zip(ks, (1, 4, 0, 7, 1, 3, 0, 2, 5))]
+        want = [kernels._dual_norms(kernels.sign_patterns(k) @ X, q).ravel()
+                for X, k in zip(stacks, ks)]
+        assert kernels.pattern_norms(stacks, q).tobytes() == np.concatenate(want).tobytes()
+        # no tuples at all
+        empty = kernels.pattern_norms([X for X in stacks if not len(X)], q)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
                          ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
 def test_pattern_norms_peak_memory(q, rng):
     # the count of tuple_constraint's and lemma44's cap checks: the sign
-    # patterns built afresh and the norms of n k-tuples in d dimensions
-    # stay within pattern_elements(n, k, d) float64, up to a few small arrays
-    for k, d, n in itertools.product((1, 2, 5, 11), (1, 3, 8), (1, 40)):
-        X = rng.standard_normal((n, k, d))
-        kernels.sign_patterns.cache_clear()
-        tracemalloc.start()
-        try:
-            kernels.pattern_norms(X, kernels.sign_patterns(k), q).max(axis=-1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * kernels.pattern_elements(n, k, d) + 4096
+    # patterns built afresh and the norms of every stack stay within the
+    # sum of pattern_elements(n, k, d) over the stacks, up to a few small
+    # arrays; one stack of each (n, k), then mixed tuple sizes in one call
+    shapes = [[nk] for nk in itertools.product((1, 40), (1, 2, 5, 11))]
+    for d in (1, 3, 8):
+        for stack_shapes in shapes + [[(40, 1), (1, 5), (40, 11), (7, 2)]]:
+            stacks = [rng.standard_normal((n, k, d)) for n, k in stack_shapes]
+            kernels.sign_patterns.cache_clear()
+            tracemalloc.start()
+            try:
+                kernels.pattern_norms(stacks, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * sum(kernels.pattern_elements(n, k, d)
+                                   for n, k in stack_shapes) + 4096
 
 
 def test_leave_one_out_matches_cumulative_reference(rng):

@@ -132,12 +132,11 @@ def test_lemma44_batched_equals_per_instance_loop(space):
 
 
 def _halve_constraints(monkeypatch):
-    # check_lemma44 takes its right sides from the block pass, the
-    # per-instance oracle from pattern_norms through tuple_constraint:
-    # halving both halves each instance's right side to the same bits
-    for module, name in ((lemma44, "_tuple_constraints"), (kernels, "pattern_norms")):
-        kernel = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, kernel=kernel: 0.5 * kernel(*args))
+    # check_lemma44 takes its right sides from pattern_norms, and so does
+    # the per-instance oracle through tuple_constraint: halving every
+    # pattern norm halves each instance's right side to the same bits
+    kernel = kernels.pattern_norms
+    monkeypatch.setattr(kernels, "pattern_norms", lambda *args: 0.5 * kernel(*args))
 
 
 def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
@@ -159,7 +158,7 @@ def test_lemma44_blocks_do_not_change_the_report(monkeypatch):
         for space, d_max in ((None, 8), ("l1:5", 5)):
             sp = parse_space(space) if space else None
             # --l 6 takes 4 * 6 * 2^5 elements for the sign patterns, and
-            # one instance (4 * d + 2) * 2^5 for the block pass, 6 * d for
+            # one instance (4 * d + 2) * 2^5 for the sign-cube pass, 6 * d for
             # its normals and 4 * 6 * d for their instance-order and
             # evaluation copies, and a record of 8 * 6 + 4 * d + 12
             assert kernels.PATTERN_ARRAYS == 4
@@ -249,17 +248,16 @@ def test_lemma44_measures_once_per_block(monkeypatch):
 
 def test_lemma44_one_constraint_pass_per_block(monkeypatch):
     # the default report is one draw block of 35 (p, d) blocks; each takes
-    # its right sides from one _tuple_constraints call, where one
-    # pattern_norms call per (p, d, l) group took 210
+    # its right sides from one pattern_norms call over all its (p, d, l)
+    # groups, where one call per group took 210
     calls = []
-    for module, name in ((lemma44, "_tuple_constraints"), (kernels, "pattern_norms")):
-        kernel = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, name=name, kernel=kernel:
-                            calls.append(name) or kernel(*args))
+    kernel = kernels.pattern_norms
+    monkeypatch.setattr(kernels, "pattern_norms",
+                        lambda stacks, q: calls.append(len(stacks)) or kernel(stacks, q))
     report = check_lemma44(instances=10_000, seed=0)
     assert report.passed
-    assert calls == ["_tuple_constraints"] * len(lemma44.LEMMA44_PS) * 7
+    assert len(calls) == len(lemma44.LEMMA44_PS) * 7
+    assert sum(calls) == len(lemma44.LEMMA44_PS) * 7 * 6
 
 
 @pytest.mark.parametrize("space, max_l", [(None, 6), (None, 1), ("l1:1", 1),
@@ -311,38 +309,45 @@ def test_lemma44_failures_come_in_instance_order(monkeypatch):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf, 1.0000001],
                          ids=["p=1", "p=1.5", "p=2", "p=3", "p=inf", "p=1+1e-7"])
 def test_tuple_constraints_match_each_group_alone(p, rng):
-    # one pass over a (p, d) block gives every tuple the bits of its own
-    # group's pattern norms, and of the product and norms taken directly;
-    # p = 1 + 1e-7 takes _dual_norms' scaled branch
-    q = Space.lp(p, 1).q
-    assert (kernels.LARGE_EXPONENT < q < np.inf) == (p == 1.0000001)
+    # the right sides of a (p, d) block, each tuple's maximum over its run
+    # of the block's pattern norms, have the bits of the maximum over the
+    # norms taken on its group alone; p = 1 + 1e-7 takes _dual_norms'
+    # scaled branch
     for d in range(1, 9):
+        sp = Space.lp(p, d)
         # tuple sizes 1-9 mixed in one block, with one-tuple and empty groups
         ks = rng.permutation(np.arange(1, 10))
-        stacks = [rng.standard_normal((n, k, d)) for k, n in zip(ks, (1, 4, 0, 7, 1, 3, 0, 2, 5))]
-        got = lemma44._tuple_constraints(stacks, q)
-        for want in (
-                [kernels.pattern_norms(X, kernels.sign_patterns(k), q).max(axis=-1)
-                 for X, k in zip(stacks, ks)],
-                [kernels._dual_norms(kernels.sign_patterns(k) @ X, q).max(axis=-1)
-                 for X, k in zip(stacks, ks)]):
-            assert got.tobytes() == np.concatenate(want).tobytes()
+        ns = (1, 4, 0, 7, 1, 3, 0, 2, 5)
+        stacks = [rng.standard_normal((n, k, d)) for k, n in zip(ks, ns)]
+        ls = np.repeat(ks, ns)
+        rows = np.concatenate([X.reshape(-1, d) for X in stacks])
+        ms = rng.integers(1, d + 1, size=len(rows))
+        want = [kernels._dual_norms(kernels.sign_patterns(k) @ X, sp.q).max(axis=-1)
+                for X, k in zip(stacks, ks)]
+        rhs = lemma44._lemma_sides(sp, rows, ms, ls, stacks)[1]
+        assert rhs.tobytes() == np.concatenate(want).tobytes()
         # no tuples at all: reduceat takes no empty offsets
-        empty = lemma44._tuple_constraints([X for X in stacks if not len(X)], q)
-        assert empty.shape == (0,) and empty.dtype == np.float64
+        lhs, rhs = lemma44._lemma_sides(sp, rows[:0], ms[:0], ls[:0], [stacks[ns.index(0)]])
+        assert lhs.shape == rhs.shape == (0,) and rhs.dtype == np.float64
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
                          ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
 def test_tuple_constraints_peak_memory(q, rng):
-    # the count of lemma44's cap check: one pass over a block holds no more
-    # than pattern_norms holds for each of its stacks, added up
+    # the count of lemma44's cap check: the sides of a (p, d) block, its
+    # left sides and its one sign-cube pass, hold no more than
+    # pattern_norms holds for each of its stacks, added up
+    p = np.inf if q == 1.0 else 1.0 if q == np.inf else q / (q - 1)
     for d in (1, 3, 8):
+        sp = Space.lp(p, d)
         stacks = [rng.standard_normal((n, k, d)) for k, n in ((1, 40), (5, 1), (11, 40), (2, 7))]
+        ls = np.concatenate([np.full(len(X), X.shape[1]) for X in stacks])
+        rows = np.concatenate([X.reshape(-1, d) for X in stacks])
+        ms = rng.integers(1, d + 1, size=len(rows))
         kernels.sign_patterns.cache_clear()
         tracemalloc.start()
         try:
-            lemma44._tuple_constraints(stacks, q)
+            lemma44._lemma_sides(sp, rows, ms, ls, stacks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -555,7 +560,7 @@ def test_error_contract_leftovers_are_typed():
         LiftParams().g(2, -1.0)
     assert exc.type is ConfigError
     with pytest.raises(BasisIndexError) as exc:
-        Space.lp(2, 3).basis_vector(4)
+        lemma_unconditional_batch(Space.lp(2, 3), [[4]], [[[0.5, 0.0, 0.0]]])
     assert issubclass(exc.type, InputError) and issubclass(exc.type, IndexError)
 
 
