@@ -54,14 +54,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _search_config(args) -> fblnorm.SearchConfig:
+    return fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
+                                local_steps=args.local_steps, seed=args.seed)
+
+
 def cmd_norm(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
     expr = homfun.parse(args.expr, params)
     params.arrays(space.dim)  # the M sequence must cover the space
-    config = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
-                                  local_steps=args.local_steps, seed=args.seed)
-    est = fblnorm.fbl_lower_bound(expr, space, config)
+    est = fblnorm.fbl_lower_bound(expr, space, _search_config(args))
     _emit(est.to_dict(), args.out)
     print(f"norm lower bound {est.lower_bound:.9g} "
           f"(objective {est.objective:.9g} / constraint {est.constraint:.9g})",
@@ -75,9 +78,8 @@ def cmd_lift_verify(args) -> int:
     if args.coeff_vectors < 0:
         raise ConfigError(f"--coeff-vectors must be >= 0, got {args.coeff_vectors}")
     system = lifting.LiftingSystem(space, params)
-    search = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
-                                  local_steps=args.local_steps, seed=args.seed)
-    reports = verify.lift_verify(system, search, args.instances, args.coeff_vectors)
+    reports = verify.lift_verify(system, _search_config(args), args.instances,
+                                 args.coeff_vectors)
     payload = {"space": str(space), "checks": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports), "seed": args.seed}
     _emit(payload, args.out)
@@ -117,21 +119,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the JSON report here")
 
+    def search(p, k, restarts):
+        p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
+        p.add_argument("--k", type=int, default=k, help="tuple size")
+        p.add_argument("--restarts", type=int, default=restarts)
+        p.add_argument("--local-steps", type=int, default=8, dest="local_steps")
+
     p = sub.add_parser("norm", help="lower-bound the norm of an expression")
     common(p)
-    p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
+    search(p, k=2, restarts=100)
     p.add_argument("--expr", required=True)
-    p.add_argument("--k", type=int, default=2, help="tuple size")
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--local-steps", type=int, default=8, dest="local_steps")
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("lift-verify", help="run the lifting verification suite")
     common(p)
-    p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--local-steps", type=int, default=8, dest="local_steps")
+    search(p, k=3, restarts=8)
     p.add_argument("--instances", type=int, default=10_000,
                    help="samples for the disjointness check")
     p.add_argument("--coeff-vectors", type=int, default=20, dest="coeff_vectors")

@@ -146,32 +146,26 @@ class NormEstimate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _fvalues(terms, W, space, X, dense=None):
+def _fvalues(terms, W, space, X):
     """|sum_j W[j] * term_j(x*)| at the functionals X, shape (L, B, d).
 
     W: (m, B) weights, one column per tuple of the batch.  The terms are
-    added in order, each scaled elementwise, exactly as an Add of Scale
-    nodes evaluates them.  dense: one flag per term, False where its
-    weight row may hold zeros (None: all True).  The dense terms are
-    evaluated together, in one eval_terms call on all the rows.  Every
-    other term is evaluated alone, only on the columns where its weight
-    is nonzero; a zero weight would add only +-0, which the absolute
-    value removes.  A non-finite value is an input error.  The caller
-    ignores numpy's overflow and invalid warnings (the check below
-    reports them).  Returns (L, B).
+    added in order from zero, each scaled elementwise, exactly as an Add of
+    Scale nodes evaluates them.  The terms weighted on every column of W
+    are evaluated together, in one eval_terms call on all the rows.  Every
+    other term is evaluated alone, only on the columns where its weight is
+    nonzero; a zero weight would add only +-0, which the absolute value
+    removes.  A non-finite value is an input error.  The caller ignores
+    numpy's overflow and invalid warnings (the check below reports them).
+    Returns (L, B).
     """
     L, B, d = X.shape
-    flat = X.reshape(-1, d)
-    dense = dense or (True,) * len(terms)
-    full_vals = iter(eval_terms([t for t, full in zip(terms, dense) if full], space, flat)
-                     if any(dense) else ())
-    # a sum of dense terms starts at the first one, not at +0.0 + it: the two
-    # differ only at -0.0, which the absolute value removes
-    vals = None if all(dense) and terms else np.zeros((L, B))
-    for term, w, full in zip(terms, W, dense):
-        if full:
-            v = w * next(full_vals).reshape(L, B)
-            vals = v if vals is None else vals + v
+    full = (W != 0.0).all(axis=1)
+    batched = iter(eval_terms([t for t, f in zip(terms, full) if f], space, X.reshape(-1, d)))
+    vals = np.zeros((L, B))
+    for term, w, f in zip(terms, W, full):
+        if f:
+            vals = vals + w * next(batched).reshape(L, B)
             continue
         cols = w.nonzero()[0]
         if cols.size:
@@ -205,11 +199,10 @@ def _others_index(k):
     return out
 
 
-def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step, dense=None):
+def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step):
     """Ratio of every move (i, j, s) of each tuple in a batch.
 
-    X: (k, B, d) tuples, W: (m, B) their objective weights and dense their
-    per-term flags (see _fvalues),
+    X: (k, B, d) tuples, W: (m, B) their objective weights (see _fvalues),
     Z = kernels.signed_sums(X, S), fvals: (k, B) the values |f(x_i*)|,
     step: (B,).  Move (i, j, s) adds (1 - 2s) * step[b] to coordinate j of
     functional i of tuple b, and new: (k, d, 2, B) holds the f-values of
@@ -228,7 +221,7 @@ def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step, dense=None):
     moved = np.ndarray((d, 2, len(si)), buffer=rows,
                        strides=(rows.strides[0] + rows.strides[3],) + rows.strides[1:3])
     moved += _MOVE_SIGNS[:, None] * step[sb]
-    vals = _fvalues(terms, W[:, sb], space, rows.reshape(2 * d, -1, d), dense)
+    vals = _fvalues(terms, W[:, sb], space, rows.reshape(2 * d, -1, d))
     new[si, :, :, sb] = vals.reshape(d, 2, -1).transpose(2, 0, 1)
     # the other k-1 f-values of each tuple, added in index order along the
     # outer axis: each column's sum is the same at every batch width
@@ -281,10 +274,12 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     eye(E) each of E expressions is evaluated only for its own search.
     The loop runs over the live restarts only: a restart retires when its
     last decay round ends, and the loop state drops it on that iteration.
-    Each restart's arithmetic does not depend on which or how many others
-    are live, so a restart climbs as it would alone; results are
-    deterministic, monotone in the restart budget and the same as E
-    separate searches.  Each restart keeps its signed sums, its f-values
+    Results are deterministic.  Each restart's arithmetic does not depend
+    on which or how many others are live, so a restart climbs as it would
+    alone, and results are monotone in the restart budget and the same as
+    E separate searches; not so with delta terms, whose values are one
+    BLAS product over a call's rows: a row's sum can change with the other
+    rows (seen at d >= 8).  Each restart keeps its signed sums, its f-values
     and the f-values of all its 2kd moved functionals.  Scoring a move
     costs one column of signed sums; after an accepted move only the moved
     functional's 2d moved rows are evaluated afresh, after a decay all 2kd
@@ -325,9 +320,7 @@ def _lockstep(terms, W, space, config, X0):
     # search-major: restart r of search e is column e*R + r
     X = np.tile(X0, (1, E, 1))
     Wb = np.repeat(W.T, R, axis=1)
-    # decided once: a term with a zero weight is evaluated only where it counts
-    dense = tuple(bool(v) for v in (W != 0.0).all(axis=0))
-    fvals = _fvalues(terms, Wb, space, X, dense)
+    fvals = _fvalues(terms, Wb, space, X)
     Z = kernels.signed_sums(X, S)
     # cumsum adds the k f-values in order at every batch width; a sum over
     # a lone column would switch to pairwise blocks from k = 9 on.  The
@@ -353,7 +346,7 @@ def _lockstep(terms, W, space, config, X0):
 
     it = 0
     while ids.size:
-        ratio = _neighbourhood(terms, Wb, space, X, Z, fvals, new, stale, step, dense)
+        ratio = _neighbourhood(terms, Wb, space, X, Z, fvals, new, stale, step)
         it += 1
         # moves in (i, j, s) order; argmax takes the first best one
         ratio = ratio.reshape(-1, ids.size)
@@ -402,7 +395,7 @@ def _lockstep(terms, W, space, config, X0):
     best = np.arange(E) * R + cur.reshape(E, R).argmax(axis=1)
     # the objectives afresh from the terms, not from the kept f-values: one
     # column per witness, each summed alone as a lone column would be
-    objs = _fvalues(terms, W.T, space, X[:, best], dense)
+    objs = _fvalues(terms, W.T, space, X[:, best])
     out = []
     for e in range(E):
         witness = X[:, best[e]]

@@ -99,8 +99,10 @@ class LiftParams:
         # N_n = 2*M_n: strictly increasing and > M_n for both kinds.
         return 2.0 * self.M(n)
 
+    @lru_cache(maxsize=None)
     def arrays(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        return _param_arrays(self, d)
+        return (np.array([self.M(n) for n in range(1, d + 1)]),
+                np.array([self.N(n) for n in range(1, d + 1)]))
 
     def g(self, m: int, t: float) -> float:
         """Ramp value g_m(t) in [0, 1]; 1 on [0, M_m], 0 on [N_m, inf)."""
@@ -114,13 +116,6 @@ class LiftParams:
         if self.kind == "pow2":
             return 2.0 ** (-t)
         return sum(1.0 / self.M(j) for j in range(t + 1, dim + 1))
-
-
-@lru_cache(maxsize=None)
-def _param_arrays(params: LiftParams, d: int):
-    Mv = np.array([params.M(n) for n in range(1, d + 1)])
-    Nv = np.array([params.N(n) for n in range(1, d + 1)])
-    return Mv, Nv
 
 
 # ---------------------------------------------------------------------------

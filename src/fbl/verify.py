@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spaces
 from .fblnorm import SearchConfig, fbl_lower_bounds, search_elements
-from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch
+from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch, eval_terms
 from .lemma44 import SLACK_TOL, CheckReport, check_lemma44
 from .lifting import LiftingSystem
 from .spaces import ConfigError, DimensionMismatch, InputError, _rng
@@ -52,15 +52,25 @@ def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
         )
 
 
-def _disjoint_floats(samples: int, d: int) -> int:
-    """check_disjoint's floats: its (samples, d) draw and d arrays of values."""
-    return samples * (d + 1)
+# float64 elements a sample holds at each sampled check's peak, (a, b) for
+# a*d + b (tracemalloc).  disjoint: the draw, the d generators' values and
+# one hom_batch buffer of d + 1 rows; beta_section: the draw and three sums;
+# freenorm: the draw, a pair's hom_batch buffer of d + 1 rows and four sums
+# (three from 256 KB on, where numpy reuses a temporary); normspan: a
+# coefficient vector, drawn and listed in the check's config
+SAMPLE_FLOATS = {"disjoint": (3, 3), "beta_section": (4, 1), "freenorm": (2, 5),
+                 "normspan": (5, 8)}
+
+
+def _sample_floats(check: str, samples: int, d: int) -> int:
+    a, b = SAMPLE_FLOATS[check]
+    return samples * (a * d + b)
 
 
 def check_biorthogonal(system: LiftingSystem) -> CheckReport:
     """The generator/biorthogonal matrix f_n(e_j*) must be exactly the identity."""
     d = system.space.dim
-    F = np.stack([eval_batch(g, system.space, np.eye(d)) for g in system.generators])
+    F = np.stack(eval_terms(system.generators, system.space, np.eye(d)))
     report = CheckReport(check="biorthogonal", instances=d * d,
                          config={"space": str(system.space)})
     dev = np.abs(F - np.eye(d))
@@ -73,7 +83,7 @@ def check_biorthogonal(system: LiftingSystem) -> CheckReport:
 def check_disjoint(system: LiftingSystem, samples: int = 10_000, seed: int = 0) -> CheckReport:
     """Pairwise pointwise min of the generators is exactly zero at every sample."""
     d = system.space.dim
-    _check_samples(samples, d, _disjoint_floats(samples, d), "lower --instances")
+    _check_samples(samples, d, _sample_floats("disjoint", samples, d), "lower --instances")
     rng = _rng(seed, 2)
     X = rng.standard_normal((samples, d))
     # one generator at a time: each one's values keep its evaluation's
@@ -109,14 +119,14 @@ def check_beta_section(system: LiftingSystem, samples: int = 1000, seed: int = 0
     """
     space = system.space
     d = space.dim
-    # the draw and the lifted values are (samples, d) each
-    _check_samples(samples, d, samples * d, "use fewer samples")
+    _check_samples(samples, d, _sample_floats("beta_section", samples, d),
+                   "use fewer samples")
     # the same values as `samples` successive draws of standard_normal(d)
     X = _rng(seed, 3).standard_normal((samples, d))
-    eye = np.eye(d)
+    G = eval_terms(system.generators, space, np.eye(d))
     out = np.zeros((samples, d))
-    for n, g in enumerate(system.generators):
-        out = out + X[:, n:n + 1] * eval_batch(g, space, eye)
+    for n in range(d):
+        out = out + X[:, n:n + 1] * G[n]
     if not np.all(np.isfinite(out)):
         raise InputError("expression evaluated to a non-finite value")
     err = np.abs(out - X).max(axis=1)
@@ -181,7 +191,7 @@ def check_freenorms(system: LiftingSystem, pairs, search: SearchConfig,
     """
     space, params = system.space, system.params
     d = space.dim
-    _check_samples(samples, d, samples * d, "use fewer samples")
+    _check_samples(samples, d, _sample_floats("freenorm", samples, d), "use fewer samples")
     reports, searched, diffs = [], [], []
     for n, k in pairs:
         diff = Add([BuiltinH(n, k, params), Scale(-1.0, BuiltinF(n, params))])
@@ -229,10 +239,8 @@ def lift_verify(system: LiftingSystem, search: SearchConfig, instances: int,
     space = system.space
     d = space.dim
     pairs = [(n, k) for n in range(1, d + 1) for k in range(d - n + 1)]
-    instance_floats = _disjoint_floats(instances, d)
-    # the (N, d) draw and the list of its rows that check_normspan copies
-    # into its config: 4d + 8 elements a row (tracemalloc)
-    coefficient_floats = coeff_vectors * (5 * d + 8)
+    instance_floats = _sample_floats("disjoint", instances, d)
+    coefficient_floats = _sample_floats("normspan", coeff_vectors, d)
     # refused here, in the order the checks would refuse them, so that no
     # check runs before a refusal on either path of _beside; an M sequence
     # too short for the space fails every check's first evaluation
@@ -254,10 +262,11 @@ def lift_verify(system: LiftingSystem, search: SearchConfig, instances: int,
         ]
 
     # the counted peaks, in float64 elements, of the checks on each side:
-    # a check's sample draw or its search batch (the pairs with n + k < d)
+    # a check's samples or its search batch (the pairs with n + k < d)
     span_peak = coefficient_floats + search_elements(space, search, coeff_vectors)
     searched = sum(n + k < d for n, k in pairs)
-    others_peak = max(instance_floats, CHECK_SAMPLES * d,
+    others_peak = max(instance_floats, _sample_floats("beta_section", CHECK_SAMPLES, d),
+                      _sample_floats("freenorm", CHECK_SAMPLES, d),
                       search_elements(space, search, searched))
     normspan, reports = _beside(others, span, span_peak + others_peak)
     reports.insert(3, normspan)

@@ -322,12 +322,12 @@ def test_lower_bound_sound_for_delta(rng):
         assert est.lower_bound <= sp.norm(x) + 1e-9
 
 
-def _all_moved_fvalues(terms, W, space, X, step, dense=None):
+def _all_moved_fvalues(terms, W, space, X, step):
     """f-values of all 2kd moved functionals of each tuple, (k, d, 2, B)."""
     k, B, d = X.shape
     unit = np.eye(d)[:, None, None, :] * np.array([1.0, -1.0])[:, None, None]
     rows = X[:, None, None] + unit * step[:, None]
-    return _fvalues(terms, W, space, rows.reshape(-1, B, d), dense).reshape(k, d, 2, B)
+    return _fvalues(terms, W, space, rows.reshape(-1, B, d)).reshape(k, d, 2, B)
 
 
 @pytest.mark.parametrize("p", [math.inf, 3.0, 2.0, 1.5, 1.0, 1.0 + 1e-7],
@@ -393,13 +393,14 @@ def test_kept_fvalues_match_a_fresh_evaluation(space, k, monkeypatch):
     neighbourhood = fblnorm._neighbourhood
     cfg = SearchConfig(k=k, restarts=5, local_steps=3, seed=2)
     seen = []
-    # the zero row makes every term sparse (evaluated where weighted only)
+    # the zero row leaves every term unweighted on some columns until its
+    # search retires: each is then evaluated where weighted only
     for A in (_lift_weights(rng, d, 3), rng.standard_normal((3, d))):
         widths = []
 
-        def checked(terms, W, sp, X, Z, fvals, new, stale, step, dense):
-            ratio = neighbourhood(terms, W, sp, X, Z, fvals, new, stale, step, dense)
-            assert np.array_equal(new, _all_moved_fvalues(terms, W, sp, X, step, dense))
+        def checked(terms, W, sp, X, Z, fvals, new, stale, step):
+            ratio = neighbourhood(terms, W, sp, X, Z, fvals, new, stale, step)
+            assert np.array_equal(new, _all_moved_fvalues(terms, W, sp, X, step))
             widths.append((X.shape[1], int(stale.sum())))
             return ratio
 
@@ -484,25 +485,68 @@ def test_search_peak_memory_within_the_checked_count(space, k, monkeypatch):
     assert peak <= 8 * len(A) * checked[0] + 65536
 
 
+def test_fvalues_batches_the_terms_weighted_on_every_column(monkeypatch, rng):
+    # one eval_terms call on all the rows holds the terms weighted on every
+    # column of this call; a term weighted on some columns is evaluated
+    # alone on those, and a term weighted on none is not evaluated
+    sp = Space.lp(2.0, 3)
+    terms = [parse("f(1)"), parse("f(2) v 0.5*f(3)"), parse("h(1,1) - f(1)"), parse("|f(3)|")]
+    W = np.array([[0.0, 0.0, 0.0, 0.0],
+                  [1.0, -0.5, 2.0, 3.0],
+                  [0.0, 1.5, 0.0, -1.0],
+                  [0.7, 0.2, -1.0, 0.4]])
+    X = rng.standard_normal((5, 4, 3))
+    calls = []
+
+    def spy(ts, space, rows):
+        calls.append((list(ts), rows.copy()))
+        return eval_terms(ts, space, rows)
+
+    monkeypatch.setattr(fblnorm, "eval_terms", spy)
+    got = _fvalues(terms, W, sp, X)
+    assert [ts for ts, _ in calls] == [[terms[1], terms[3]], [terms[2]]]
+    assert np.array_equal(calls[0][1], X.reshape(-1, 3))
+    assert np.array_equal(calls[1][1], X[:, [1, 3]].reshape(-1, 3))
+    # each column is |sum_j W[j, b] * term_j|, as an Add of Scale nodes
+    for b in range(4):
+        want = Add([Scale(w, t) for w, t in zip(W[:, b], terms)])
+        assert np.array_equal(got[:, b], np.abs(eval_batch(want, sp, X[:, b])))
+
+
 def test_zero_weight_terms_are_not_evaluated(monkeypatch):
     sp = Space.lp(2.0, 3)
     terms = [parse("|d(1,0,0)| v d(0,1,-1)"), parse("f(1)"), parse("h(1,1) - f(1)")]
-    cfg = SearchConfig(k=2, restarts=3, seed=2)
-    rows = {}
+    rows, batched, current = {}, [], []
+    fvalues = fblnorm._fvalues
+
+    def tracked(terms, W, space, X):
+        current[:] = [X]
+        return fvalues(terms, W, space, X)
 
     def counting(terms, space, X):
+        # the batched call takes a view of _fvalues' rows, a lone term a copy
+        if current and np.shares_memory(X, current[0]):
+            batched.extend(terms)
         for term in terms:
             rows[term] = rows.get(term, 0) + len(X)
         return eval_terms(terms, space, X)
 
     monkeypatch.setattr(fblnorm, "eval_terms", counting)
-    separate = [fbl_lower_bound(t, sp, cfg).to_json() for t in terms]
-    alone, rows = rows, {}
-    # weights eye(E): each term is evaluated on its own search's rows only
-    got = fbl_lower_bounds(terms, np.eye(3), sp, cfg)
-    assert rows == alone
-    assert [e.to_json() for e in got] == separate
-    # one dense weight row: every term on every row
+    monkeypatch.setattr(fblnorm, "_fvalues", tracked)
+    # at seed 2 the three searches retire together, at seed 1 one by one
+    for seed in (2, 1):
+        cfg = SearchConfig(k=2, restarts=3, seed=seed)
+        rows = {}
+        separate = [fbl_lower_bound(t, sp, cfg).to_json() for t in terms]
+        alone, rows = rows, {}
+        batched.clear()
+        # weights eye(E): each term is evaluated on its own search's rows
+        # only, in the batched call where only its search's slots are stale
+        got = fbl_lower_bounds(terms, np.eye(3), sp, cfg)
+        assert rows == alone
+        assert [e.to_json() for e in got] == separate
+    assert batched
+    # one weight row without zeros: every term on every row
     rows.clear()
     fbl_lower_bounds(terms, [[1.0, 0.5, -2.0]], sp, cfg)
     assert len(set(rows.values())) == 1

@@ -425,9 +425,34 @@ def test_beta_section_refuses_bad_sample_counts_before_drawing(monkeypatch):
     system = LiftingSystem(Space.lp(2, 6))
     with pytest.raises(ConfigError, match="samples must be >= 0"):
         check_beta_section(system, samples=-1)
-    # 6 * (cap // 6 + 1) floats is just over the cap
+    # (4 * 6 + 1) * (cap // 25 + 1) floats is just over the cap
     with pytest.raises(ConfigError, match="over the cap"):
-        check_beta_section(system, samples=SIGN_TENSOR_CAP // 6 + 1)
+        check_beta_section(system, samples=SIGN_TENSOR_CAP // 25 + 1)
+
+
+@pytest.mark.parametrize("space", ["l2:1", "l2:6", "linf:12"])
+@pytest.mark.parametrize("check", ["disjoint", "beta_section", "freenorm"])
+def test_sampled_check_peak_memory_within_the_checked_count(check, space, monkeypatch):
+    # a sampled check holds at its peak no more floats than its refusal
+    # counts, up to a few small arrays; the free-norm pairs (n, d - n) are
+    # all checked at samples, none searched
+    system = LiftingSystem(parse_space(space))
+    d = system.space.dim
+    run = {"disjoint": lambda: check_disjoint(system, samples=20_000),
+           "beta_section": lambda: check_beta_section(system, samples=20_000),
+           "freenorm": lambda: check_freenorms(
+               system, [(n, d - n) for n in range(1, d + 1)], SEARCH, 20_000)}[check]
+    run()  # caches built
+    counted, count = [], verify._check_samples
+    monkeypatch.setattr(verify, "_check_samples", lambda samples, d, floats, remedy:
+                        counted.append(floats) or count(samples, d, floats, remedy))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * counted[0] + 65536
 
 
 def test_normspan_basis_coefficients():
