@@ -233,12 +233,12 @@ def _search_temporaries(space: Space, config: SearchConfig) -> int:
     """Float64 elements one search of fbl_lower_bounds holds in a neighbourhood.
 
     Each neighbourhood scores 2kd moves of every restart at once: the
-    temporaries of move_constraints plus at most ROW_ARRAYS * 2kd * d for
-    the moved functionals and each term's values on them.
+    temporaries of move_constraints in the branch of the space's q plus at
+    most ROW_ARRAYS * 2kd * d for the moved functionals and each term's
+    values on them.
     """
     k, d = config.k, space.dim
-    return config.restarts * 2 * d * (kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k)
-                                      + ROW_ARRAYS * k * d)
+    return config.restarts * (kernels.move_elements(k, d, space.q) + ROW_ARRAYS * 2 * k * d * d)
 
 
 def search_elements(space: Space, config: SearchConfig, searches: int = 1) -> int:

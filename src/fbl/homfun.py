@@ -77,9 +77,10 @@ class LiftParams:
             vals = self.m_values
             if not vals:
                 raise ConfigError("custom M sequence needs at least one value")
-            # comparisons written so that NaN fails them
-            if not all(0 < v < math.inf for v in vals):
-                raise ConfigError("M values must be finite and strictly positive")
+            # comparisons written so that NaN fails them; N_n = 2*M_n
+            # must stay a finite float64, or the ramps are NaN
+            if not all(0 < v and 2.0 * v < math.inf for v in vals):
+                raise ConfigError("M values must be strictly positive with N = 2M finite")
             if not all(a < b for a, b in zip(vals, vals[1:])):
                 raise ConfigError("M sequence must be strictly increasing")
         else:

@@ -25,6 +25,8 @@ __all__ = [
     "signed_sums",
     "move_constraints",
     "MOVE_ARRAYS",
+    "SCALED_MOVE_ARRAYS",
+    "move_elements",
     "PATTERN_ARRAYS",
     "pattern_elements",
 ]
@@ -39,8 +41,11 @@ LARGE_EXPONENT = 32.0
 # move_constraints holds at most MOVE_ARRAYS * (2^(k-1) + k) * 2dB float64
 # at once, for B tuples of k functionals in d dimensions: the moved pattern
 # norms are (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Measured with
-# tracemalloc; the scaled branch (q > LARGE_EXPONENT) is the largest.
-MOVE_ARRAYS = 9
+# tracemalloc per branch: SCALED_MOVE_ARRAYS in the scaled branch (q >
+# LARGE_EXPONENT), which keeps the other columns' top two entries and their
+# scaled power sums besides.
+MOVE_ARRAYS = 4
+SCALED_MOVE_ARRAYS = 9
 
 # pattern_norms of n k-tuples in d dimensions holds at most PATTERN_ARRAYS
 # float64 per sign pattern and coordinate at once: the signed sums (n,
@@ -143,15 +148,22 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
 
     X: (N, d) functional coordinates; leaves: pairs (n, mhi), each the
     generator of 1-based index n with its ramp product over the basis
-    indices m, n < m <= mhi; Mv, Nv: cutoff sequences.  Returns
+    indices m, n < m <= mhi; Mv, Nv: cutoff sequences, Nv finite.  Returns
     (len(leaves), N), row i the values of leaves[i]; a one-leaf call is the
     single-generator case.  The leaves share one coordinates-first copy of
     |X| and one pass of prefix maxima.  The ramps of each generator index
     n are built once, for the largest mhi among its leaves, and each leaf
-    takes the product of their first mhi - n rows.  No ufunc is masked: a
-    lane with a_n = 0 divides by 1 and is zeroed at the end.  So each
-    leaf's values have the same bits whatever the other leaves are.  The
-    result is a view of the call's one work buffer, which it keeps alive.
+    takes the product of their first mhi - n rows.  A row is live for n
+    where n's positive part max(a_n - N_n * max_{m<n} a_m, 0) is nonzero,
+    NaN included.  Any other row, and any row with a_n = 0, has the value
+    0 * P = +0 for the ramp product P in [0, 1].  So unless a coordinate
+    is NaN, which makes P NaN, an index with no live row gets zeros
+    without its ramps, and an index but the last with fewer than N/4 live
+    rows builds its ramps and products on those rows only and scatters
+    them into zeros.  Otherwise a lane with a_n = 0 divides by 1 and is
+    zeroed at the end.  Each value has the bits of this dense pass,
+    whatever the other rows and leaves are.  The result is a view of the
+    call's one work buffer, which it keeps alive.
     """
     # leaves[i] = (n, mhi) by generator index: n -> [(i, mhi), ...]
     groups = {}
@@ -164,17 +176,19 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
     # the coordinates a (top, N), and the ramps of every generator index
     # but the last in turn
     X = np.asarray(X, dtype=np.float64)
-    L = len(leaves)
+    L, N = len(leaves), len(X)
     spare = max([tops[n] - n for n in order[:-1]], default=0)
-    buf = np.empty((L + top + spare, len(X)))
+    buf = np.empty((L + top + spare, N))
     out, a, ramps = buf[:L], buf[L:L + top], buf[L + top:]
     # coordinates first and contiguous: every reduction over the
     # coordinates is an elementwise operation on whole rows
     np.abs(X.T[:top], out=a)
     width = Nv - Mv
     # prev = max(a_1, ..., a_{n-1}, 0), one row at a time as n grows
-    prev = np.zeros(len(X))
+    prev = np.zeros(N)
     seen = 0
+    # whether a coordinate is NaN, found when a row could first be skipped
+    nan = None
     for n in order:
         for m in range(seen, n - 1):
             np.maximum(prev, a[m], out=prev)
@@ -183,19 +197,24 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
         # past it, which no other index needs any more
         last = n == order[-1]
         an = a[n - 1]
-        zero = an == 0.0
         # max(a_n - N_n * prev, 0)
         base = np.multiply(prev, Nv[n - 1], out=prev if last else None)
         np.subtract(an, base, out=base)
         np.maximum(base, 0.0, out=base)
         hi = tops[n]
+        live = np.count_nonzero(base)
+        if hi > n and (not live or (4 * live < N and not last)):
+            if nan is None:
+                nan = math.isnan(a.max(initial=0.0))
+            if not nan:
+                _live_rows(out, a, ramps, base, live, groups[n], n, hi, Nv, width)
+                continue
+        zero = an == 0.0
         if hi > n:
             # the ramps g_m(a_m / a_n), one row for each n < m <= hi
             t = a[n:hi] if last else ramps[:hi - n]
             np.divide(a[n:hi], np.add(an, zero, out=an if last else None), out=t)
-            np.subtract(Nv[n:hi, None], t, out=t)
-            np.divide(t, width[n:hi, None], out=t)
-            np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+            _ramps(t, Nv[n:hi, None], width[n:hi, None])
         for i, mhi in groups[n]:
             row = out[i]
             if mhi > n:
@@ -206,6 +225,36 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
                 row[...] = base
             row[zero] = 0.0
     return out
+
+
+def _ramps(t, Nv, width):
+    """g_m(t) = clamp((N_m - t) / (N_m - M_m), 0, 1) in place of t."""
+    np.subtract(Nv, t, out=t)
+    np.divide(t, width, out=t)
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+
+
+def _live_rows(out, a, ramps, base, live, group, n, hi, Nv, width):
+    """hom_batch's leaves of generator index n from its live rows, their
+    values scattered into zeros; with some live row, n is not the last
+    index.  The live entries of a_n and of the ramps' coordinates go to
+    one contiguous block at the start of the ramp rows, which it fits with
+    fewer than N/4 live rows."""
+    for i, _ in group:
+        out[i].fill(0.0)
+    if not live:
+        return
+    rows = (base != 0.0).nonzero()[0]
+    block = ramps.reshape(-1)[:(hi - n + 1) * live].reshape(hi - n + 1, live)
+    np.take(a[n - 1:hi], rows, axis=1, out=block, mode="clip")
+    an, t = block[0], block[1:]
+    np.divide(t, an, out=t)
+    _ramps(t, Nv[n:hi, None], width[n:hi, None])
+    base = base[rows]
+    for i, mhi in group:
+        # base times the product of the first mhi - n ramp rows, in an
+        np.multiply.reduce(t[:mhi - n], axis=0, out=an)
+        out[i, rows] = np.multiply(base, an, out=an)
 
 
 def pattern_elements(n: int, k: int, d: int) -> int:
@@ -281,6 +330,13 @@ def _leave_one_out(W: np.ndarray, op=np.add) -> np.ndarray:
         suffix = op(suffix, W[m])
     out[0] = suffix
     return out
+
+
+def move_elements(k: int, d: int, q: float) -> int:
+    """Float64 elements that move_constraints holds at its peak per k-tuple
+    in d dimensions (see MOVE_ARRAYS)."""
+    arrays = SCALED_MOVE_ARRAYS if LARGE_EXPONENT < q < math.inf else MOVE_ARRAYS
+    return arrays * ((1 << (k - 1)) + k) * 2 * d
 
 
 def move_constraints(Z, step, q) -> np.ndarray:

@@ -195,6 +195,8 @@ ERROR_TABLE = [
     (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--k", "x"], 2, "invalid int"),
     (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--mseq", "custom:1,nan"], 3, "finite"),
     (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--mseq", "custom:1,inf"], 3, "finite"),
+    # N = 2M overflows, so the ramps would be NaN
+    (["lift-verify", "--space", "l2:2", "--mseq", "custom:1,1e308"], 3, "N = 2M finite"),
     (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--k", "20"], 3, "--k or --restarts"),
     (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--out", "{missing}"], 3, "cannot write"),
     (["norm", "--space", "l2:3", "--expr", "d(1,0)", "--out", "{missing}"], 2, "3-dimensional"),
@@ -277,13 +279,22 @@ PINNED_REPORTS = [
      "8c843ae466cba90381a96d5b7b2ca4482a78c1eda4ec52677a210bd0dc4611f2"),
     (["lemma44", "--space", "l2:1", "--instances", "2000", "--seed", "8"],
      "6b3696b476da2474bf199d989335a552dc7cba6f68425315cb64cb8951a49f69"),
+    # at d = 6 the positive parts of the late generators vanish on most or
+    # all rows of a search
+    (["lift-verify", "--space", "l1:6", "--instances", "500", "--coeff-vectors", "4",
+      "--seed", "6"],
+     "99839ffabb87ad694090665f37fc837fa0b5dd6d4a3f007841fbcb8add261bfa"),
+    (["lift-verify", "--space", "linf:6", "--instances", "500", "--coeff-vectors", "4",
+      "--seed", "7"],
+     "d94efdaf65c27ee78d840a932591c368af81fb5a2c324249bd31f37fa4853ee4"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_REPORTS,
                          ids=["norm-delta", "norm-f-h", "lift-verify-l2", "lift-verify-lp3",
                               "norm-delta-1-restart", "lift-verify-l2-1-restart",
-                              "lemma44-random", "lemma44-l1", "lemma44-l-1", "lemma44-dim-1"])
+                              "lemma44-random", "lemma44-l1", "lemma44-l-1", "lemma44-dim-1",
+                              "lift-verify-l1-6", "lift-verify-linf-6"])
 def test_reports_are_pinned(argv, digest, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -544,10 +555,11 @@ def test_lift_verify_forks_only_when_both_searches_fit_the_cap(monkeypatch, caps
     _cpus(monkeypatch, 2)
     expected = _digest(capsys, argv)
 
-    # the default span and free-norm batches, as the command counts them
+    # the default span batch and the other side's largest count, the
+    # free-norm batch or the disjointness sample, as the command counts them
     space, search = spaces.parse_space("l2:6"), fblnorm.SearchConfig(k=3, restarts=8)
     span = fblnorm.search_elements(space, search, 20) + 20 * (5 * 6 + 8)
-    free = fblnorm.search_elements(space, search, 15)
+    free = max(fblnorm.search_elements(space, search, 15), 10_000 * (3 * 6 + 3))
 
     # each batch still runs as one search chunk, so the report is unchanged
     forks = _count_forks(monkeypatch)

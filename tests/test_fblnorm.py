@@ -446,9 +446,9 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
     A = _lift_weights(rng, 3, 7)
     whole = [e.to_json() for e in fbl_lower_bounds(system.generators, A, system.space, cfg)]
     # one search holds R * 2d * (MOVE_ARRAYS * (2^(k-1) + k) + ROW_ARRAYS * kd)
-    # = 3 * 6 * (9 * 4 + 5 * 6) = 1188 elements: three per chunk
-    assert kernels.MOVE_ARRAYS == 9 and fblnorm.ROW_ARRAYS == 5
-    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 3 * 1188)
+    # = 3 * 6 * (4 * 4 + 5 * 6) = 828 elements: three per chunk
+    assert kernels.MOVE_ARRAYS == 4 and fblnorm.ROW_ARRAYS == 5
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 3 * 828)
     sizes = []
     lockstep = fblnorm._lockstep
     monkeypatch.setattr(fblnorm, "_lockstep",
@@ -457,7 +457,7 @@ def test_batched_search_chunks_under_the_cap(monkeypatch, rng):
     assert sizes == [3, 3, 1]
     assert chunked == whole
     # one search over the cap is still refused before any work
-    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 1187)
+    monkeypatch.setattr(spaces, "SIGN_TENSOR_CAP", 827)
     with pytest.raises(ConfigError, match="--restarts"):
         fbl_lower_bounds(system.generators, A, system.space, cfg)
 

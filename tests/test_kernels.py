@@ -79,29 +79,75 @@ def test_hom_batch_is_zero_where_its_coordinate_is(rng):
     assert out[::2].tobytes() == np.zeros(20).tobytes()
 
 
+def _sparse_batches(rng, d):
+    """Batches on which generator 3's positive part vanishes on every row
+    (|x_3| = |x_1| <= N_3 max(|x_1|, |x_2|)), or on all but a few rows;
+    with zero and inf rows, where inf - N * inf makes a positive part NaN
+    without a NaN coordinate; and each of those with NaN rows too."""
+    dead = rng.standard_normal((400, d))
+    dead[:, 2] = dead[:, 0]
+    few = dead.copy()
+    few[::40, 2] = 1e6
+    inf = np.inf
+    special = np.zeros((6, d))
+    special[1:] = rng.standard_normal((5, d))
+    special[1, 0] = special[2, 4] = special[3, [0, 2]] = special[4] = inf
+    special[5, [0, 1]] = [-inf, inf]
+    nan = rng.standard_normal((4, d))
+    nan[0, 0] = nan[1, 2] = nan[2, 6] = np.nan
+    nan[3, [0, 2]] = [np.nan, 0.0]
+    batches = {"dead": dead, "few": few}
+    for name in ("dead", "few"):
+        batches[name + "+special"] = np.vstack([batches[name], special])
+        batches[name + "+nan"] = np.vstack([batches[name], special, nan])
+    return batches
+
+
 @pytest.mark.parametrize("params", [P, LiftParams("custom", (1.0, 1.1, 1.2, 3.0, 3.5, 9.0, 20.0))])
-def test_hom_batch_leaves_match_their_one_leaf_calls(params, rng):
+def test_hom_batch_leaves_match_their_one_leaf_calls(params, rng, monkeypatch):
     # a multi-leaf call gives each leaf the bits of its one-leaf call, in
-    # any order, with repeats, and with the leaf mhi = n (no ramps)
+    # any order, with repeats, and with the leaf mhi = n (no ramps); also
+    # on batches where generators have no live row or few, which skip
+    # their ramps or build them on the live rows only, unless a coordinate
+    # is NaN
     d = 7
     Mv, Nv = params.arrays(d)
     X = rng.standard_normal((400, d)) * 10.0 ** rng.uniform(-3, 3, (400, d))
     X[rng.random((400, d)) < 0.1] = 0.0
     X[rng.random((400, d)) < 0.03] = np.nan
+    live_rows, lives = kernels._live_rows, []
+    monkeypatch.setattr(kernels, "_live_rows",
+                        lambda *args: lives.append(args[4]) or live_rows(*args))
     pairs = [(n, mhi) for n in range(1, d + 1) for mhi in range(n, d + 1)]
-    for size in (1, 2, 5, 9, len(pairs)):
-        leaves = [pairs[i] for i in rng.integers(0, len(pairs), size)]
-        leaves += [leaves[0], (leaves[-1][0], leaves[-1][0])]
-        out = kernels.hom_batch(X, leaves, Mv, Nv)
-        assert out.shape == (len(leaves), len(X))
-        for row, (n, mhi) in zip(out, leaves):
-            assert row.tobytes() == kernels.hom_batch(X, [(n, mhi)], Mv, Nv)[0].tobytes()
-            ref = np.array([_hom_reference(x, n, mhi, params) for x in X])
-            np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0.0)
-            # the lanes with x_n = 0 are literal zeros, NaN or not elsewhere
-            zero = X[:, n - 1] == 0.0
-            assert row[zero].tobytes() == np.zeros(zero.sum()).tobytes()
-    assert np.isnan(out).any()
+    for name, X in {"spread": X, **_sparse_batches(rng, d)}.items():
+        lives.clear()
+        # inf - inf and inf / inf are NaN, as the reference takes them
+        with np.errstate(invalid="ignore"):
+            refs = {(n, mhi): np.array([_hom_reference(x, n, mhi, params) for x in X])
+                    for n, mhi in pairs}
+            for size in (1, 2, 5, 9, len(pairs)):
+                leaves = [pairs[i] for i in rng.integers(0, len(pairs), size)]
+                leaves += [leaves[0], (leaves[-1][0], leaves[-1][0])]
+                out = kernels.hom_batch(X, leaves, Mv, Nv)
+                assert out.shape == (len(leaves), len(X))
+                for row, (n, mhi) in zip(out, leaves):
+                    alone = kernels.hom_batch(X, [(n, mhi)], Mv, Nv)[0]
+                    assert row.tobytes() == alone.tobytes(), name
+                    ref = refs[n, mhi]
+                    np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0.0)
+                    assert not np.signbit(row[ref == 0.0]).any()
+                    # the lanes with x_n = 0 are literal zeros, NaN or not elsewhere
+                    zero = X[:, n - 1] == 0.0
+                    assert row[zero].tobytes() == np.zeros(zero.sum()).tobytes()
+            full = kernels.hom_batch(X, pairs, Mv, Nv)
+        assert np.isnan(full).any() == (name not in ("dead", "few")), name
+        # the sparse batches compress generators, and skip one where no
+        # inf row makes its positive part NaN; none does with a NaN
+        if name.endswith("+nan"):
+            assert lives == [], name
+        elif name != "spread":
+            assert any(0 < 4 * live < len(X) for live in lives), name
+            assert (0 in lives) == (name in ("dead", "few")), name
 
 
 def test_sign_patterns_lexicographic():
@@ -201,8 +247,11 @@ def test_leave_one_out_matches_cumulative_reference(rng):
                          ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
 def test_move_constraints_peak_memory(q, rng):
     # the budget of the search's cap check: at most MOVE_ARRAYS float64 per
-    # entry of the (2^(k-1) + k, d, 2, B) moved norms and results, up to a
-    # few small arrays; the k term is the larger one for k <= 2
+    # entry of the (2^(k-1) + k, d, 2, B) moved norms and results, or
+    # SCALED_MOVE_ARRAYS in the scaled branch (q = 1e7), up to a few small
+    # arrays; the k term is the larger one for k <= 2
+    arrays = kernels.SCALED_MOVE_ARRAYS if q == 1e7 else kernels.MOVE_ARRAYS
+    assert kernels.move_elements(3, 2, q) == arrays * 7 * 4
     for k, d, B in itertools.product((1, 2, 3, 6, 10), (1, 2, 6), (64,)):
         X = rng.standard_normal((k, B, d))
         Z = kernels.signed_sums(X, kernels.sign_patterns(k))
@@ -214,4 +263,4 @@ def test_move_constraints_peak_memory(q, rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * kernels.MOVE_ARRAYS * ((1 << (k - 1)) + k) * 2 * d * B + 16384
+        assert peak <= 8 * kernels.move_elements(k, d, q) * B + 16384
