@@ -38,7 +38,7 @@ def _parse_mseq(text: str) -> homfun.LiftParams:
             values = tuple(float(v) for v in body.split(",") if v.strip())
         except ValueError as exc:
             raise ConfigError(f"bad custom M sequence {text!r}") from exc
-        return homfun.LiftParams(kind="custom", m_values=values)
+        return homfun.LiftParams(m_values=values)
     raise ConfigError(f"unknown mseq {text!r} (expected pow2 or custom:LIST)")
 
 

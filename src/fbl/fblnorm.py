@@ -24,15 +24,16 @@ from itertools import product
 import numpy as np
 
 from . import kernels, spaces
-from .homfun import HomExpr, eval_batch, eval_terms
+from .homfun import HomExpr, eval_batch, eval_terms, finite
 from .spaces import (
-    SIGN_CUBE_CAP,
     ConfigError,
     DimensionMismatch,
     InputError,
     Space,
     _rng,
+    check_seed,
     check_sign_tensor,
+    check_tuple_size,
 )
 
 __all__ = [
@@ -83,10 +84,7 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     k, d = X.shape
     if d != space.dim:
         raise ConfigError(f"functionals have {d} coordinates, space has {space.dim}")
-    if k < 1:
-        raise ConfigError("tuple must contain at least one functional")
-    if k > SIGN_CUBE_CAP:
-        raise ConfigError(f"tuple size {k} exceeds the sign-cube cap {SIGN_CUBE_CAP}")
+    check_tuple_size(k)
     check_sign_tensor(kernels.pattern_elements(1, k, d), "use fewer functionals")
     if not np.isfinite(X).all():
         raise InputError("functionals must be finite")
@@ -94,9 +92,7 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
     idx = int(np.argmax(norms))
     # row idx of sign_patterns(k), built alone: past k = CACHED_PATTERNS
     # the matrix is rebuilt per call, and pattern_norms has built it once
-    eps = np.ones(k)
-    eps[1:] = 2.0 * (idx >> np.arange(k - 2, -1, -1) & 1) - 1.0
-    return float(norms[idx]), eps
+    return float(norms[idx]), kernels.sign_rows(k, np.array([idx]))[0]
 
 
 @dataclass(frozen=True)
@@ -107,14 +103,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.k > SIGN_CUBE_CAP:
-            raise ConfigError(f"tuple size must be in 1..{SIGN_CUBE_CAP}, got {self.k}")
+        check_tuple_size(self.k)
         if self.restarts < 1:
             raise ConfigError("need at least one restart")
         if self.local_steps < 1:
             raise ConfigError("need at least one local step")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -171,9 +165,7 @@ def _fvalues(terms, W, space, X):
         if cols.size:
             t = eval_terms([term], space, X[:, cols].reshape(-1, d))[0]
             vals[:, cols] = vals[:, cols] + w[cols] * t.reshape(L, cols.size)
-    if not np.isfinite(vals).all():
-        raise InputError("expression evaluated to a non-finite value")
-    return np.abs(vals)
+    return np.abs(finite(vals))
 
 
 def _ratios(obj, C):
@@ -184,15 +176,10 @@ def _ratios(obj, C):
     return ratio
 
 
-# the sign of move (i, j, s): +1 for s = 0, -1 for s = 1
-_MOVE_SIGNS = np.array([1.0, -1.0])
-_MOVE_SIGNS.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=SIGN_CUBE_CAP)
+@functools.lru_cache(maxsize=None)
 def _others_index(k):
     """index[c, i] = c + (c >= i), the c-th functional other than i, shape
-    (k-1, k); cached and read-only."""
+    (k-1, k); cached, one per tuple size (check_tuple_size), and read-only."""
     c = np.arange(k - 1)[:, None]
     out = c + (c >= np.arange(k))
     out.flags.writeable = False
@@ -220,7 +207,7 @@ def _neighbourhood(terms, W, space, X, Z, fvals, new, stale, step):
     # the moved coordinates rows[j, s, p, j], one strided view
     moved = np.ndarray((d, 2, len(si)), buffer=rows,
                        strides=(rows.strides[0] + rows.strides[3],) + rows.strides[1:3])
-    moved += _MOVE_SIGNS[:, None] * step[sb]
+    moved += kernels.MOVE_SIGNS * step[sb]
     vals = _fvalues(terms, W[:, sb], space, rows.reshape(2 * d, -1, d))
     new[si, :, :, sb] = vals.reshape(d, 2, -1).transpose(2, 0, 1)
     # the other k-1 f-values of each tuple, added in index order along the
@@ -280,14 +267,16 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     E separate searches; not so with delta terms, whose values are one
     BLAS product over a call's rows: a row's sum can change with the other
     rows (seen at d >= 8).  Each restart keeps its signed sums, its f-values
-    and the f-values of all its 2kd moved functionals.  Scoring a move
-    costs one column of signed sums; after an accepted move only the moved
-    functional's 2d moved rows are evaluated afresh, after a decay all 2kd
-    of them.  The search refuses up front a batch whose live temporaries
-    (the move constraints' sign-cube tensors, the moved functionals and
-    each term's values on them), or the certificate of its witness, would
-    exceed SIGN_TENSOR_CAP elements, and runs as many searches at once as
-    stay under it.
+    and the f-values of all its 2kd moved functionals.  Move (i, j, s)
+    adds kernels.MOVE_SIGNS[s, 0] times the step to coordinate j of
+    functional i, as move_constraints scores it, and costs one column of
+    signed sums, which an accepted move updates in place; after it only
+    the moved functional's 2d moved rows are evaluated afresh, after a
+    decay all 2kd of them.  The search refuses up front a batch whose
+    live temporaries (the move constraints' sign-cube tensors, the moved
+    functionals and each term's values on them), or the certificate of its
+    witness, would exceed SIGN_TENSOR_CAP elements, and runs as many
+    searches at once as stay under it.
     """
     terms = tuple(terms)
     W = np.asarray(weights, dtype=np.float64)
@@ -358,10 +347,9 @@ def _lockstep(terms, W, space, config, X0):
         # of the signed sums; x + delta has the bits of the scored moved row
         n = improved.nonzero()[0]
         i, j, s = np.unravel_index(best_idx[n], (k, d, 2))
-        delta = _MOVE_SIGNS[s] * step[n]
+        delta = kernels.MOVE_SIGNS[s, 0] * step[n]
         X[i, n, j] += delta
-        # Z is C-contiguous (signed_sums, np.compress), so this is a view
-        Z.reshape(len(S), -1, copy=False)[:, j * Z.shape[2] + n] += delta * S[:, i]
+        Z[:, j, n] += delta * S[:, i]
         fvals[i, n] = new[i, j, s, n]
         np.maximum(cur, best_val, out=cur)
         moves_left -= improved
@@ -386,6 +374,8 @@ def _lockstep(terms, W, space, config, X0):
             ids, cur, step, rounds_left, moves_left = (
                 ids[live], cur[live], step[live], rounds_left[live], moves_left[live])
             X, fvals, Wb = X[:, live], fvals[:, live], Wb[:, live]
+            # a C-contiguous copy: Z[:, :, live] is a transposed one, on
+            # which move_constraints takes 1.2 to 2.5 times as long
             Z = np.compress(live, Z, axis=2)
             new, stale = new[..., live], stale[:, live]
     X, cur = X_out, cur_out

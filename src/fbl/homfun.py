@@ -51,6 +51,7 @@ __all__ = [
     "eval_expr",
     "eval_batch",
     "eval_terms",
+    "finite",
 ]
 
 
@@ -60,34 +61,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LiftParams:
-    """Cutoff sequences M_n < N_n and the ramp family g_m.
+    """Cutoff sequences M_n < N_n = 2 M_n and the ramp family g_m.
 
-    Defaults: M_n = 2^n, N_n = 2^(n+1) (so the tail sum_{j>t} 1/M_j is exactly
-    2^-t), and the linear ramp g_m(t) = clamp((N_m - t)/(N_m - M_m), 0, 1).
+    M_n = m_values[n - 1], or by default (None) M_n = 2^n, whose tail sum_{j>t}
+    1/M_j is exactly 2^-t; the linear ramp g_m(t) = clamp((N_m - t)/(N_m - M_m), 0, 1).
     """
 
-    kind: str = "pow2"
     m_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "pow2":
-            if self.m_values is not None:
-                raise ConfigError("pow2 sequences take no explicit values")
-        elif self.kind == "custom":
-            vals = self.m_values
-            if not vals:
-                raise ConfigError("custom M sequence needs at least one value")
-            # comparisons written so that NaN fails them; N_n = 2*M_n
-            # must stay a finite float64, or the ramps are NaN
-            if not all(0 < v and 2.0 * v < math.inf for v in vals):
-                raise ConfigError("M values must be strictly positive with N = 2M finite")
-            if not all(a < b for a, b in zip(vals, vals[1:])):
-                raise ConfigError("M sequence must be strictly increasing")
-        else:
-            raise ConfigError(f"unknown M sequence kind {self.kind!r}")
+        vals = self.m_values
+        if vals is None:
+            return
+        if not vals:
+            raise ConfigError("custom M sequence needs at least one value")
+        # comparisons written so that NaN fails them; N_n = 2*M_n must
+        # stay a finite float64, or the ramps are NaN
+        if not all(0 < v and 2.0 * v < math.inf for v in vals):
+            raise ConfigError("M values must be strictly positive with N = 2M finite")
+        if not all(a < b for a, b in zip(vals, vals[1:])):
+            raise ConfigError("M sequence must be strictly increasing")
 
     def M(self, n: int) -> float:
-        if self.kind == "pow2":
+        if self.m_values is None:
             # N_n = 2^(n+1) must stay a finite float64
             if n > 1022:
                 raise ConfigError(f"pow2 M sequence has no float64 term {n} (largest is 1022)")
@@ -97,7 +93,7 @@ class LiftParams:
         return self.m_values[n - 1]
 
     def N(self, n: int) -> float:
-        # N_n = 2*M_n: strictly increasing and > M_n for both kinds.
+        # N_n = 2*M_n: strictly increasing and > M_n for both sequences.
         return 2.0 * self.M(n)
 
     @lru_cache(maxsize=None)
@@ -114,7 +110,7 @@ class LiftParams:
 
     def tail_bound(self, t: int, dim: int) -> float:
         """Upper bound for sum_{j>t} 1/M_j (only indices <= dim matter)."""
-        if self.kind == "pow2":
+        if self.m_values is None:
             return 2.0 ** (-t)
         return sum(1.0 / self.M(j) for j in range(t + 1, dim + 1))
 
@@ -204,12 +200,7 @@ def eval_batch(expr: HomExpr, space: Space, X: np.ndarray) -> np.ndarray:
 
 def eval_expr(expr: HomExpr, space: Space, xstar) -> float:
     """Evaluate expr at a single functional (coordinate array of length d)."""
-    xstar = np.asarray(xstar, dtype=np.float64)
-    if xstar.shape != (space.dim,):
-        raise DimensionMismatch(
-            f"expected {space.dim} coordinates, got shape {xstar.shape}"
-        )
-    return float(eval_terms([expr], space, xstar[None, :])[0][0])
+    return float(eval_terms([expr], space, space.check_coords(xstar)[None, :])[0][0])
 
 
 def eval_terms(terms, space: Space, X: np.ndarray) -> list[np.ndarray]:
@@ -238,6 +229,13 @@ def eval_terms(terms, space: Space, X: np.ndarray) -> list[np.ndarray]:
         rows = kernels.hom_batch(X, spans, *params.arrays(d))
         values[params] = dict(zip(spans, rows))
     return [_eval(term, X, values) for term in terms]
+
+
+def finite(values):
+    """An expression's values, refused as an InputError if one is not finite."""
+    if not np.isfinite(values).all():
+        raise InputError("expression evaluated to a non-finite value")
+    return values
 
 
 def _span(leaf, dim):

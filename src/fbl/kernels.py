@@ -18,12 +18,14 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "sign_patterns",
+    "sign_rows",
     "CACHED_PATTERNS",
     "hom_batch",
     "pattern_norms",
     "constraint_batch",
     "signed_sums",
     "move_constraints",
+    "MOVE_SIGNS",
     "MOVE_ARRAYS",
     "SCALED_MOVE_ARRAYS",
     "move_elements",
@@ -59,9 +61,10 @@ SCALED_MOVE_ARRAYS = 9
 # than the count.
 PATTERN_ARRAYS = 4
 
-# the two signs of a move, one row each
-_SIGNS = np.array([[1.0], [-1.0]])
-_SIGNS.flags.writeable = False
+# MOVE_SIGNS[s, 0], the sign of move (i, j, s) where move_constraints scores
+# it and the search makes it; a column, so that MOVE_SIGNS * step has a row per s
+MOVE_SIGNS = np.array([[1.0], [-1.0]])
+MOVE_SIGNS.flags.writeable = False
 
 # sign_patterns caches its matrices up to this tuple size: 2^15 rows, about
 # 8 MB for all of them together; a larger one is built afresh per call
@@ -79,14 +82,17 @@ def sign_patterns(k: int) -> np.ndarray:
     return _cached_sign_patterns(k) if k <= CACHED_PATTERNS else _sign_patterns(k)
 
 
-def _sign_patterns(k: int) -> np.ndarray:
-    # entry i >= 1 of pattern number pat is bit k-1-i of pat
-    bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 2, -1, -1)) & 1
-    out = np.empty((bits.shape[0], k))
-    out[:, 0] = 1.0
-    out[:, 1:] = 2.0 * bits - 1.0
+def _sign_patterns(k):
+    out = sign_rows(k, np.arange(1 << (k - 1)))
     out.flags.writeable = False
     return out
+
+
+def sign_rows(k, pats):
+    """Rows pats (an int array) of sign_patterns(k), built afresh: entry i of
+    pattern pat < 2^(k-1) is +1 where bit k-1-i of pat + 2^(k-1) is set, else
+    -1; so entry 0 is +1."""
+    return 2.0 * ((pats[:, None] + (1 << (k - 1))) >> np.arange(k - 1, -1, -1) & 1) - 1.0
 
 
 _cached_sign_patterns = functools.lru_cache(maxsize=None)(_sign_patterns)
@@ -355,7 +361,7 @@ def move_constraints(Z, step, q) -> np.ndarray:
     """
     npat, d, B = Z.shape
     # moved[:, :, t] holds Z + step for t = 0 and Z - step for t = 1
-    moved = Z[:, :, None, :] + _SIGNS * step
+    moved = Z[:, :, None, :] + MOVE_SIGNS * step
     # the aggregates of the other columns are built coordinates-first, so
     # that each column is one contiguous block
     if q == math.inf:

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels, spaces
 from .spaces import (
-    SIGN_CUBE_CAP,
     BasisIndexError,
     ConfigError,
     DimensionMismatch,
@@ -28,7 +27,9 @@ from .spaces import (
     Space,
     _lp_norm,
     _rng,
+    check_seed,
     check_sign_tensor,
+    check_tuple_size,
     l1_extreme_point_constraint,
 )
 
@@ -93,8 +94,7 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     n, l, d = X.shape
     if ms.shape != (n, l):
         raise DimensionMismatch(f"indices must have shape {(n, l)}, got {ms.shape}")
-    if not 1 <= l <= SIGN_CUBE_CAP:
-        raise ConfigError(f"tuple size must be in 1..{SIGN_CUBE_CAP}, got {l}")
+    check_tuple_size(l)
     check_sign_tensor(kernels.pattern_elements(n, l, d), "use fewer functionals")
     if ms.size and not (ms.dtype.kind in "iu" and 1 <= ms.min() and ms.max() <= d):
         raise BasisIndexError(f"basis indices must be integers in 1..{d}")
@@ -227,14 +227,12 @@ def check_lemma44(
     over all their (p, d, l) groups.  Failures are listed in instance
     order, an instance's inequality failure before its oracle one.
     """
-    if not 1 <= max_l <= SIGN_CUBE_CAP:
-        raise ConfigError(f"max tuple size must be in 1..{SIGN_CUBE_CAP}, got {max_l}")
+    check_tuple_size(max_l)
     if instances < 0:
         raise ConfigError(f"instances must be >= 0, got {instances}")
     if instances > 2**32:
         raise ConfigError(f"instances must be at most 2^32, got {instances}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     d_max = space.dim if space else LEMMA44_DIMS[1]
     # per instance, a block keeps its normals in instance order (max_l *
     # d_max numbers at most) and their basis indices from the draw on.

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homfun import Add, BuiltinF, HomExpr, LiftParams, Scale, eval_batch
-from .spaces import DimensionMismatch, InputError, Space
+from .homfun import Add, BuiltinF, HomExpr, LiftParams, Scale, eval_batch, finite
+from .spaces import Space
 
 __all__ = ["LiftingSystem", "beta_apply", "T_apply"]
 
@@ -31,15 +31,10 @@ class LiftingSystem:
 
 def beta_apply(f: HomExpr, space: Space) -> np.ndarray:
     """Barycenter coordinates: the value of f at each biorthogonal functional."""
-    out = eval_batch(f, space, np.eye(space.dim))
-    if not np.all(np.isfinite(out)):
-        raise InputError("expression evaluated to a non-finite value")
-    return out
+    return finite(eval_batch(f, space, np.eye(space.dim)))
 
 
 def T_apply(system: LiftingSystem, x) -> HomExpr:
     """Lift a vector to the disjoint combination of the built-in generators."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (system.space.dim,):
-        raise DimensionMismatch(f"expected {system.space.dim} coordinates, got shape {x.shape}")
+    x = system.space.check_coords(x)
     return Add(Scale(float(c), g) for c, g in zip(x, system.generators))

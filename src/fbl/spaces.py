@@ -4,9 +4,9 @@ Coordinates are always taken with respect to the *normalized* basis (every
 basis vector has norm 1).  In those coordinates a weighted ell_p norm is
 isometrically the plain ell_p norm, so the ell_p family covers it.
 
-The sign-cube caps, the ell_1 extreme-point oracle and the seeded streams
-(_rng) live here too, so that the norm search and the Lemma 4.4 suite
-share them without either loading the other.
+The shared refusals (caps, tuple size, seed), the ell_1 extreme-point
+oracle and the seeded streams (_rng) live here too, so that the norm
+search and the Lemma 4.4 suite share them without either loading the other.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ __all__ = [
     "SIGN_CUBE_CAP",
     "SIGN_TENSOR_CAP",
     "check_sign_tensor",
+    "check_tuple_size",
+    "check_seed",
     "l1_extreme_point_constraint",
 ]
 
@@ -59,13 +61,23 @@ class BasisIndexError(InputError, IndexError):
     """A basis index outside 1..d."""
 
 
-def check_sign_tensor(elements: int, remedy: str) -> None:
-    """Refuse, before allocating, sign-cube tensors over SIGN_TENSOR_CAP."""
+def check_sign_tensor(elements: int, remedy: str, held: str = "the sign-cube tensors") -> None:
+    """Refuse, before allocating, `held` over SIGN_TENSOR_CAP float64 elements."""
     if elements > SIGN_TENSOR_CAP:
-        raise ConfigError(
-            f"the sign-cube tensors would hold {elements} elements, over the cap "
-            f"of {SIGN_TENSOR_CAP}; {remedy}"
-        )
+        raise ConfigError(f"{held} would hold {elements} elements, over the cap of "
+                          f"{SIGN_TENSOR_CAP}; {remedy}")
+
+
+def check_tuple_size(k: int) -> None:
+    """Refuse a tuple size outside 1..SIGN_CUBE_CAP, the sign cube's range."""
+    if not 1 <= k <= SIGN_CUBE_CAP:
+        raise ConfigError(f"tuple size must be in 1..{SIGN_CUBE_CAP}, got {k}")
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, which no numpy stream takes."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -77,8 +89,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     (2,) check_disjoint's samples; (3,) check_beta_section's samples;
     (4, n, k) the samples of check_freenorms' unsearched pair (n, k);
     (9,) the coefficient vectors of verify.lift_verify; (101,) the probe of
-    upper_bound_finite_coords.
+    upper_bound_finite_coords.  A negative seed is a ConfigError.
     """
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -127,7 +140,8 @@ class Space:
             return 1.0
         return self.p / (self.p - 1.0)
 
-    def _check(self, coords) -> np.ndarray:
+    def check_coords(self, coords) -> np.ndarray:
+        """coords as a float64 vector of this space, or a DimensionMismatch."""
         a = np.asarray(coords, dtype=np.float64)
         if a.shape != (self.dim,):
             raise DimensionMismatch(
@@ -137,11 +151,11 @@ class Space:
 
     def norm(self, x) -> float:
         """Norm of a vector given by its coordinates in the normalized basis."""
-        return float(_lp_norm(self._check(x), self.p))
+        return float(_lp_norm(self.check_coords(x), self.p))
 
     def dual_norm(self, xstar) -> float:
         """Dual norm of a functional given by its biorthogonal coordinates."""
-        return float(_lp_norm(self._check(xstar), self.q))
+        return float(_lp_norm(self.check_coords(xstar), self.q))
 
     def __str__(self):
         if self.p == math.inf:

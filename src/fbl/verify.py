@@ -19,10 +19,10 @@ import numpy as np
 
 from . import spaces
 from .fblnorm import SearchConfig, fbl_lower_bounds, search_elements
-from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch, eval_terms
+from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch, eval_terms, finite
 from .lemma44 import SLACK_TOL, CheckReport, check_lemma44
 from .lifting import LiftingSystem
-from .spaces import ConfigError, DimensionMismatch, InputError, _rng
+from .spaces import ConfigError, DimensionMismatch, _rng, check_sign_tensor
 
 __all__ = [
     "SLACK_TOL",
@@ -45,11 +45,7 @@ def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
     """Refuse, before drawing, a negative sample count or a draw over the cap."""
     if samples < 0:
         raise ConfigError(f"samples must be >= 0, got {samples}")
-    if floats > spaces.SIGN_TENSOR_CAP:
-        raise ConfigError(
-            f"{samples} samples in dimension {d} would need {floats} floats, "
-            f"over the cap of {spaces.SIGN_TENSOR_CAP}; {remedy}"
-        )
+    check_sign_tensor(floats, remedy, f"{samples} samples in dimension {d}")
 
 
 # float64 elements a sample holds at each sampled check's peak, (a, b) for
@@ -127,9 +123,7 @@ def check_beta_section(system: LiftingSystem, samples: int = 1000, seed: int = 0
     out = np.zeros((samples, d))
     for n in range(d):
         out = out + X[:, n:n + 1] * G[n]
-    if not np.all(np.isfinite(out)):
-        raise InputError("expression evaluated to a non-finite value")
-    err = np.abs(out - X).max(axis=1)
+    err = np.abs(finite(out) - X).max(axis=1)
     report = CheckReport(check="beta_section", instances=samples, seed=seed,
                          config={"space": str(space), "tol": tol})
     if samples:

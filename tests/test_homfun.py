@@ -42,13 +42,13 @@ def test_default_sequences():
 
 
 def test_custom_sequence_validation():
-    LiftParams(kind="custom", m_values=(1.0, 3.0, 9.0))
+    LiftParams(m_values=(1.0, 3.0, 9.0))
     with pytest.raises(ValueError):
-        LiftParams(kind="custom", m_values=(3.0, 2.0))
+        LiftParams(m_values=(3.0, 2.0))
     with pytest.raises(ValueError):
-        LiftParams(kind="custom", m_values=(-1.0, 2.0))
+        LiftParams(m_values=(-1.0, 2.0))
     with pytest.raises(ValueError):
-        LiftParams(kind="harmonic")
+        LiftParams(m_values=())
 
 
 def test_ramp_values():
@@ -206,6 +206,18 @@ def test_parse_sum_and_builtin():
     ])
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("d(1 0)", "expected ')', found '0'", 4),
+    ("h(1)", "expected ',', found ')'", 3),
+    ("f(1,2)", "expected ')', found ','", 3),
+    ("pos(d(1)", "expected ')', found 'end of input'", 8),
+])
+def test_parse_names_the_token_it_expected(text, message, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.args[0], exc.value.position) == (message, offset)
+
+
 def test_parse_error_position():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("d(1,")
@@ -230,7 +242,7 @@ def test_roundtrip_random_asts(rng):
 
 
 def test_parse_uses_supplied_params():
-    custom = LiftParams(kind="custom", m_values=(1.0, 10.0, 100.0))
+    custom = LiftParams(m_values=(1.0, 10.0, 100.0))
     e = parse("f(2)", custom)
     assert e == BuiltinF(2, custom)
     assert e != BuiltinF(2)
@@ -261,4 +273,4 @@ def test_parse_rejects_overflowing_number():
 def test_custom_sequence_must_be_finite():
     for values in ((1.0, math.nan), (1.0, math.inf), (math.nan,), (2.0, math.nan, 3.0)):
         with pytest.raises(ConfigError):
-            LiftParams(kind="custom", m_values=values)
+            LiftParams(m_values=values)

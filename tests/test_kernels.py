@@ -103,7 +103,7 @@ def _sparse_batches(rng, d):
     return batches
 
 
-@pytest.mark.parametrize("params", [P, LiftParams("custom", (1.0, 1.1, 1.2, 3.0, 3.5, 9.0, 20.0))])
+@pytest.mark.parametrize("params", [P, LiftParams(m_values=(1.0, 1.1, 1.2, 3.0, 3.5, 9.0, 20.0))])
 def test_hom_batch_leaves_match_their_one_leaf_calls(params, rng, monkeypatch):
     # a multi-leaf call gives each leaf the bits of its one-leaf call, in
     # any order, with repeats, and with the leaf mhi = n (no ramps); also

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbl.fblnorm import SearchConfig, fbl_lower_bound
-from fbl.homfun import Abs, BuiltinF, Delta, Join, LiftParams, eval_batch, eval_expr
+from fbl.homfun import Abs, BuiltinF, Delta, Join, LiftParams, Scale, eval_batch, eval_expr
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
 from fbl.spaces import DimensionMismatch, InputError, Space
 
@@ -28,6 +28,14 @@ def test_beta_of_generators_is_basis(system):
 def test_beta_hand_value():
     sp = Space.lp(2, 2)
     assert np.array_equal(beta_apply(Abs(Delta([1, 0])), sp), [1.0, 0.0])
+
+
+def test_beta_refuses_a_non_finite_value():
+    # 1e308 * 10 overflows to inf; numpy's warning is silenced here, as the
+    # refusal, not the warning, is under test
+    huge = Scale(1e308, Scale(10.0, Delta([1.0, 0.0])))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+        beta_apply(huge, Space.lp(2, 2))
 
 
 def test_T_of_basis_vector_matches_generator(rng, system):

@@ -9,6 +9,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fbl
@@ -68,6 +69,42 @@ def test_only_spaces_binds_the_tensor_cap():
     binders = [name for name in MODULES
                if "SIGN_TENSOR_CAP" in vars(importlib.import_module(f"fbl.{name}"))]
     assert binders == ["spaces"]
+
+
+def _source_names(name):
+    """Every name that module name's source binds, reads or imports."""
+    path = os.path.join(os.path.dirname(fbl.__file__), f"{name}.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_only_spaces_reads_the_tuple_size_cap():
+    # every tuple size goes through spaces.check_tuple_size, so no other
+    # module binds SIGN_CUBE_CAP or reads it off spaces
+    binders = [name for name in MODULES
+               if "SIGN_CUBE_CAP" in vars(importlib.import_module(f"fbl.{name}"))]
+    assert binders == ["spaces"]
+    assert [name for name in MODULES if "SIGN_CUBE_CAP" in _source_names(name)] == ["spaces"]
+
+
+def test_only_kernels_binds_the_move_signs():
+    # move (i, j, s) has one sign, kernels.MOVE_SIGNS[s, 0], where
+    # move_constraints scores it and where the search makes it
+    binders = [(name, attr) for name in MODULES
+               for attr, value in vars(importlib.import_module(f"fbl.{name}")).items()
+               if isinstance(value, np.ndarray) and sorted(value.ravel().tolist()) == [-1.0, 1.0]]
+    assert binders == [("kernels", "MOVE_SIGNS")]
+    signs = fbl.kernels.MOVE_SIGNS
+    assert signs.tolist() == [[1.0], [-1.0]] and not signs.flags.writeable
 
 
 def test_cli_reads_no_private_name_of_another_module():

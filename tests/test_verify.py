@@ -1,13 +1,15 @@
 import json
 import math
+import os
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from fbl import fblnorm, kernels, lemma44, spaces, verify
+from fbl import cli, fblnorm, homfun, kernels, lemma44, spaces, verify
 from fbl.fblnorm import SearchConfig, fbl_lower_bound, tuple_constraint
-from fbl.homfun import Add, BuiltinF, BuiltinH, LiftParams, Scale, eval_terms
+from fbl.homfun import Abs, Add, BuiltinF, BuiltinH, Delta, LiftParams, Scale, eval_batch, eval_terms
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
 from fbl.lemma44 import lemma_unconditional_batch
 from fbl.spaces import (
@@ -404,7 +406,7 @@ def _per_sample_beta_section(system, samples, seed, tol):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
 def test_beta_section_matches_per_sample_lift(p):
-    custom = LiftParams(kind="custom", m_values=(1.0, 3.0, 9.0, 27.0, 81.0, 243.0))
+    custom = LiftParams(m_values=(1.0, 3.0, 9.0, 27.0, 81.0, 243.0))
     for d in (1, 3, 6):
         for params in (LiftParams(), custom):
             system = LiftingSystem(Space.lp(p, d), params)
@@ -575,6 +577,149 @@ def test_freenorms_match_separate_searches(p, d, monkeypatch):
     assert check_freenorms(system, [], search) == []
     zero_pairs = [(d, 0), (1, d - 1)]
     assert [r.instances for r in check_freenorms(system, zero_pairs, search, 10)] == [10, 10]
+
+
+# ---------------------------------------------------------------------------
+# mutants: each check must flag a broken lifting system
+
+
+@dataclass(frozen=True)
+class Mutant(LiftingSystem):
+    """A lifting system with the given generators in place of the f(n)."""
+
+    mutant: tuple = ()
+
+    @property
+    def generators(self):
+        return self.mutant
+
+
+def _abs_deltas(space):
+    """|delta_{e_n}|, n = 1..d: beta of each is e_n, but they are not disjoint."""
+    return Mutant(space, mutant=tuple(Abs(Delta(e)) for e in np.eye(space.dim)))
+
+
+def test_biorthogonality_flags_permuted_generators():
+    gens = LiftingSystem(Space.lp(2, 3)).generators
+    report = check_biorthogonal(Mutant(Space.lp(2, 3), mutant=gens[1:] + gens[:1]))
+    # generator n is f(n + 1 mod 3): f_n(e_j*) = 1 where j = n + 1 mod 3
+    assert report.worst_slack == -1.0
+    assert report.failures == [
+        {"n": 1, "j": 1, "value": 0.0}, {"n": 1, "j": 2, "value": 1.0},
+        {"n": 2, "j": 2, "value": 0.0}, {"n": 2, "j": 3, "value": 1.0},
+        {"n": 3, "j": 1, "value": 1.0}, {"n": 3, "j": 3, "value": 0.0}]
+
+
+def test_disjointness_flags_absolute_deltas():
+    report = check_disjoint(_abs_deltas(Space.lp(2, 2)), samples=5, seed=3)
+    X = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(2,))).standard_normal((5, 2))
+    low = np.abs(X).min(axis=1)
+    assert report.failures == [{"n": 1, "l": 2, "xstar": x.tolist(), "min_value": float(m)}
+                               for x, m in zip(X, low)]
+    assert report.worst_slack == -low.max()
+
+
+def test_span_norm_flags_absolute_deltas():
+    # T(a) = |x1| + |x2| for a = (1, 1) on l2:2: the stored tuple
+    # {(1, 1), (1, -1)} has objective 4 and constraint 2, ratio 2 > ||a|| = sqrt 2
+    system, a = _abs_deltas(Space.lp(2, 2)), np.array([1.0, 1.0])
+    witness = np.array([[1.0, 1.0], [1.0, -1.0]])
+    C, _ = tuple_constraint(system.space, witness)
+    objective = np.abs(eval_batch(T_apply(system, a), system.space, witness)).sum()
+    assert (objective, C) == (4.0, 2.0)
+    report = check_normspan(system, a, SEARCH)
+    failure, = report.failures
+    assert failure["norm"] == math.sqrt(2) < failure["ratio"] <= objective / C
+    assert report.worst_slack == failure["norm"] - failure["ratio"] < 0.0
+    # the failure's own witness certifies its ratio
+    W = np.array(failure["witness"])
+    got = np.abs(eval_batch(T_apply(system, a), system.space, W)).sum()
+    assert got / tuple_constraint(system.space, W)[0] == pytest.approx(failure["ratio"],
+                                                                        rel=1e-12)
+
+
+def test_free_norm_flags_a_tail_bound_too_small(monkeypatch):
+    # the searched pair (1, 1) on l2:4 against a hundredth of its bound
+    bound = LiftParams.tail_bound
+    monkeypatch.setattr(LiftParams, "tail_bound", lambda self, t, dim: bound(self, t, dim) / 100)
+    system = LiftingSystem(Space.lp(2, 4))
+    report = check_freenorm(system, 1, 1, SEARCH)
+    failure, = report.failures
+    assert failure["tail_bound"] == report.config["tail_bound"] == 0.0025
+    assert failure["ratio"] > 0.0025 + 1e-9
+    assert report.worst_slack == 0.0025 - failure["ratio"]
+    W = np.array(failure["witness"])
+    diff = Add([BuiltinH(1, 1), Scale(-1.0, BuiltinF(1))])
+    got = np.abs(eval_batch(diff, system.space, W)).sum() / tuple_constraint(system.space, W)[0]
+    assert got == pytest.approx(failure["ratio"], rel=1e-12)
+
+
+def _short_truncations(monkeypatch):
+    """Drop the last ramp of every h(n,k) leaf: h(n,k) then differs from
+    f(n) where n + k >= d, and is unchanged where n + k < d."""
+    span = homfun._span
+    monkeypatch.setattr(homfun, "_span", lambda leaf, dim: span(
+        leaf, dim - 1 if isinstance(leaf, BuiltinH) else dim))
+
+
+def test_free_norm_flags_an_identity_pair_that_differs(monkeypatch):
+    _short_truncations(monkeypatch)
+    system = LiftingSystem(Space.lp(2, 2))
+    report = check_freenorm(system, 1, 1, SEARCH, samples=200)
+    X = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(4, 1, 1))).standard_normal(
+        (200, 2))
+    # h(1,1) is now |x1| without the ramp g_2(|x2| / |x1|), below 1 past M_2 = 4
+    diff = np.abs(X[:, 0]) - eval_batch(BuiltinF(1), system.space, X)
+    rows = diff.nonzero()[0]
+    assert rows.size and np.all(np.abs(X[rows, 1]) > 4 * np.abs(X[rows, 0]))
+    assert report.failures == [{"xstar": X[i].tolist(), "difference": float(diff[i])}
+                               for i in rows]
+
+
+def test_lift_verify_flags_a_mutant_on_both_paths(monkeypatch, capsys):
+    # the patch reaches the forked child, which runs the free-norm checks
+    _short_truncations(monkeypatch)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    system = LiftingSystem(Space.lp(2, 2))
+    runs = []
+    for cpus in (2, 1):
+        # one usable CPU selects the serial path
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        runs.append([r.to_dict() for r in verify.lift_verify(system, SEARCH, 100, 2)])
+        assert cli.run(["lift-verify", "--space", "l2:2", "--instances", "100",
+                        "--coeff-vectors", "2"]) == 1
+        assert len(forks) == (2 if cpus == 2 else 0)
+        forks.clear()
+        # the command's defaults are SEARCH
+        assert json.loads(capsys.readouterr().out)["checks"] == runs[-1]
+    assert runs[0] == runs[1]
+    assert [bool(r["failures"]) for r in runs[0]] == [False, False, False, False, True]
+
+
+def test_beta_section_refuses_a_non_finite_value():
+    # generators scaled by 1e308 overflow beta(T(x)) for |x_n| > 1.8; numpy's
+    # warning is silenced here, as the refusal, not the warning, is under test
+    space = Space.lp(2, 3)
+    huge = Mutant(space, mutant=tuple(Scale(1e308, g) for g in LiftingSystem(space).generators))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+        check_beta_section(huge, samples=50)
+
+
+def test_sampled_checks_refuse_a_negative_seed():
+    system = LiftingSystem(Space.lp(2, 3))
+    for check in (check_disjoint, check_beta_section):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            check(system, samples=10, seed=-1)
+
+
+def test_lemma_batch_refuses_bad_shapes_and_tuple_sizes():
+    sp = Space.lp(2, 2)
+    with pytest.raises(DimensionMismatch, match=r"\(n, l, 2\)"):
+        lemma_unconditional_batch(sp, [[1]], [[0.5, 0.0]])
+    for l in (0, 25):
+        with pytest.raises(ConfigError, match=f"tuple size must be in 1..24, got {l}"):
+            lemma_unconditional_batch(sp, np.ones((1, l), dtype=int), np.zeros((1, l, 2)))
 
 
 def test_error_contract_leftovers_are_typed():
