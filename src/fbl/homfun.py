@@ -112,7 +112,7 @@ class LiftParams:
         """Upper bound for sum_{j>t} 1/M_j (only indices <= dim matter)."""
         if self.m_values is None:
             return 2.0 ** (-t)
-        return sum(1.0 / self.M(j) for j in range(t + 1, dim + 1))
+        return sum((1.0 / self.M(j) for j in range(t + 1, dim + 1)), 0.0)
 
 
 # ---------------------------------------------------------------------------

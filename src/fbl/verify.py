@@ -22,7 +22,7 @@ from .fblnorm import SearchConfig, fbl_lower_bounds, search_elements
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch, eval_terms, finite
 from .lemma44 import SLACK_TOL, CheckReport, check_lemma44
 from .lifting import LiftingSystem
-from .spaces import ConfigError, DimensionMismatch, _rng, check_sign_tensor
+from .spaces import ConfigError, DimensionMismatch, _lp_norm, _rng, check_sign_tensor
 
 __all__ = [
     "SLACK_TOL",
@@ -177,11 +177,13 @@ def check_freenorms(system: LiftingSystem, pairs, search: SearchConfig,
                     samples: int = 1000) -> list[CheckReport]:
     """Norm of each truncation error h(n,k) - f(n) is bounded by the cutoff tail sum.
 
-    One report per pair (n, k), in order.  The pairs with n + k < d are
+    One report per pair (n, k), in order, with its tail bound in its config
+    and the bound less a ratio as its slack.  The pairs with n + k < d are
     searched in one batch, one search per pair over its own difference,
-    each the same as a separate fbl_lower_bound.  For n + k >= d the
-    truncation equals the generator identically and the difference is
-    checked to be exactly zero at random samples.
+    each the same as a separate fbl_lower_bound, whose ratio it takes.
+    For n + k >= d the truncation equals the generator identically: the
+    difference is checked to be exactly zero at random samples, and the
+    ratio is the largest |difference(x*)| / ||x*||_{E*} where it is not.
     """
     space, params = system.space, system.params
     d = space.dim
@@ -189,28 +191,28 @@ def check_freenorms(system: LiftingSystem, pairs, search: SearchConfig,
     reports, searched, diffs = [], [], []
     for n, k in pairs:
         diff = Add([BuiltinH(n, k, params), Scale(-1.0, BuiltinF(n, params))])
+        bound = params.tail_bound(n + k, d)
         report = CheckReport(
             check="freenorm", instances=1, seed=search.seed,
-            config={"space": str(space), "n": n, "k": k},
+            config={"space": str(space), "n": n, "k": k, "tail_bound": bound},
         )
         reports.append(report)
         if n + k < d:
-            searched.append(report)
+            searched.append((report, n, k, bound))
             diffs.append(diff)
             continue
         X = _rng(search.seed, 4, n, k).standard_normal((samples, d))
         vals = eval_batch(diff, space, X)
+        rows = vals.nonzero()[0]
+        ratios = np.abs(vals[rows]) / _lp_norm(X[rows], space.q)
         report.instances = samples
-        report.worst_slack = -float(np.abs(vals).max(initial=0.0))
-        for i in np.nonzero(vals != 0.0)[0]:
+        report.worst_slack = bound - float(ratios.max(initial=0.0))
+        for i in rows:
             report.failures.append({"xstar": X[i].tolist(), "difference": float(vals[i])})
     if diffs:
         # weight row e picks difference e alone: E searches, one term each
         ests = fbl_lower_bounds(diffs, np.eye(len(diffs)), space, search)
-        for report, est in zip(searched, ests):
-            n, k = report.config["n"], report.config["k"]
-            bound = params.tail_bound(n + k, d)
-            report.config["tail_bound"] = bound
+        for (report, n, k, bound), est in zip(searched, ests):
             report.worst_slack = bound - est.lower_bound
             if est.lower_bound > bound + SLACK_TOL:
                 report.failures.append(

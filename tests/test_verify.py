@@ -540,7 +540,8 @@ def test_freenorm_tail_bound():
 def test_freenorm_identically_zero_beyond_dimension():
     system = LiftingSystem(Space.lp(2, 6))
     report = check_freenorm(system, 3, 3, SEARCH, samples=500)
-    assert report.passed and report.worst_slack == 0.0
+    # the difference is zero at every sample: the slack is the whole bound
+    assert report.passed and report.worst_slack == report.config["tail_bound"] == 2.0**-6
     assert report.instances == 500
 
 
@@ -570,7 +571,7 @@ def test_freenorms_match_separate_searches(p, d, monkeypatch):
         if n + k < d:
             assert rep.to_dict() == _separate_freenorm(system, n, k, search)
         else:
-            assert (rep.instances, rep.failures, rep.worst_slack) == (200, [], 0.0)
+            assert (rep.instances, rep.failures, rep.worst_slack) == (200, [], 2.0 ** -(n + k))
             assert rep.to_dict() == check_freenorm(system, n, k, search, samples=200).to_dict()
     # no pair, or only exact-zero pairs: no search runs
     monkeypatch.setattr(verify, "fbl_lower_bounds", lambda *a: pytest.fail("searched"))
@@ -674,6 +675,8 @@ def test_free_norm_flags_an_identity_pair_that_differs(monkeypatch):
     assert rows.size and np.all(np.abs(X[rows, 1]) > 4 * np.abs(X[rows, 0]))
     assert report.failures == [{"xstar": X[i].tolist(), "difference": float(diff[i])}
                                for i in rows]
+    ratios = np.abs(diff[rows]) / np.sqrt((X[rows] ** 2).sum(axis=1))
+    assert report.worst_slack == pytest.approx(0.25 - ratios.max(), rel=1e-12)
 
 
 def test_lift_verify_flags_a_mutant_on_both_paths(monkeypatch, capsys):
