@@ -75,8 +75,6 @@ def cmd_norm(args) -> int:
 def cmd_lift_verify(args) -> int:
     params = _parse_mseq(args.mseq)
     space = parse_space(args.space)
-    if args.coeff_vectors < 0:
-        raise ConfigError(f"--coeff-vectors must be >= 0, got {args.coeff_vectors}")
     system = lifting.LiftingSystem(space, params)
     reports = verify.lift_verify(system, _search_config(args), args.instances,
                                  args.coeff_vectors)

@@ -31,6 +31,7 @@ from .spaces import (
     InputError,
     Space,
     _rng,
+    check_finite_functionals,
     check_seed,
     check_sign_tensor,
     check_tuple_size,
@@ -86,8 +87,7 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
         raise ConfigError(f"functionals have {d} coordinates, space has {space.dim}")
     check_tuple_size(k)
     check_sign_tensor(kernels.pattern_elements(1, k, d), "use fewer functionals")
-    if not np.isfinite(X).all():
-        raise InputError("functionals must be finite")
+    check_finite_functionals(X)
     norms = kernels.pattern_norms([X[None]], space.q)
     idx = int(np.argmax(norms))
     # row idx of sign_patterns(k), built alone: past k = CACHED_PATTERNS

@@ -23,10 +23,10 @@ from .spaces import (
     BasisIndexError,
     ConfigError,
     DimensionMismatch,
-    InputError,
     Space,
     _lp_norm,
     _rng,
+    check_finite_functionals,
     check_seed,
     check_sign_tensor,
     check_tuple_size,
@@ -82,7 +82,7 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     right side: the tuple constraint sup_{x in B} sum_i |x_i*(x)|.
     Functionals must be finite and lie in the dual unit ball.  The two
     sides use independent code paths (closed-form dual norm vs. sign-cube
-    enumeration), the ones check_lemma44 evaluates its (p, d) blocks with.
+    enumeration), the ones check_lemma44 evaluates its d blocks with.
     Each instance's (lhs, rhs) has the bits it has alone.
     """
     X = np.asarray(functionals, dtype=np.float64)
@@ -98,32 +98,35 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     check_sign_tensor(kernels.pattern_elements(n, l, d), "use fewer functionals")
     if ms.size and not (ms.dtype.kind in "iu" and 1 <= ms.min() and ms.max() <= d):
         raise BasisIndexError(f"basis indices must be integers in 1..{d}")
-    if not np.isfinite(X).all():
-        raise InputError("functionals must be finite")
+    check_finite_functionals(X)
     if not (_lp_norm(X, space.q) <= 1.0 + SLACK_TOL).all():
         raise ConfigError("functionals must lie in the dual unit ball")
-    return _lemma_sides(space, X.reshape(-1, d), ms.astype(np.intp).ravel(), np.full(n, l), [X])
+    return _lemma_sides(X.reshape(-1, d), ms.astype(np.intp).ravel(), np.full(n, l),
+                        [(space, slice(None), [X])])
 
 
-def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.ndarray]:
+def _lemma_sides(rows, ms, ls, parts) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of the sign-averaging inequality for the instances whose
     tuples are the rows (sum(ls), d) of rows, instance after instance.
 
     ms: (sum(ls),) each row's basis index; ls: each instance's tuple size;
-    stacks: the (n_g, l, d) stacks of rows, one per run of instances with
-    the same l, in order.  The left sides take one bincount and one norm
-    call, the right sides one kernels.pattern_norms pass over all the
-    stacks and one reduceat, each tuple's maximum over its sign patterns.
-    Every norm runs row by row, so each instance's values have the bits
-    it has alone.
+    parts: the runs of instances that share a space, in order, as
+    _lemma44_draws yields them: (space, slice of the instances, stacks),
+    the stacks (n_g, l, d) of the run's rows, one per run of instances
+    with the same l.  The left sides take one bincount and one norm call
+    per part, the right sides one kernels.pattern_norms pass per part and
+    one reduceat, each tuple's maximum over its sign patterns.  Every norm
+    runs row by row, so each instance's values have the bits it has alone.
     """
-    n, d = len(ls), space.dim
+    n, d = len(ls), rows.shape[1]
     # entry (t, m) of z adds |x_i*(e_m)| over instance t's functionals i
     # with index m.  bincount adds in input order from 0.0, so each entry
     # is a sum in the order of the tuple
     z = np.bincount(np.repeat(np.arange(-1, n * d - 1, d), ls) + ms,
                     np.abs(np.take(rows, np.arange(-1, rows.size - 1, d) + ms)), n * d)
-    lhs, norms = _lp_norm(z.reshape(n, d), space.q), kernels.pattern_norms(stacks, space.q)
+    z = z.reshape(n, d)
+    lhs = np.concatenate([_lp_norm(z[at], space.q) for space, at, _ in parts])
+    norms = np.concatenate([kernels.pattern_norms(stacks, space.q) for space, _, stacks in parts])
     if not n:  # reduceat refuses empty offsets
         return lhs, norms
     # each tuple's maximum over its 2^(l-1) sign patterns, from its first
@@ -131,8 +134,8 @@ def _lemma_sides(space: Space, rows, ms, ls, stacks) -> tuple[np.ndarray, np.nda
     return lhs, np.maximum.reduceat(norms, np.cumsum(counts) - counts)
 
 
-def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d_max: int):
-    """The instances lo..hi-1 of check_lemma44, in (p, d) blocks of (p, d, l) groups.
+def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int):
+    """The instances lo..hi-1 of check_lemma44, in d blocks of (p, d, l) groups.
 
     streams: the five generators of check_lemma44, one per drawn quantity:
     each instance's exponent (an index into LEMMA44_PS) and dimension d
@@ -142,13 +145,16 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d
     the last block left it, so an instance's values do not depend on the
     block size.
 
-    Yields one tuple (index into LEMMA44_PS, d, members, ls, rows, ms,
-    stacks) per (p, d) block: its instances' numbers, group after group
-    and each group in instance order; their tuple sizes; their raw
-    functionals, the rows (sum(ls), d), instance after instance; each
-    row's basis index; and the (n_g, l, d) stacks of rows, one per group,
-    views of the rows.  A block's rows are gathered when it is reached,
-    so only the block in hand holds a copy of its normals.
+    Yields one tuple (members, ls, rows, ms, parts) per dimension d: its
+    instances' numbers, part after part, group after group and each
+    group in instance order; their tuple sizes; their functionals, the
+    rows (sum(ls), d), instance after instance, each divided by its dual
+    norm where that is above 1; each row's basis index; and one part
+    (space, instances, stacks) per exponent: its space, the slice of its
+    instances and its (n_g, l, d) stacks of rows, one per group, views of
+    the rows.  A d block's rows are gathered and scaled, for all its
+    exponents at once, when it is reached, so only the d block in hand
+    holds a copy of its normals.
     """
     n = hi - lo
     exponents, dims, sizes, normals, indices = streams
@@ -157,6 +163,7 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d
         ds = dims.integers(LEMMA44_DIMS[0], LEMMA44_DIMS[1] + 1, size=n)
     else:
         pis, ds = np.zeros(n, dtype=np.int64), np.full(n, space.dim)
+    d0 = space.dim if space else LEMMA44_DIMS[0]
     ls = sizes.integers(1, max_l + 1, size=n)
     # each row's dimension, instance after instance
     row_ds = np.repeat(ds, ls)
@@ -165,8 +172,9 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d
     # each row's first coordinate, instance after instance
     row_starts = np.cumsum(row_ds) - row_ds
     row_ds = None
-    # the instances group after group, each group in instance order
-    keys = (pis * (d_max + 1) + ds) * (max_l + 1) + ls
+    # the instances group after group, each group in instance order.  The
+    # keys stay under 35 * 25, so as int16 they take numpy's radix sort
+    keys = (((ds - d0) * len(LEMMA44_PS) + pis) * (max_l + 1) + ls).astype(np.int16)
     pis = ds = None
     order = np.argsort(keys, kind="stable")
     first_row = (np.cumsum(ls) - ls)[order]
@@ -180,28 +188,33 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int, d
     ms = ms[src]
     starts = row_starts[src]
     src = row_starts = None
-    # a (p, d, l) group starts where the key changes; each (p, d) block's
-    # group edges, as (instance, row) pairs, block after block
+    # a (p, d, l) group starts where the key changes; each (p, d) part's
+    # group edges, as (instance, row) pairs, by d, part after part
     cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), n]
     bounds = list(zip(cuts, edges[cuts].tolist()))
-    groups = {}
+    blocks = {}
     for g0, g1, key in zip(bounds, bounds[1:], keys[cuts[:-1]].tolist()):
-        groups.setdefault(key // (max_l + 1), [g0]).append(g1)
+        d, pi = divmod(key // (max_l + 1), len(LEMMA44_PS))
+        blocks.setdefault(d0 + d, {}).setdefault(pi, [g0]).append(g1)
     keys = edges = None
-    # row k of windows[d] views the d coordinates from coordinate k on
-    # (sliding_window_view makes the same view, but its reference cycles
-    # wait for the cyclic collector, and over repeated runs they raised
-    # the process's peak memory)
-    windows = {}
-    for key, inner in groups.items():
-        pi, d = divmod(key, d_max + 1)
-        if d not in windows:
-            windows[d] = np.ndarray((coords.size - d + 1, d), buffer=coords, strides=(8, 8))
-        (b0, r0), (b1, r1) = inner[0], inner[-1]
-        rows = windows[d][starts[r0:r1]]
-        stacks = [rows[s0 - r0:s1 - r0].reshape(g1 - g0, -1, d)
-                  for (g0, s0), (g1, s1) in zip(inner, inner[1:])]
-        yield pi, d, lo + order[b0:b1], ls[b0:b1], rows, ms[r0:r1], stacks
+    for d, inner in blocks.items():
+        parts = [(space or Space.lp(LEMMA44_PS[pi], d), cut) for pi, cut in inner.items()]
+        (b0, r0), (b1, r1) = parts[0][1][0], parts[-1][1][-1]
+        # row k of window views the d coordinates from coordinate k on
+        # (sliding_window_view makes the same view, but its reference
+        # cycles wait for the cyclic collector, and over repeated runs
+        # they raised the process's peak memory)
+        window = np.ndarray((coords.size - d + 1, d), buffer=coords, strides=(8, 8))
+        rows = window[starts[r0:r1]]
+        # each row into its space's dual unit ball, one norm call per exponent
+        norms = np.concatenate([_lp_norm(rows[cut[0][1] - r0:cut[-1][1] - r0], sp.q)
+                                for sp, cut in parts])
+        rows /= np.maximum(1.0, norms)[:, None]
+        yield lo + order[b0:b1], ls[b0:b1], rows, ms[r0:r1], [
+            (sp, slice(cut[0][0] - b0, cut[-1][0] - b0),
+             [rows[s0 - r0:s1 - r0].reshape(g1 - g0, -1, d)
+              for (g0, s0), (g1, s1) in zip(cut, cut[1:])])
+            for sp, cut in parts]
 
 
 def check_lemma44(
@@ -221,11 +234,15 @@ def check_lemma44(
     draws from in turn.  The instances are drawn in blocks of as many as
     keep the draws and their evaluation, sign-cube norms included, under
     the cap, each block with one call per stream.  A block's instances are
-    evaluated one (p, d) at a time, by the routine lemma_unconditional_batch
-    uses: one normalisation of all their functionals, one left side each
-    from one bincount, and one sign-cube pass of kernels.pattern_norms
-    over all their (p, d, l) groups.  Failures are listed in instance
-    order, an instance's inequality failure before its oracle one.
+    evaluated one dimension d at a time.  Per exponent, the draws scale
+    its functionals into the dual unit ball with one norm call, and the
+    routine lemma_unconditional_batch uses takes one norm call for their
+    left sides and one sign-cube pass of kernels.pattern_norms over all
+    its (p, d, l) groups.  Per d, that routine takes one bincount for the
+    left sides' sums and one reduceat for the right sides, and the suite
+    one slack minimum and one scan for failures.  Failures are listed in
+    instance order, an instance's inequality failure before its oracle
+    one.
     """
     check_tuple_size(max_l)
     if instances < 0:
@@ -238,13 +255,15 @@ def check_lemma44(
     # d_max numbers at most) and their basis indices from the draw on.
     # Besides them it holds while drawing at most 4 * max_l + 6 numbers
     # (keys, order, row starts and gather indices); then while evaluating
-    # the gathered normals of the (p, d) block in hand and three copies of
-    # them (the temporaries of their norms, then the ell_1 oracle's), at
-    # most 3 * max_l + 4 * d_max + 6 numbers (the bincount keys, z and its
-    # norm's three temporaries, lhs and rhs) and its share of the block's
-    # sign-cube pass, which holds what pattern_norms holds for all the
-    # block's instances at once, each counted here at max_l.  It counts
-    # the sum of both phases, whose peaks tracemalloc measures below it.
+    # the gathered normals of the d block in hand, for all its exponents,
+    # and three copies of them (the temporaries of one exponent's norms,
+    # then the ell_1 oracle's), at most 3 * max_l + 4 * d_max + 6 numbers
+    # (the scaling's norms, then the bincount keys, z and its norm's three
+    # temporaries, lhs and rhs with their parts) and its share of the d
+    # block's sign-cube passes, one per exponent, which hold what
+    # pattern_norms holds for all the block's instances at once, each
+    # counted here at max_l.  It counts the sum of both phases, whose
+    # peaks tracemalloc measures below it.
     # The sign patterns are held once
     patterns = kernels.pattern_elements(0, max_l, d_max)
     per_instance = (kernels.pattern_elements(1, max_l, d_max) - patterns + 5 * max_l * d_max
@@ -260,28 +279,30 @@ def check_lemma44(
     block = (spaces.SIGN_TENSOR_CAP - patterns) // per_instance
     streams = [_rng(seed, 1, j) for j in range(5)]
     for lo in range(0, instances, block):
-        for pi, d, members, ls, rows, ms, stacks in _lemma44_draws(
-                space, streams, lo, min(lo + block, instances), max_l, d_max):
-            sp = space or Space.lp(LEMMA44_PS[pi], d)
-            rows /= np.maximum(1.0, _lp_norm(rows, sp.q))[:, None]
-            lhs, rhs = _lemma_sides(sp, rows, ms, ls, stacks)
+        for members, ls, rows, ms, parts in _lemma44_draws(
+                space, streams, lo, min(lo + block, instances), max_l):
+            lhs, rhs = _lemma_sides(rows, ms, ls, parts)
             report.merge_slack(float((rhs - lhs).min()))
             for t in np.flatnonzero(lhs > rhs + SLACK_TOL):
+                sp = next(sp for sp, at, _ in parts if t < at.stop)
                 tuple_rows = slice(ls[:t].sum(), ls[:t + 1].sum())
                 failures.append((members[t], 0, {
                     "instance": int(members[t]), "space": str(sp),
                     "lhs": float(lhs[t]), "rhs": float(rhs[t]),
                     "ms": ms[tuple_rows].tolist(), "functionals": rows[tuple_rows].tolist()}))
-            if sp.p == 1.0:
+            for sp, at, stacks in parts:
+                if sp.p != 1.0:
+                    continue
                 oracle = np.concatenate([l1_extreme_point_constraint(S) for S in stacks])
                 # both sides add the same l terms |x_i*(e_j)| in orders that
                 # depend on the BLAS; each sum is within (l-1)*2^-53 relative
                 # of the exact one, so they may differ by l*2^-52*oracle, no more
-                for t in np.flatnonzero(np.abs(rhs - oracle) > ls * 2.0**-52 * oracle):
+                bad = np.abs(rhs[at] - oracle) > ls[at] * 2.0**-52 * oracle
+                for t in at.start + np.flatnonzero(bad):
                     failures.append((members[t], 1, {
                         "instance": int(members[t]), "space": str(sp),
                         "constraint": float(rhs[t]),
-                        "extreme_point_oracle": float(oracle[t]),
+                        "extreme_point_oracle": float(oracle[t - at.start]),
                         "kind": "oracle-mismatch"}))
     failures.sort(key=lambda f: f[:2])
     report.failures = [entry for *_, entry in failures]

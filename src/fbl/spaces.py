@@ -32,6 +32,7 @@ __all__ = [
     "check_sign_tensor",
     "check_tuple_size",
     "check_seed",
+    "check_finite_functionals",
     "l1_extreme_point_constraint",
 ]
 
@@ -78,6 +79,12 @@ def check_seed(seed: int) -> None:
     """Refuse a negative seed, which no numpy stream takes."""
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
+
+
+def check_finite_functionals(X: np.ndarray) -> None:
+    """Refuse functionals with a NaN or infinite coordinate."""
+    if not np.isfinite(X).all():
+        raise InputError("functionals must be finite")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

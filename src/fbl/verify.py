@@ -41,10 +41,11 @@ __all__ = [
 CHECK_SAMPLES = 1000
 
 
-def _check_samples(samples: int, d: int, floats: int, remedy: str) -> None:
-    """Refuse, before drawing, a negative sample count or a draw over the cap."""
+def _check_samples(samples: int, d: int, floats: int, remedy: str,
+                   name: str = "samples") -> None:
+    """Refuse, before drawing, a negative count `name` or a draw over the cap."""
     if samples < 0:
-        raise ConfigError(f"samples must be >= 0, got {samples}")
+        raise ConfigError(f"{name} must be >= 0, got {samples}")
     check_sign_tensor(floats, remedy, f"{samples} samples in dimension {d}")
 
 
@@ -242,7 +243,8 @@ def lift_verify(system: LiftingSystem, search: SearchConfig, instances: int,
     # too short for the space fails every check's first evaluation
     system.params.arrays(d)
     _check_samples(instances, d, instance_floats, "lower --instances")
-    _check_samples(coeff_vectors, d, coefficient_floats, "lower --coeff-vectors")
+    _check_samples(coeff_vectors, d, coefficient_floats, "lower --coeff-vectors",
+                   "--coeff-vectors")
 
     def span():
         coefficients = _rng(search.seed, 9).standard_normal((coeff_vectors, d))

@@ -107,6 +107,22 @@ def test_only_kernels_binds_the_move_signs():
     assert signs.tolist() == [[1.0], [-1.0]] and not signs.flags.writeable
 
 
+def test_shared_refusals_are_written_once():
+    # spaces.check_finite_functionals is the one non-finite functional
+    # refusal, and verify.lift_verify refuses a negative --coeff-vectors
+    # for the command too
+    def strings(name):
+        path = os.path.join(os.path.dirname(fbl.__file__), f"{name}.py")
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        return [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+    assert [name for name in MODULES
+            if "functionals must be finite" in strings(name)] == ["spaces"]
+    assert not [text for text in strings("cli") if "must be >= 0" in text]
+
+
 def test_cli_reads_no_private_name_of_another_module():
     # each command builds its inputs from flags and calls the library: a
     # private name that cli imports from, or reads off, an fbl module is

@@ -189,15 +189,17 @@ LEMMA44_BITS = [(None, 6, 3000), ("l1:5", 6, 1000), ("l2:3", 6, 1000), ("linf:8"
 
 def test_lemma44_blocks_match_each_group_alone(monkeypatch):
     # the report keeps only min(rhs - lhs), which is often 0.0: compare
-    # every instance's (lhs, rhs), evaluated in its (p, d) block, bit for
-    # bit with lemma_unconditional_batch on its (p, d, l) group alone and
-    # with the left side built by adding the tuple's terms in order
+    # every instance's (lhs, rhs), evaluated in its d block with every
+    # exponent's part, bit for bit with lemma_unconditional_batch on its
+    # (p, d, l) group alone and with the left side built by adding the
+    # tuple's terms in order
     runs = []
     sides = lemma44._lemma_sides
 
-    def recording(space, rows, ms, ls, stacks):
-        out = sides(space, rows, ms, ls, stacks)
-        runs.append((space, ms.copy(), [S.copy() for S in stacks], out))
+    def recording(rows, ms, ls, parts):
+        out = sides(rows, ms, ls, parts)
+        runs.append((ms.copy(), [(sp, [S.copy() for S in stacks]) for sp, _, stacks in parts],
+                     out))
         return out
 
     monkeypatch.setattr(lemma44, "_lemma_sides", recording)
@@ -206,9 +208,9 @@ def test_lemma44_blocks_match_each_group_alone(monkeypatch):
                       max_l=max_l, seed=9)
     monkeypatch.undo()
     checked = 0
-    for sp, ms, stacks, (lhs, rhs) in runs:
+    for ms, parts, (lhs, rhs) in runs:
         at = row = 0
-        for X in stacks:
+        for sp, X in ((sp, X) for sp, stacks in parts for X in stacks):
             n, l, d = X.shape
             m = ms[row:row + n * l].reshape(n, l)
             want_lhs, want_rhs = lemma_unconditional_batch(sp, m, X)
@@ -227,7 +229,7 @@ def test_lemma44_blocks_match_each_group_alone(monkeypatch):
 
 
 def test_lemma44_measures_once_per_block(monkeypatch):
-    # one _lp_norm call normalises a (p, d) block's rows, one takes its
+    # one _lp_norm call normalises a (p, d) part's rows, one takes its
     # left sides: the per-group loop took 3 per (p, d, l) group
     calls = []
     lp_norm = lemma44._lp_norm
@@ -239,13 +241,32 @@ def test_lemma44_measures_once_per_block(monkeypatch):
     def recording(*args):
         # the draws yield their blocks: keep them for check_lemma44 too
         out = list(draws(*args))
-        blocks.extend((pi, d) for pi, d, *_ in out)
+        blocks.extend(sp for *_, parts in out for sp, *_ in parts)
         return out
 
     monkeypatch.setattr(lemma44, "_lemma44_draws", recording)
     check_lemma44(instances=3000, seed=4)
-    assert len(set(blocks)) == len(lemma44.LEMMA44_PS) * 7
-    assert 0 < len(calls) <= 2 * len(set(blocks))
+    assert len(blocks) == len(set(blocks)) == len(lemma44.LEMMA44_PS) * 7
+    assert 0 < len(calls) <= 2 * len(blocks)
+
+
+def test_lemma44_evaluates_one_dimension_at_a_time(monkeypatch):
+    # the default draw block holds all 7 dimensions; each takes one
+    # _lemma_sides call over one part per exponent, where one call per
+    # (p, d) block took 35
+    calls = []
+    sides = lemma44._lemma_sides
+    monkeypatch.setattr(lemma44, "_lemma_sides",
+                        lambda *args: calls.append(args) or sides(*args))
+    check_lemma44(instances=3000, seed=4)
+    assert len(calls) == 7
+    dims = []
+    for rows, ms, ls, parts in calls:
+        assert len(ls) == sum(len(X) for *_, stacks in parts for X in stacks)
+        assert {sp.dim for sp, *_ in parts} == {rows.shape[1]}
+        assert sorted(sp.p for sp, *_ in parts) == list(lemma44.LEMMA44_PS)
+        dims.append(rows.shape[1])
+    assert sorted(dims) == list(range(lemma44.LEMMA44_DIMS[0], lemma44.LEMMA44_DIMS[1] + 1))
 
 
 def test_lemma44_one_constraint_pass_per_block(monkeypatch):
@@ -326,10 +347,11 @@ def test_tuple_constraints_match_each_group_alone(p, rng):
         ms = rng.integers(1, d + 1, size=len(rows))
         want = [kernels._dual_norms(kernels.sign_patterns(k) @ X, sp.q).max(axis=-1)
                 for X, k in zip(stacks, ks)]
-        rhs = lemma44._lemma_sides(sp, rows, ms, ls, stacks)[1]
+        rhs = lemma44._lemma_sides(rows, ms, ls, [(sp, slice(None), stacks)])[1]
         assert rhs.tobytes() == np.concatenate(want).tobytes()
         # no tuples at all: reduceat takes no empty offsets
-        lhs, rhs = lemma44._lemma_sides(sp, rows[:0], ms[:0], ls[:0], [stacks[ns.index(0)]])
+        lhs, rhs = lemma44._lemma_sides(rows[:0], ms[:0], ls[:0],
+                                        [(sp, slice(None), [stacks[ns.index(0)]])])
         assert lhs.shape == rhs.shape == (0,) and rhs.dtype == np.float64
 
 
@@ -349,7 +371,7 @@ def test_tuple_constraints_peak_memory(q, rng):
         kernels.sign_patterns.cache_clear()
         tracemalloc.start()
         try:
-            lemma44._lemma_sides(sp, rows, ms, ls, stacks)
+            lemma44._lemma_sides(rows, ms, ls, [(sp, slice(None), stacks)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
