@@ -263,10 +263,12 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     last decay round ends, and the loop state drops it on that iteration.
     Results are deterministic.  Each restart's arithmetic does not depend
     on which or how many others are live, so a restart climbs as it would
-    alone, and results are monotone in the restart budget and the same as
-    E separate searches; not so with delta terms, whose values are one
-    BLAS product over a call's rows: a row's sum can change with the other
-    rows (seen at d >= 8).  Each restart keeps its signed sums, its f-values
+    alone, and results are the same as E separate searches; not so with
+    delta terms, whose values are one BLAS product over a call's rows: a
+    row's sum can change with the other rows (seen at d >= 8).  Results
+    are monotone in the restart budget only up to the last bits: the best
+    restart is the one with the best ratio as the search computed it, and
+    its objective and constraint are computed afresh for the report.  Each restart keeps its signed sums, its f-values
     and the f-values of all its 2kd moved functionals.  Move (i, j, s)
     adds kernels.MOVE_SIGNS[s, 0] times the step to coordinate j of
     functional i, as move_constraints scores it, and costs one column of

@@ -27,7 +27,6 @@ __all__ = [
     "move_constraints",
     "MOVE_SIGNS",
     "MOVE_ARRAYS",
-    "SCALED_MOVE_ARRAYS",
     "move_elements",
     "PATTERN_ARRAYS",
     "pattern_elements",
@@ -41,13 +40,12 @@ BACKEND = "numpy"
 LARGE_EXPONENT = 32.0
 
 # move_constraints holds at most MOVE_ARRAYS * (2^(k-1) + k) * 2dB float64
-# at once, for B tuples of k functionals in d dimensions: the moved pattern
-# norms are (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Measured with
-# tracemalloc per branch: SCALED_MOVE_ARRAYS in the scaled branch (q >
-# LARGE_EXPONENT), which keeps the other columns' top two entries and their
-# scaled power sums besides.
+# at once, for B tuples of k functionals in d dimensions, where q <=
+# LARGE_EXPONENT or q = inf keeps the incremental formula: the moved
+# pattern norms are (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Above
+# LARGE_EXPONENT every moved tuple's signed sums are built in full, d more
+# arrays (see move_elements).  Measured with tracemalloc per branch.
 MOVE_ARRAYS = 4
-SCALED_MOVE_ARRAYS = 9
 
 # pattern_norms of n k-tuples in d dimensions holds at most PATTERN_ARRAYS
 # float64 per sign pattern and coordinate at once: the signed sums (n,
@@ -132,21 +130,21 @@ def _nonzero(m: np.ndarray) -> np.ndarray:
     return np.where(m == 0.0, 1.0, m)
 
 
-def _dual_norms(Z: np.ndarray, q: float, axis: int = -1, out=None) -> np.ndarray:
-    """ell_q norms of Z along `axis`.  Its temporaries the size of Z (see
-    PATTERN_ARRAYS): |Z| at q = 1 and q = inf, |Z| and its power at other q
-    up to LARGE_EXPONENT, and above it |Z|, its scaled copy and their power.
-    Given out (Z's shape; out=Z overwrites Z), each is written into it
-    instead, with the same bits."""
+def _dual_norms(Z: np.ndarray, q: float, out=None) -> np.ndarray:
+    """ell_q norms of Z along its last axis.  Its temporaries the size of Z
+    (see PATTERN_ARRAYS): |Z| at q = 1 and q = inf, |Z| and its power at
+    other q up to LARGE_EXPONENT, and above it |Z|, its scaled copy and
+    their power.  Given out (Z's shape; out=Z overwrites Z), each is
+    written into it instead, with the same bits."""
     a = np.abs(Z, out=out)
     if q == math.inf:
-        return a.max(axis=axis)
+        return a.max(axis=-1)
     if q > LARGE_EXPONENT:
         # |z|^q would over- or underflow: scale each row by its largest entry
-        m = _nonzero(a.max(axis=axis, keepdims=True))
+        m = _nonzero(a.max(axis=-1, keepdims=True))
         a = _power(np.divide(a, m, out=out), q, out=out)
-        return _root(a.sum(axis=axis), q) * m.squeeze(axis)
-    return _root(_power(a, q, out=out).sum(axis=axis), q)
+        return _root(a.sum(axis=-1), q) * m[..., 0]
+    return _root(_power(a, q, out=out).sum(axis=-1), q)
 
 
 def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
@@ -163,13 +161,13 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
     where n's positive part max(a_n - N_n * max_{m<n} a_m, 0) is nonzero,
     NaN included.  Any other row, and any row with a_n = 0, has the value
     0 * P = +0 for the ramp product P in [0, 1].  So unless a coordinate
-    is NaN, which makes P NaN, an index with no live row gets zeros
-    without its ramps, and an index but the last with fewer than N/4 live
-    rows builds its ramps and products on those rows only and scatters
-    them into zeros.  Otherwise a lane with a_n = 0 divides by 1 and is
-    zeroed at the end.  Each value has the bits of this dense pass,
-    whatever the other rows and leaves are.  The result is a view of the
-    call's one work buffer, which it keeps alive.
+    is NaN, which makes P NaN, an index whose live rows' a_n and ramp
+    coordinates fit in the buffer's ramp rows builds its ramps and
+    products on those rows only and scatters them into zeros (with no
+    live row, it gets zeros without its ramps).  Otherwise a lane with
+    a_n = 0 divides by 1 and is zeroed at the end.  Each value has the
+    bits of this dense pass, whatever the other rows and leaves are.  The
+    result is a view of the call's one work buffer, which it keeps alive.
     """
     # leaves[i] = (n, mhi) by generator index: n -> [(i, mhi), ...]
     groups = {}
@@ -209,7 +207,7 @@ def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
         np.maximum(base, 0.0, out=base)
         hi = tops[n]
         live = np.count_nonzero(base)
-        if hi > n and (not live or (4 * live < N and not last)):
+        if hi > n and (hi - n + 1) * live <= ramps.size:
             if nan is None:
                 nan = math.isnan(a.max(initial=0.0))
             if not nan:
@@ -242,10 +240,9 @@ def _ramps(t, Nv, width):
 
 def _live_rows(out, a, ramps, base, live, group, n, hi, Nv, width):
     """hom_batch's leaves of generator index n from its live rows, their
-    values scattered into zeros; with some live row, n is not the last
-    index.  The live entries of a_n and of the ramps' coordinates go to
-    one contiguous block at the start of the ramp rows, which it fits with
-    fewer than N/4 live rows."""
+    values scattered into zeros.  The live entries of a_n and of the
+    ramps' coordinates go to one contiguous block at the start of the ramp
+    rows, which hom_batch has checked they fit."""
     for i, _ in group:
         out[i].fill(0.0)
     if not live:
@@ -295,7 +292,7 @@ def constraint_batch(XB, S, q) -> np.ndarray:
     XB = np.ascontiguousarray(XB, dtype=np.float64)
     # one GEMM for the whole batch: contract the tuple axis with the patterns
     Z = np.tensordot(XB, S, axes=([1], [1]))  # (B, d, npat)
-    return _dual_norms(Z, q, axis=1).max(axis=1)
+    return _dual_norms(Z.transpose(0, 2, 1), q).max(axis=1)
 
 
 def signed_sums(X, S) -> np.ndarray:
@@ -303,9 +300,16 @@ def signed_sums(X, S) -> np.ndarray:
 
     X holds a batch of B k-tuples functional-first, shape (k, B, d).  The
     batch axis is last, so the reductions of move_constraints run over
-    contiguous blocks of the batch.
+    contiguous blocks of the batch.  The k terms are added in order, one
+    elementwise pass each, so every tuple's sums have the bits they have
+    alone, whatever the batch (a matrix product may take another path for
+    a lone column).
     """
-    return np.ascontiguousarray(np.tensordot(S, X, axes=(1, 0)).transpose(0, 2, 1))
+    Xt = X.transpose(0, 2, 1)
+    Z = np.multiply(S[:, 0, None, None], Xt[0], out=np.empty((len(S),) + Xt.shape[1:]))
+    for i in range(1, len(Xt)):
+        Z += S[:, i, None, None] * Xt[i]
+    return Z
 
 
 def _leave_one_out(W: np.ndarray, op=np.add) -> np.ndarray:
@@ -341,7 +345,7 @@ def _leave_one_out(W: np.ndarray, op=np.add) -> np.ndarray:
 def move_elements(k: int, d: int, q: float) -> int:
     """Float64 elements that move_constraints holds at its peak per k-tuple
     in d dimensions (see MOVE_ARRAYS)."""
-    arrays = SCALED_MOVE_ARRAYS if LARGE_EXPONENT < q < math.inf else MOVE_ARRAYS
+    arrays = d + MOVE_ARRAYS if LARGE_EXPONENT < q < math.inf else MOVE_ARRAYS
     return arrays * ((1 << (k - 1)) + k) * 2 * d
 
 
@@ -353,8 +357,10 @@ def move_constraints(Z, step, q) -> np.ndarray:
     coordinate j of functional i, which changes only column j of the
     tuple's signed sums, by s*step[b]*S[p, i] at pattern p.  So every
     pattern norm of every move is one of two per entry of Z: with
-    Z[p, j, b] + step or with Z[p, j, b] - step in column j, combined with
-    an aggregate of the other d-1 columns built once.  Returns
+    Z[p, j, b] + step or with Z[p, j, b] - step in column j.  For q up to
+    LARGE_EXPONENT and q = inf it is combined with an aggregate of the
+    other d-1 columns built once; above LARGE_EXPONENT each moved tuple's
+    signed sums are built in full and normed by _dual_norms.  Returns
     (k, d, 2, B), sign s = +1 before -1.  A power sum that overflows is
     inf, an upper value; the caller decides whether numpy warns of it
     (the search ignores overflow).
@@ -375,23 +381,13 @@ def move_constraints(Z, step, q) -> np.ndarray:
         total += _leave_one_out(powers).transpose(1, 0, 2)[:, :, None, :]
         # the root is increasing, so it is taken after the max
         return _root(_max_over_patterns(total), q)
-    a = np.abs(Z)
-    np.abs(moved, out=moved)
-    # leave-one-out maximum from each pattern's top two entries
-    is_top = np.arange(d)[:, None] == a.argmax(axis=1)[:, None, :]
-    rest = np.where(is_top, 0.0, a)
-    top1 = a.max(axis=1, keepdims=True)
-    top2 = rest.max(axis=1, keepdims=True)
-    others = np.where(is_top, top2, top1)[:, :, None, :]
-    # scaled power sums: the other columns relative to their largest
-    # entry, then everything relative to the moved tuple's largest entry
-    top1, top2 = _nonzero(top1), _nonzero(top2)
-    scaled = np.where(is_top, _power(rest / top2, q).sum(axis=1, keepdims=True),
-                      _leave_one_out(_power(a / top1, q).transpose(1, 0, 2))
-                      .transpose(1, 0, 2))[:, :, None, :]
-    m = _nonzero(np.maximum(others, moved))
-    total = scaled * _power(others / m, q) + _power(moved / m, q)
-    return _max_over_patterns(_root(total, q) * m)
+    # |z|^q would over- or underflow: every moved tuple's signed sums in
+    # full, coordinates last, take _dual_norms' scaled branch
+    full = np.empty((npat, d, 2, B, d))
+    full[...] = Z.transpose(0, 2, 1)[:, None, None]
+    cols = np.arange(d)
+    full[:, cols, :, :, cols] = moved.transpose(1, 0, 2, 3)
+    return _max_over_patterns(_dual_norms(full, q, out=full))
 
 
 def _max_over_patterns(A: np.ndarray) -> np.ndarray:

@@ -330,8 +330,8 @@ def _all_moved_fvalues(terms, W, space, X, step):
     return _fvalues(terms, W, space, rows.reshape(-1, B, d)).reshape(k, d, 2, B)
 
 
-@pytest.mark.parametrize("p", [math.inf, 3.0, 2.0, 1.5, 1.0, 1.0 + 1e-7],
-                         ids=["q=1", "q=1.5", "q=2", "q=3", "q=inf", "p=1+1e-7"])
+@pytest.mark.parametrize("p", [math.inf, 3.0, 2.0, 1.5, 1.0, 1.02, 1.0 + 1e-7],
+                         ids=["q=1", "q=1.5", "q=2", "q=3", "q=inf", "p=1.02", "p=1+1e-7"])
 def test_incremental_neighbourhood_matches_full_rebuild(p, rng):
     # every move (i, j, s) scored from the kept signed sums and f-values
     # equals the ratio of the explicitly built candidate tuple, at the first

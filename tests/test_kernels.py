@@ -243,14 +243,29 @@ def test_leave_one_out_matches_cumulative_reference(rng):
             assert np.array_equal(kernels._leave_one_out(W, np.maximum), want)
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
-                         ids=["q=1", "q=2", "q=3", "q=inf", "q=1e7"])
+def test_signed_sums_of_a_lone_tuple_match_its_batch_column(rng):
+    # each tuple's signed sums have the same bits alone as in a batch: a
+    # matrix product over one column may take another path (at d = 1)
+    for k in range(1, 13):
+        S = kernels.sign_patterns(k)
+        for d in range(1, 10):
+            X = rng.standard_normal((k, 64, d))
+            Z = kernels.signed_sums(X, S)
+            assert Z.shape == (len(S), d, 64) and Z.flags.c_contiguous
+            for b in range(64):
+                alone = kernels.signed_sums(X[:, b:b + 1], S)
+                assert alone.tobytes() == np.ascontiguousarray(Z[:, :, b:b + 1]).tobytes(), (k, d, b)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 51.0, 1e7],
+                         ids=["q=1", "q=2", "q=3", "q=inf", "q=51", "q=1e7"])
 def test_move_constraints_peak_memory(q, rng):
     # the budget of the search's cap check: at most MOVE_ARRAYS float64 per
     # entry of the (2^(k-1) + k, d, 2, B) moved norms and results, or
-    # SCALED_MOVE_ARRAYS in the scaled branch (q = 1e7), up to a few small
-    # arrays; the k term is the larger one for k <= 2
-    arrays = kernels.SCALED_MOVE_ARRAYS if q == 1e7 else kernels.MOVE_ARRAYS
+    # d + MOVE_ARRAYS above LARGE_EXPONENT (q = 51 and 1e7), whose moved
+    # tuples' signed sums are built in full, up to a few small arrays; the
+    # k term is the larger one for k <= 2
+    arrays = kernels.MOVE_ARRAYS + (2 if kernels.LARGE_EXPONENT < q < np.inf else 0)
     assert kernels.move_elements(3, 2, q) == arrays * 7 * 4
     for k, d, B in itertools.product((1, 2, 3, 6, 10), (1, 2, 6), (64,)):
         X = rng.standard_normal((k, B, d))
