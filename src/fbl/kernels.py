@@ -41,22 +41,23 @@ LARGE_EXPONENT = 32.0
 
 # move_constraints holds at most MOVE_ARRAYS * (2^(k-1) + k) * 2dB float64
 # at once, for B tuples of k functionals in d dimensions, where q <=
-# LARGE_EXPONENT or q = inf keeps the incremental formula: the moved
-# pattern norms are (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Above
-# LARGE_EXPONENT every moved tuple's signed sums are built in full, d more
-# arrays (see move_elements).  Measured with tracemalloc per branch.
+# LARGE_EXPONENT or q = inf keeps the incremental formula (one power-sum
+# route, whose sum is a maximum at q = inf): the moved pattern norms are
+# (2^(k-1), d, 2, B) and the result (k, d, 2, B).  Above LARGE_EXPONENT
+# every moved tuple's signed sums are built in full, d more arrays (see
+# move_elements).  Measured with tracemalloc per branch.
 MOVE_ARRAYS = 4
 
 # pattern_norms of n k-tuples in d dimensions holds at most PATTERN_ARRAYS
 # float64 per sign pattern and coordinate at once: the signed sums (n,
 # 2^(k-1), d) and the norms' temporaries, plus two per pattern of each
-# tuple for the norms themselves; a call over several stacks holds these
-# counts for all of them at once, added up.  sign_patterns(k) holds as
-# many per pattern and tuple entry while it builds the (2^(k-1), k)
-# matrix, which stays cached only up to k = CACHED_PATTERNS.  Measured
-# with tracemalloc; the scaled branch (q > LARGE_EXPONENT) is the largest.
-# The norms are taken in place in the signed sums, so the pass holds less
-# than the count.
+# tuple for the norms themselves (each row's power sum and its root); a
+# call over several stacks holds these counts for all of them at once,
+# added up.  sign_patterns(k) holds as many per pattern and tuple entry
+# while it builds the (2^(k-1), k) matrix, which stays cached only up to
+# k = CACHED_PATTERNS.  Measured with tracemalloc; the scaled branch (q >
+# LARGE_EXPONENT) is the largest.  The norms are taken in place in the
+# signed sums, so the pass holds less than the count.
 PATTERN_ARRAYS = 4
 
 # MOVE_SIGNS[s, 0], the sign of move (i, j, s) where move_constraints scores
@@ -97,54 +98,57 @@ _cached_sign_patterns = functools.lru_cache(maxsize=None)(_sign_patterns)
 sign_patterns.cache_clear = _cached_sign_patterns.cache_clear
 
 
-def _power(a: np.ndarray, q: float, out=None) -> np.ndarray:
-    """a^q for a >= 0 and finite q, exact at q = 1; into out if given,
-    except at q = 1."""
-    if q == 1.0:
-        return a
-    if q == 2.0:
-        return np.multiply(a, a, out=out)
-    return np.power(a, q, out=out)
-
-
 def _abs_power(x: np.ndarray, q: float, out=None) -> np.ndarray:
-    """|x|^q for finite q, into out if given; x * x at q = 2, the bits of
+    """|x|^q for q up to LARGE_EXPONENT, and |x| at q = inf, where the power
+    sum is a maximum; into out if given.  x * x at q = 2, the bits of
     |x| * |x| without the absolute value."""
     if q == 2.0:
         return np.multiply(x, x, out=out)
     a = np.abs(x, out=out)
-    return a if q == 1.0 else np.power(a, q, out=a)
+    return a if q in (1.0, math.inf) else np.power(a, q, out=a)
 
 
 def _root(s: np.ndarray, q: float) -> np.ndarray:
-    """s^(1/q), the inverse of _power."""
-    if q == 1.0:
+    """s^(1/q), the inverse of _abs_power on s >= 0: s itself at q = 1 and
+    q = inf."""
+    if q in (1.0, math.inf):
         return s
     if q == 2.0:
         return np.sqrt(s)
     return np.power(s, 1.0 / q)
 
 
-def _nonzero(m: np.ndarray) -> np.ndarray:
-    """m with zeros replaced by 1, for use as a scale."""
-    return np.where(m == 0.0, 1.0, m)
+def _rows(op, a: np.ndarray) -> np.ndarray:
+    """op.reduce of a along its last axis, into a new array.  Rows shorter
+    than 8 are folded column by column into a running row, one elementwise
+    op per column: numpy's reduction pays a fixed cost per row, and adds
+    fewer than 8 entries in order too, so on a >= 0 the bits are the same."""
+    d = a.shape[-1]
+    if d >= 8:
+        return op.reduce(a, axis=-1, out=np.empty(a.shape[:-1]))
+    s = a[..., 0].copy()
+    for j in range(1, d):
+        op(s, a[..., j], out=s)
+    return s
 
 
 def _dual_norms(Z: np.ndarray, q: float, out=None) -> np.ndarray:
-    """ell_q norms of Z along its last axis.  Its temporaries the size of Z
-    (see PATTERN_ARRAYS): |Z| at q = 1 and q = inf, |Z| and its power at
-    other q up to LARGE_EXPONENT, and above it |Z|, its scaled copy and
-    their power.  Given out (Z's shape; out=Z overwrites Z), each is
-    written into it instead, with the same bits."""
-    a = np.abs(Z, out=out)
-    if q == math.inf:
-        return a.max(axis=-1)
-    if q > LARGE_EXPONENT:
+    """ell_q norms of Z along its last axis, the package's one ell_q norm:
+    the root of the power sum of |Z|, which at q = inf is a maximum.  Its
+    one temporary the size of Z (see PATTERN_ARRAYS) is |Z|, or Z * Z at
+    q = 2; every power and scaling is taken in place in it.  Given out
+    (Z's shape; out=Z overwrites Z), it is written there instead, with the
+    same bits.  Every row's norm has the bits it has alone, and rows
+    shorter than 8 are reduced column by column (see _rows)."""
+    if LARGE_EXPONENT < q < math.inf:
         # |z|^q would over- or underflow: scale each row by its largest entry
-        m = _nonzero(a.max(axis=-1, keepdims=True))
-        a = _power(np.divide(a, m, out=out), q, out=out)
-        return _root(a.sum(axis=-1), q) * m[..., 0]
-    return _root(_power(a, q, out=out).sum(axis=-1), q)
+        a = np.abs(Z, out=out)
+        m = _rows(np.maximum, a)
+        m[m == 0.0] = 1.0
+        a = np.power(np.divide(a, m[..., None], out=a), q, out=a)
+        return _root(_rows(np.add, a), q) * m
+    op = np.maximum if q == math.inf else np.add
+    return _root(_rows(op, _abs_power(Z, q, out=out)), q)
 
 
 def hom_batch(X, leaves, Mv, Nv) -> np.ndarray:
@@ -358,8 +362,9 @@ def move_constraints(Z, step, q) -> np.ndarray:
     tuple's signed sums, by s*step[b]*S[p, i] at pattern p.  So every
     pattern norm of every move is one of two per entry of Z: with
     Z[p, j, b] + step or with Z[p, j, b] - step in column j.  For q up to
-    LARGE_EXPONENT and q = inf it is combined with an aggregate of the
-    other d-1 columns built once; above LARGE_EXPONENT each moved tuple's
+    LARGE_EXPONENT and q = inf, its |z|^q (|z| at q = inf) is combined
+    with the other d-1 columns' power sum (their maximum at q = inf),
+    built once by a leave-one-out; above LARGE_EXPONENT each moved tuple's
     signed sums are built in full and normed by _dual_norms.  Returns
     (k, d, 2, B), sign s = +1 before -1.  A power sum that overflows is
     inf, an upper value; the caller decides whether numpy warns of it
@@ -368,17 +373,13 @@ def move_constraints(Z, step, q) -> np.ndarray:
     npat, d, B = Z.shape
     # moved[:, :, t] holds Z + step for t = 0 and Z - step for t = 1
     moved = Z[:, :, None, :] + MOVE_SIGNS * step
-    # the aggregates of the other columns are built coordinates-first, so
-    # that each column is one contiguous block
-    if q == math.inf:
-        a = np.abs(Z.transpose(1, 0, 2), out=np.empty((d, npat, B)))
-        others = _leave_one_out(a, np.maximum).transpose(1, 0, 2)[:, :, None, :]
-        total = np.abs(moved, out=moved)
-        return _max_over_patterns(np.maximum(total, others, out=total))
-    if q <= LARGE_EXPONENT:
+    if q <= LARGE_EXPONENT or q == math.inf:
+        # the aggregates of the other columns are built coordinates-first,
+        # so that each column is one contiguous block
+        op = np.maximum if q == math.inf else np.add
         powers = _abs_power(Z.transpose(1, 0, 2), q, out=np.empty((d, npat, B)))
         total = _abs_power(moved, q, out=moved)
-        total += _leave_one_out(powers).transpose(1, 0, 2)[:, :, None, :]
+        op(total, _leave_one_out(powers, op).transpose(1, 0, 2)[:, :, None, :], out=total)
         # the root is increasing, so it is taken after the max
         return _root(_max_over_patterns(total), q)
     # |z|^q would over- or underflow: every moved tuple's signed sums in

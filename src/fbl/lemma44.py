@@ -24,7 +24,6 @@ from .spaces import (
     ConfigError,
     DimensionMismatch,
     Space,
-    _lp_norm,
     _rng,
     check_finite_functionals,
     check_seed,
@@ -81,9 +80,11 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     its basis indices.  Left side: dual norm of sum_i |x_i*(e_{m_i})| e_{m_i}*;
     right side: the tuple constraint sup_{x in B} sum_i |x_i*(x)|.
     Functionals must be finite and lie in the dual unit ball.  The two
-    sides use independent code paths (closed-form dual norm vs. sign-cube
-    enumeration), the ones check_lemma44 evaluates its d blocks with.
-    Each instance's (lhs, rhs) has the bits it has alone.
+    sides use independent code paths (closed-form dual norm of the sums
+    vs. sign-cube enumeration), the ones check_lemma44 evaluates its d
+    blocks with; both take their norms, like the dual-ball check, from
+    kernels._dual_norms.  Each instance's (lhs, rhs) has the bits it has
+    alone, and both are float64, with no instances too.
     """
     X = np.asarray(functionals, dtype=np.float64)
     ms = np.asarray(ms)
@@ -99,7 +100,7 @@ def lemma_unconditional_batch(space: Space, ms, functionals) -> tuple[np.ndarray
     if ms.size and not (ms.dtype.kind in "iu" and 1 <= ms.min() and ms.max() <= d):
         raise BasisIndexError(f"basis indices must be integers in 1..{d}")
     check_finite_functionals(X)
-    if not (_lp_norm(X, space.q) <= 1.0 + SLACK_TOL).all():
+    if not (kernels._dual_norms(X, space.q) <= 1.0 + SLACK_TOL).all():
         raise ConfigError("functionals must lie in the dual unit ball")
     return _lemma_sides(X.reshape(-1, d), ms.astype(np.intp).ravel(), np.full(n, l),
                         [(space, slice(None), [X])])
@@ -121,11 +122,13 @@ def _lemma_sides(rows, ms, ls, parts) -> tuple[np.ndarray, np.ndarray]:
     n, d = len(ls), rows.shape[1]
     # entry (t, m) of z adds |x_i*(e_m)| over instance t's functionals i
     # with index m.  bincount adds in input order from 0.0, so each entry
-    # is a sum in the order of the tuple
+    # is a sum in the order of the tuple.  With no instances bincount
+    # returns int64 whatever its weights, so z is made float64 here
     z = np.bincount(np.repeat(np.arange(-1, n * d - 1, d), ls) + ms,
                     np.abs(np.take(rows, np.arange(-1, rows.size - 1, d) + ms)), n * d)
-    z = z.reshape(n, d)
-    lhs = np.concatenate([_lp_norm(z[at], space.q) for space, at, _ in parts])
+    z = z.reshape(n, d).astype(np.float64, copy=False)
+    lhs = np.concatenate([kernels._dual_norms(z[at], space.q, out=z[at])
+                          for space, at, _ in parts])
     norms = np.concatenate([kernels.pattern_norms(stacks, space.q) for space, _, stacks in parts])
     if not n:  # reduceat refuses empty offsets
         return lhs, norms
@@ -207,7 +210,7 @@ def _lemma44_draws(space: Space | None, streams, lo: int, hi: int, max_l: int):
         window = np.ndarray((coords.size - d + 1, d), buffer=coords, strides=(8, 8))
         rows = window[starts[r0:r1]]
         # each row into its space's dual unit ball, one norm call per exponent
-        norms = np.concatenate([_lp_norm(rows[cut[0][1] - r0:cut[-1][1] - r0], sp.q)
+        norms = np.concatenate([kernels._dual_norms(rows[cut[0][1] - r0:cut[-1][1] - r0], sp.q)
                                 for sp, cut in parts])
         rows /= np.maximum(1.0, norms)[:, None]
         yield lo + order[b0:b1], ls[b0:b1], rows, ms[r0:r1], [

@@ -112,15 +112,6 @@ def l1_extreme_point_constraint(functionals) -> np.ndarray:
     return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
-def _lp_norm(coords: np.ndarray, p: float) -> np.ndarray:
-    """ell_p norms along the last axis, each with the bits of its row alone."""
-    if p == 2.0:
-        # a BLAS dot product per row, as np.dot takes it
-        a = np.abs(coords)
-        return np.sqrt(np.vecdot(a, a))
-    return _dual_norms(coords, p)
-
-
 @dataclass(frozen=True)
 class Space:
     """The d-dimensional ell_p space, in normalized-basis coordinates."""
@@ -158,11 +149,11 @@ class Space:
 
     def norm(self, x) -> float:
         """Norm of a vector given by its coordinates in the normalized basis."""
-        return float(_lp_norm(self.check_coords(x), self.p))
+        return float(_dual_norms(self.check_coords(x), self.p))
 
     def dual_norm(self, xstar) -> float:
         """Dual norm of a functional given by its biorthogonal coordinates."""
-        return float(_lp_norm(self.check_coords(xstar), self.q))
+        return float(_dual_norms(self.check_coords(xstar), self.q))
 
     def __str__(self):
         if self.p == math.inf:

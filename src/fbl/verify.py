@@ -17,12 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import spaces
+from . import kernels, spaces
 from .fblnorm import SearchConfig, fbl_lower_bounds, search_elements
 from .homfun import Add, BuiltinF, BuiltinH, Scale, eval_batch, eval_terms, finite
 from .lemma44 import SLACK_TOL, CheckReport, check_lemma44
 from .lifting import LiftingSystem
-from .spaces import ConfigError, DimensionMismatch, _lp_norm, _rng, check_sign_tensor
+from .spaces import ConfigError, DimensionMismatch, _rng, check_sign_tensor
 
 __all__ = [
     "SLACK_TOL",
@@ -205,7 +205,7 @@ def check_freenorms(system: LiftingSystem, pairs, search: SearchConfig,
         X = _rng(search.seed, 4, n, k).standard_normal((samples, d))
         vals = eval_batch(diff, space, X)
         rows = vals.nonzero()[0]
-        ratios = np.abs(vals[rows]) / _lp_norm(X[rows], space.q)
+        ratios = np.abs(vals[rows]) / kernels._dual_norms(X[rows], space.q)
         report.instances = samples
         report.worst_slack = bound - float(ratios.max(initial=0.0))
         for i in rows:

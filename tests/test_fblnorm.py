@@ -46,12 +46,14 @@ def brute_constraint(space, X):
 
 
 def test_single_functional_is_dual_norm(rng):
-    for p in (1.0, 2.0, 3.0, math.inf):
-        sp = Space.lp(p, 4)
-        u = rng.standard_normal(4)
-        C, eps = tuple_constraint(sp, [u])
-        assert C == sp.dual_norm(u)
-        assert np.array_equal(eps, [1.0])
+    # the sign cube of one functional and Space.dual_norm take the same
+    # ell_q norm routine, so they agree to the bit, on ell_2 too
+    for p, d in product([1.0, 1.5, 2.0, 3.0, math.inf, 1.0 + 1e-7], [1, 2, 3, 5, 8, 13]):
+        sp = Space.lp(p, d)
+        for u in rng.standard_normal((200, d)) * rng.uniform(1e-3, 1e3, (200, 1)):
+            C, eps = tuple_constraint(sp, [u])
+            assert np.float64(C).tobytes() == np.float64(sp.dual_norm(u)).tobytes()
+            assert np.array_equal(eps, [1.0])
 
 
 def test_constraint_examples():

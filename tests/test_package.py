@@ -107,6 +107,14 @@ def test_only_kernels_binds_the_move_signs():
     assert signs.tolist() == [[1.0], [-1.0]] and not signs.flags.writeable
 
 
+def test_only_kernels_takes_an_lq_norm():
+    # kernels._dual_norms is the package's one ell_q norm: no other module
+    # raises to a power, takes a root or a dot product, or calls linalg
+    takers = [name for name in MODULES
+              if {"power", "sqrt", "vecdot", "linalg"} & _source_names(name)]
+    assert takers == ["kernels"]
+
+
 def test_shared_refusals_are_written_once():
     # spaces.check_finite_functionals is the one non-finite functional
     # refusal, and verify.lift_verify refuses a negative --coeff-vectors

@@ -69,7 +69,8 @@ def test_lemma_batch_of_no_instances():
     for p in (1.0, 2.0, 1.0000001, math.inf):
         lhs, rhs = lemma_unconditional_batch(Space.lp(p, 3), np.empty((0, 4), dtype=int),
                                              np.empty((0, 4, 3)))
-        assert lhs.shape == rhs.shape == (0,) and rhs.dtype == np.float64
+        assert lhs.shape == rhs.shape == (0,)
+        assert lhs.dtype == rhs.dtype == np.float64
 
 
 def test_lemma44_random_suite():
@@ -229,12 +230,17 @@ def test_lemma44_blocks_match_each_group_alone(monkeypatch):
 
 
 def test_lemma44_measures_once_per_block(monkeypatch):
-    # one _lp_norm call normalises a (p, d) part's rows, one takes its
-    # left sides: the per-group loop took 3 per (p, d, l) group
+    # one _dual_norms call normalises a (p, d) part's rows, one takes its
+    # left sides: the per-group loop took 3 per (p, d, l) group.  The
+    # sign-cube passes' own calls are not counted
     calls = []
-    lp_norm = lemma44._lp_norm
-    monkeypatch.setattr(lemma44, "_lp_norm",
-                        lambda coords, p: calls.append(p) or lp_norm(coords, p))
+
+    def counting(name):
+        f = getattr(kernels, name)
+        return lambda *args, **kw: calls.append(name) or f(*args, **kw)
+
+    for name in ("_dual_norms", "pattern_norms"):
+        monkeypatch.setattr(kernels, name, counting(name))
     blocks = []
     draws = lemma44._lemma44_draws
 
@@ -247,7 +253,8 @@ def test_lemma44_measures_once_per_block(monkeypatch):
     monkeypatch.setattr(lemma44, "_lemma44_draws", recording)
     check_lemma44(instances=3000, seed=4)
     assert len(blocks) == len(set(blocks)) == len(lemma44.LEMMA44_PS) * 7
-    assert 0 < len(calls) <= 2 * len(blocks)
+    norm_calls = calls.count("_dual_norms") - calls.count("pattern_norms")
+    assert 0 < norm_calls <= 2 * len(blocks)
 
 
 def test_lemma44_evaluates_one_dimension_at_a_time(monkeypatch):
@@ -352,7 +359,8 @@ def test_tuple_constraints_match_each_group_alone(p, rng):
         # no tuples at all: reduceat takes no empty offsets
         lhs, rhs = lemma44._lemma_sides(rows[:0], ms[:0], ls[:0],
                                         [(sp, slice(None), [stacks[ns.index(0)]])])
-        assert lhs.shape == rhs.shape == (0,) and rhs.dtype == np.float64
+        assert lhs.shape == rhs.shape == (0,)
+        assert lhs.dtype == rhs.dtype == np.float64
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, np.inf, 1e7],
