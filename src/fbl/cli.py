@@ -55,8 +55,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _search_config(args) -> fblnorm.SearchConfig:
-    return fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
-                                local_steps=args.local_steps, seed=args.seed)
+    return fblnorm.SearchConfig(k=args.k, restarts=args.restarts, seed=args.seed)
 
 
 def cmd_norm(args) -> int:
@@ -121,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mseq", default="pow2", help="pow2 | custom:LIST")
         p.add_argument("--k", type=int, default=k, help="tuple size")
         p.add_argument("--restarts", type=int, default=restarts)
-        p.add_argument("--local-steps", type=int, default=8, dest="local_steps")
 
     p = sub.add_parser("norm", help="lower-bound the norm of an expression")
     common(p)

@@ -60,10 +60,12 @@ PROBE_SAMPLES = 64
 PROBE_SEED = 0
 
 # hill-climbing schedule; 20 decay rounds so the final step (~4e-4) resolves
-# ratios at lattice kinks to well under 1e-3
+# ratios at lattice kinks to well under 1e-3, and at most LOCAL_STEPS
+# accepted moves per round
 STEP_INIT = 0.5
 STEP_DECAY = 0.7
 DECAY_ROUNDS = 20
+LOCAL_STEPS = 8
 
 
 class DependenceError(InputError):
@@ -99,15 +101,12 @@ def tuple_constraint(space: Space, functionals) -> tuple[float, np.ndarray]:
 class SearchConfig:
     k: int = 2
     restarts: int = 100
-    local_steps: int = 8
     seed: int = 0
 
     def __post_init__(self):
         check_tuple_size(self.k)
         if self.restarts < 1:
             raise ConfigError("need at least one restart")
-        if self.local_steps < 1:
-            raise ConfigError("need at least one local step")
         check_seed(self.seed)
 
 
@@ -268,8 +267,9 @@ def fbl_lower_bounds(terms, weights, space: Space, config: SearchConfig) -> list
     row's sum can change with the other rows (seen at d >= 8).  Results
     are monotone in the restart budget only up to the last bits: the best
     restart is the one with the best ratio as the search computed it, and
-    its objective and constraint are computed afresh for the report.  Each restart keeps its signed sums, its f-values
-    and the f-values of all its 2kd moved functionals.  Move (i, j, s)
+    its objective and constraint are computed afresh for the report.
+    Each restart keeps its signed sums, its f-values and the f-values of
+    all its 2kd moved functionals.  Move (i, j, s)
     adds kernels.MOVE_SIGNS[s, 0] times the step to coordinate j of
     functional i, as move_constraints scores it, and costs one column of
     signed sums, which an accepted move updates in place; after it only
@@ -329,7 +329,7 @@ def _lockstep(terms, W, space, config, X0):
     ids = np.arange(E * R)
     step = np.full(E * R, STEP_INIT)
     rounds_left = np.full(E * R, DECAY_ROUNDS, dtype=int)
-    moves_left = np.full(E * R, config.local_steps, dtype=int)
+    moves_left = np.full(E * R, LOCAL_STEPS, dtype=int)
     # the f-values of every move, kept between neighbourhoods (see
     # _neighbourhood); at first every slot is stale
     new = np.empty((k, d, 2, E * R))
@@ -360,7 +360,7 @@ def _lockstep(terms, W, space, config, X0):
         decayed = ~improved | (moves_left == 0)
         np.multiply(step, STEP_DECAY, out=step, where=decayed)
         rounds_left -= decayed
-        np.copyto(moves_left, config.local_steps, where=decayed)
+        np.copyto(moves_left, LOCAL_STEPS, where=decayed)
         # the moved rows changed with the step, or with the moved functional
         stale[:] = decayed
         stale[i, n] = True

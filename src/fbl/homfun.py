@@ -392,7 +392,8 @@ class _Parser:
     def integer(self):
         tok = self.next()
         if tok[0] != "num" or not tok[1].isdigit():
-            raise ExprSyntaxError(f"expected an integer, found {tok[1] or 'end of input'!r}", tok[2])
+            raise ExprSyntaxError(
+                f"expected an integer, found {tok[1] or 'end of input'!r}", tok[2])
         return int(tok[1])
 
     def expr(self):

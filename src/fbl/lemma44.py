@@ -3,11 +3,12 @@
 For functionals x_1*, ..., x_l* in the dual unit ball of an ell_p space
 and basis indices m_1, ..., m_l, the dual norm of
 sum_i |x_i*(e_{m_i})| e_{m_i}*, with e_m* the functionals biorthogonal to
-the basis, is at most the tuple constraint sup_{x in B} sum_i |x_i*(x)|.  check_lemma44 draws random instances and
-checks both sides, each from its own code path; this module loads only
-spaces and kernels, so the lemma44 command runs without the expression,
-search and lifting modules.  CheckReport, the report of every check, and
-the slack tolerance live here for the same reason.
+the basis, is at most the tuple constraint sup_{x in B} sum_i |x_i*(x)|.
+check_lemma44 draws random instances and checks both sides, each from its
+own code path; this module loads only spaces and kernels, so the lemma44
+command runs without the expression, search and lifting modules.
+CheckReport, the report of every check, and the slack tolerance live here
+for the same reason.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pickle
 import signal
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,6 +211,9 @@ ERROR_TABLE = [
     (["lemma44", "--l", "30"], 3, "1..24"),
     (["lemma44", "--seed", "-1"], 3, "seed"),
     (["lemma44", "--instances", "1", "--mseq", "pow2"], 2, "unrecognized arguments"),
+    # the search schedule is fixed: a removed flag is refused, never ignored
+    (["norm", "--space", "l2:2", "--expr", "d(1,0)", "--local-steps", "8"], 2,
+     "unrecognized arguments"),
     (["lemma44", "--space", "l2:50", "--l", "24"], 3, "lower --l"),
     (["lemma44", "--l", "21"], 3, "lower --l"),
     # the sign-cube norms of one instance fit, but not the rest of its count
@@ -442,8 +446,7 @@ def _argv(draw):
                 "--l", str(draw(st.integers(0, 4))), "--seed", seed]
         return argv + (["--space", draw(SPACES)] if draw(st.booleans()) else [])
     argv = [command, "--space", draw(SPACES), "--mseq", draw(MSEQS), "--seed", seed,
-            "--k", str(draw(st.integers(0, 3))), "--restarts", str(draw(st.integers(0, 2))),
-            "--local-steps", "1"]
+            "--k", str(draw(st.integers(0, 3))), "--restarts", str(draw(st.integers(0, 2)))]
     if command == "norm":
         return argv + ["--expr", draw(EXPRS)]
     return argv + ["--instances", str(draw(st.integers(-2, 20))),
@@ -454,7 +457,9 @@ def _argv(draw):
 @given(argv=_argv())
 def test_fuzzed_command_lines_keep_the_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # one accepted move per decay round keeps the searches short
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(fblnorm, "LOCAL_STEPS", 1):
         code = run(argv)  # any exception escaping run() fails the test
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
@@ -545,8 +550,7 @@ def test_lift_verify_is_one_library_call(cpus, monkeypatch, capsys):
     assert code == 0
     args = _build_parser().parse_args(argv)
     system = LiftingSystem(spaces.parse_space(args.space), _parse_mseq(args.mseq))
-    search = fblnorm.SearchConfig(k=args.k, restarts=args.restarts,
-                                  local_steps=args.local_steps, seed=args.seed)
+    search = fblnorm.SearchConfig(k=args.k, restarts=args.restarts, seed=args.seed)
     reports = verify.lift_verify(system, search, args.instances, args.coeff_vectors)
     assert [r.to_dict() for r in reports] == json.loads(out)["checks"]
     assert len(forks) == (2 if cpus == 2 else 0)

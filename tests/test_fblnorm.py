@@ -217,8 +217,9 @@ def test_restarts_climb_independently(space, text, monkeypatch):
     monkeypatch.setattr(fblnorm, "DECAY_ROUNDS", 4)
     sp, expr, ones = parse_space(space), parse(text), np.ones((1, 1))
     for k, local_steps in product((1, 2, 4), (1, 8)):
+        monkeypatch.setattr(fblnorm, "LOCAL_STEPS", local_steps)
         X0 = _start_tuples(1, 17, k, sp.dim)
-        one = SearchConfig(k=k, restarts=1, local_steps=local_steps, seed=1)
+        one = SearchConfig(k=k, restarts=1, seed=1)
         alone = [fblnorm._lockstep([expr], ones, sp, one, X0[:, r:r + 1])[0].to_dict()
                  for r in range(17)]
         if local_steps == 1:
@@ -389,11 +390,12 @@ def test_kept_fvalues_match_a_fresh_evaluation(space, k, monkeypatch):
     # every neighbourhood the f-values kept for all moves are those of a
     # fresh evaluation of every moved row, bit for bit
     monkeypatch.setattr(fblnorm, "DECAY_ROUNDS", 6)
+    monkeypatch.setattr(fblnorm, "LOCAL_STEPS", 3)
     system = LiftingSystem(parse_space(space))
     d = system.space.dim
     rng = np.random.default_rng(5)
     neighbourhood = fblnorm._neighbourhood
-    cfg = SearchConfig(k=k, restarts=5, local_steps=3, seed=2)
+    cfg = SearchConfig(k=k, restarts=5, seed=2)
     seen = []
     # the zero row leaves every term unweighted on some columns until its
     # search retires: each is then evaluated where weighted only

@@ -13,7 +13,6 @@ from fbl.homfun import Abs, Add, BuiltinF, BuiltinH, Delta, LiftParams, Scale, e
 from fbl.lifting import LiftingSystem, T_apply, beta_apply
 from fbl.lemma44 import lemma_unconditional_batch
 from fbl.spaces import (
-    SIGN_TENSOR_CAP,
     BasisIndexError,
     ConfigError,
     DimensionMismatch,
@@ -414,8 +413,9 @@ def test_disjoint_zero_failures():
     assert report.passed and report.worst_slack == 0.0
 
 
-def test_beta_section_report():
-    report = check_beta_section(LiftingSystem(Space.lp(2, 6)), samples=200, seed=0)
+def test_beta_section_report(monkeypatch):
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 200)
+    report = check_beta_section(LiftingSystem(Space.lp(2, 6)), seed=0)
     assert report.passed
 
 
@@ -435,31 +435,37 @@ def _per_sample_beta_section(system, samples, seed, tol):
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["l1", "l2", "linf"])
-def test_beta_section_matches_per_sample_lift(p):
+def test_beta_section_matches_per_sample_lift(p, monkeypatch):
     custom = LiftParams(m_values=(1.0, 3.0, 9.0, 27.0, 81.0, 243.0))
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 300)
     for d in (1, 3, 6):
         for params in (LiftParams(), custom):
             system = LiftingSystem(Space.lp(p, d), params)
-            got = check_beta_section(system, samples=300, seed=d).to_dict()
+            got = check_beta_section(system, seed=d).to_dict()
             assert got == _per_sample_beta_section(system, 300, d, 1e-12)
             assert got["failures"] == []
     # a negative tolerance fails every sample, each with the oracle's entry
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 50)
+    monkeypatch.setattr(verify, "BETA_TOL", -1.0)
     system = LiftingSystem(Space.lp(p, 6))
-    got = check_beta_section(system, samples=50, seed=4, tol=-1.0)
+    got = check_beta_section(system, seed=4)
     assert len(got.failures) == 50
     assert got.to_dict() == _per_sample_beta_section(system, 50, 4, -1.0)
-    empty = check_beta_section(system, samples=0, seed=4)
-    assert (empty.instances, empty.failures, empty.worst_slack) == (0, [], None)
 
 
-def test_beta_section_refuses_bad_sample_counts_before_drawing(monkeypatch):
-    monkeypatch.setattr(verify, "_rng", lambda *a: pytest.fail("drew samples"))
-    system = LiftingSystem(Space.lp(2, 6))
-    with pytest.raises(ConfigError, match="samples must be >= 0"):
-        check_beta_section(system, samples=-1)
-    # (4 * 6 + 1) * (cap // 25 + 1) floats is just over the cap
-    with pytest.raises(ConfigError, match="over the cap"):
-        check_beta_section(system, samples=SIGN_TENSOR_CAP // 25 + 1)
+@pytest.mark.parametrize("tol", [1e-12, -1.0])
+def test_beta_section_fails_exactly_the_rows_over_the_tolerance(tol, monkeypatch):
+    # generators scaled by 1 + 2^-40 miss the identity by |x_n| 2^-40 in
+    # coordinate n: at 1e-12 the rows with some |x_n| above about 1.1 fail,
+    # at -1 every row; each failing row once, in order, with its largest error
+    monkeypatch.setattr(verify, "BETA_TOL", tol)
+    space = Space.lp(2, 4)
+    scaled = tuple(Scale(1 + 2.0**-40, g) for g in LiftingSystem(space).generators)
+    system = Mutant(space, mutant=scaled)
+    got = check_beta_section(system, seed=2).to_dict()
+    assert got == _per_sample_beta_section(system, verify.CHECK_SAMPLES, 2, tol)
+    assert 0 < len(got["failures"]) <= verify.CHECK_SAMPLES
+    assert (len(got["failures"]) == verify.CHECK_SAMPLES) == (tol < 0)
 
 
 @pytest.mark.parametrize("space", ["l2:1", "l2:6", "linf:12"])
@@ -470,27 +476,26 @@ def test_sampled_check_peak_memory_within_the_checked_count(check, space, monkey
     # all checked at samples, none searched
     system = LiftingSystem(parse_space(space))
     d = system.space.dim
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 20_000)
     run = {"disjoint": lambda: check_disjoint(system, samples=20_000),
-           "beta_section": lambda: check_beta_section(system, samples=20_000),
+           "beta_section": lambda: check_beta_section(system),
            "freenorm": lambda: check_freenorms(
-               system, [(n, d - n) for n in range(1, d + 1)], SEARCH, 20_000)}[check]
+               system, [(n, d - n) for n in range(1, d + 1)], SEARCH)}[check]
     run()  # caches built
-    counted, count = [], verify._check_samples
-    monkeypatch.setattr(verify, "_check_samples", lambda samples, d, floats, remedy:
-                        counted.append(floats) or count(samples, d, floats, remedy))
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * counted[0] + 65536
+    # the count lift_verify books for the check's samples
+    assert peak <= 8 * verify._sample_floats(check, 20_000, d) + 65536
 
 
 def test_normspan_basis_coefficients():
     system = LiftingSystem(Space.lp(2, 4))
     a = np.array([1.0, 0.0, 0.0, 0.0])
-    report = check_normspan(system, a, SearchConfig(k=2, restarts=30, seed=0))
+    report = check_normspan(system, a[None], SearchConfig(k=2, restarts=30, seed=0))
     assert report.passed
     # the explicit tuple (e1*) gives ratio 1, so the bound is nearly attained
     assert report.worst_slack == pytest.approx(0.0, abs=1e-3)
@@ -499,7 +504,7 @@ def test_normspan_basis_coefficients():
 def test_normspan_zero_coefficients_guarded():
     # the all-zero combination has norm 0; every visited ratio is 0/C = 0
     system = LiftingSystem(Space.lp(2, 4))
-    report = check_normspan(system, np.zeros(4), SearchConfig(k=2, restarts=4, seed=0))
+    report = check_normspan(system, np.zeros((1, 4)), SearchConfig(k=2, restarts=4, seed=0))
     assert report.passed and report.worst_slack >= -1e-9
 
 
@@ -508,7 +513,7 @@ def test_normspan_random_coefficients():
     for p in (1.0, 2.0, math.inf):
         system = LiftingSystem(Space.lp(p, 6))
         for _ in range(5):
-            report = check_normspan(system, rng.standard_normal(6), SEARCH)
+            report = check_normspan(system, rng.standard_normal((1, 6)), SEARCH)
             assert report.passed, report.failures
 
 
@@ -516,7 +521,7 @@ def test_normspan_batch_matches_single_vectors():
     system = LiftingSystem(Space.lp(2, 4))
     A = np.random.default_rng(8).standard_normal((4, 4))
     batch = check_normspan(system, A, SEARCH)
-    singles = [check_normspan(system, a, SEARCH) for a in A]
+    singles = [check_normspan(system, a[None], SEARCH) for a in A]
     assert batch.instances == 4 and batch.passed
     assert batch.worst_slack == min(r.worst_slack for r in singles)
     assert batch.config["coefficients"] == A.tolist()
@@ -549,8 +554,9 @@ def test_normspan_evaluates_only_the_changed_moved_rows(monkeypatch):
 
 def test_normspan_coefficient_shape_is_an_input_error():
     system = LiftingSystem(Space.lp(2, 4))
-    for bad in (np.zeros(3), np.zeros((2, 5)), np.zeros((1, 1, 4)), 1.0):
-        with pytest.raises(DimensionMismatch):
+    # one vector alone is refused too: the coefficients are (E, d)
+    for bad in (np.zeros(4), np.zeros(3), np.zeros((2, 5)), np.zeros((1, 1, 4)), 1.0):
+        with pytest.raises(DimensionMismatch, match=r"shape \(E, 4\), got"):
             check_normspan(system, bad, SEARCH)
     # a scalar is not a vector, not even in dimension 1
     with pytest.raises(DimensionMismatch):
@@ -567,9 +573,10 @@ def test_freenorm_tail_bound():
     assert report.config["tail_bound"] == 2.0**-5
 
 
-def test_freenorm_identically_zero_beyond_dimension():
+def test_freenorm_identically_zero_beyond_dimension(monkeypatch):
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 500)
     system = LiftingSystem(Space.lp(2, 6))
-    report = check_freenorm(system, 3, 3, SEARCH, samples=500)
+    report = check_freenorm(system, 3, 3, SEARCH)
     # the difference is zero at every sample: the slack is the whole bound
     assert report.passed and report.worst_slack == report.config["tail_bound"] == 2.0**-6
     assert report.instances == 500
@@ -595,19 +602,32 @@ def test_freenorms_match_separate_searches(p, d, monkeypatch):
     system = LiftingSystem(Space.lp(p, d))
     search = SearchConfig(k=2, restarts=4, seed=5)
     pairs = [(n, k) for n in range(1, d + 1) for k in range(d - n + 1)]
-    reports = check_freenorms(system, pairs, search, samples=200)
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 200)
+    reports = check_freenorms(system, pairs, search)
     assert len(reports) == len(pairs)
     for (n, k), rep in zip(pairs, reports):
         if n + k < d:
             assert rep.to_dict() == _separate_freenorm(system, n, k, search)
         else:
             assert (rep.instances, rep.failures, rep.worst_slack) == (200, [], 2.0 ** -(n + k))
-            assert rep.to_dict() == check_freenorm(system, n, k, search, samples=200).to_dict()
+            assert rep.to_dict() == check_freenorm(system, n, k, search).to_dict()
     # no pair, or only exact-zero pairs: no search runs
     monkeypatch.setattr(verify, "fbl_lower_bounds", lambda *a: pytest.fail("searched"))
     assert check_freenorms(system, [], search) == []
     zero_pairs = [(d, 0), (1, d - 1)]
-    assert [r.instances for r in check_freenorms(system, zero_pairs, search, 10)] == [10, 10]
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 10)
+    assert [r.instances for r in check_freenorms(system, zero_pairs, search)] == [10, 10]
+
+
+def test_freenorms_draw_no_samples_for_searched_pairs(monkeypatch):
+    # only pairs with n + k >= d draw, each from its stream _rng(seed, 4, n, k)
+    keys, rng = [], verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda seed, *key: keys.append(key) or rng(seed, *key))
+    system = LiftingSystem(Space.lp(2, 6))
+    reports = check_freenorms(system, [(1, 1), (2, 1)], SEARCH)
+    assert keys == [] and [r.instances for r in reports] == [1, 1]
+    check_freenorms(system, [(1, 1), (3, 3), (2, 1)], SEARCH)
+    assert keys == [(4, 3, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +678,7 @@ def test_span_norm_flags_absolute_deltas():
     C, _ = tuple_constraint(system.space, witness)
     objective = np.abs(eval_batch(T_apply(system, a), system.space, witness)).sum()
     assert (objective, C) == (4.0, 2.0)
-    report = check_normspan(system, a, SEARCH)
+    report = check_normspan(system, a[None], SEARCH)
     failure, = report.failures
     assert failure["norm"] == math.sqrt(2) < failure["ratio"] <= objective / C
     assert report.worst_slack == failure["norm"] - failure["ratio"] < 0.0
@@ -695,8 +715,9 @@ def _short_truncations(monkeypatch):
 
 def test_free_norm_flags_an_identity_pair_that_differs(monkeypatch):
     _short_truncations(monkeypatch)
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 200)
     system = LiftingSystem(Space.lp(2, 2))
-    report = check_freenorm(system, 1, 1, SEARCH, samples=200)
+    report = check_freenorm(system, 1, 1, SEARCH)
     X = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(4, 1, 1))).standard_normal(
         (200, 2))
     # h(1,1) is now |x1| without the ramp g_2(|x2| / |x1|), below 1 past M_2 = 4
@@ -730,20 +751,22 @@ def test_lift_verify_flags_a_mutant_on_both_paths(monkeypatch, capsys):
     assert [bool(r["failures"]) for r in runs[0]] == [False, False, False, False, True]
 
 
-def test_beta_section_refuses_a_non_finite_value():
+def test_beta_section_refuses_a_non_finite_value(monkeypatch):
     # generators scaled by 1e308 overflow beta(T(x)) for |x_n| > 1.8; numpy's
     # warning is silenced here, as the refusal, not the warning, is under test
     space = Space.lp(2, 3)
     huge = Mutant(space, mutant=tuple(Scale(1e308, g) for g in LiftingSystem(space).generators))
+    monkeypatch.setattr(verify, "CHECK_SAMPLES", 50)
     with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
-        check_beta_section(huge, samples=50)
+        check_beta_section(huge)
 
 
 def test_sampled_checks_refuse_a_negative_seed():
     system = LiftingSystem(Space.lp(2, 3))
-    for check in (check_disjoint, check_beta_section):
+    for check in (lambda: check_disjoint(system, samples=10, seed=-1),
+                  lambda: check_beta_section(system, seed=-1)):
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
-            check(system, samples=10, seed=-1)
+            check()
 
 
 def test_lemma_batch_refuses_bad_shapes_and_tuple_sizes():
